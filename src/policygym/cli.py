@@ -30,6 +30,7 @@ from .rollout import (
     ROLE_AGENT_TOOL,
     Trajectory,
     Turn,
+    distance_to,
     export_trajectory,
     import_trajectory,
     pass_at_k,
@@ -37,14 +38,7 @@ from .rollout import (
     run_episode,
 )
 from .snapshots import Snapshot
-from .verify import (
-    canonicalize,
-    canonicalize_connection,
-    dense_reward,
-    diff,
-    diff_canonical,
-    proximity,
-)
+from .verify import canonicalize, dense_reward, diff, proximity
 
 EXIT_OK = 0
 EXIT_TASK = 1
@@ -206,8 +200,7 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
     target = canonicalize(pkg.target_snapshot, cfg)
     turns: list[Turn] = []
     with open_environment(pkg) as env:
-        current = diff_canonical(canonicalize_connection(env.connection, cfg), target).total
-        p_prev = proximity(current, pkg.delta0, cfg.epsilon)
+        p_prev = proximity(distance_to(env, target, cfg), pkg.delta0, cfg.epsilon)
         for turn in recorded.turns:
             if turn.role != ROLE_AGENT_TOOL:
                 turns.append(turn)
@@ -218,14 +211,11 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
                     f"replay digest mismatch at turn {turn.index}; "
                     "trajectory does not replay against this package"
                 )
-            current = diff_canonical(
-                canonicalize_connection(env.connection, cfg), target
-            ).total
-            p_t = proximity(current, pkg.delta0, cfg.epsilon)
+            p_t = proximity(distance_to(env, target, cfg), pkg.delta0, cfg.epsilon)
             reward = dense_reward(p_t, p_prev, result.status == "error", cfg.lambda_err)
             turns.append(dataclasses.replace(turn, proximity=p_t, reward=reward))
             p_prev = p_t
-        final_diff = diff_canonical(canonicalize_connection(env.connection, cfg), target).total
+        final_diff = distance_to(env, target, cfg)
     sum_dense = sum(t.reward for t in turns if t.role == ROLE_AGENT_TOOL)
     return dataclasses.replace(
         recorded, turns=tuple(turns), final_diff=final_diff,

@@ -6,10 +6,8 @@ One EnvHandle is single-writer; distinct handles are fully independent.
 
 from __future__ import annotations
 
-import os
 import re
 import sqlite3
-import tempfile
 from dataclasses import dataclass
 
 from .errors import MalformedArguments, ReadOnlyTable, UnknownTool
@@ -20,11 +18,12 @@ from .packages import (
     TaskPackage,
     ToolSpec,
 )
-from .snapshots import Snapshot, quote_ident, state_digest, table_columns
+from .snapshots import Snapshot, open_image, quote_ident, read_schema, state_digest
 
 UNCLASSIFIED = "UNCLASSIFIED"
 
 _BRACKET_CODE_RE = re.compile(r"^\s*\[([A-Z][A-Z0-9_]*)\]\s*(.*)$", re.DOTALL)
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # code points UTF-8 cannot encode
 
 
 @dataclass(frozen=True)
@@ -117,7 +116,7 @@ def parse_engine_error(raw: str, registry: dict[str, str]) -> ErrorPayload:
 
 
 class EnvHandle:
-    """A working copy of the origin snapshot with triggers installed.
+    """An in-memory working copy of the origin snapshot with triggers installed.
 
     Callers must serialize execute_tool on one handle; open several handles
     for parallel rollouts. The origin snapshot bytes are never mutated.
@@ -129,27 +128,18 @@ class EnvHandle:
         self.turn_counter = 0
         self.closed = False
         self._tools = bundle.tools_by_name()
-        self._columns_cache: dict[str, list] = {}
-        fd, self._path = tempfile.mkstemp(suffix=".db", prefix="policygym-env-")
-        os.close(fd)
-        origin.write_to(self._path)
-        self._conn = self._connect()
-
-    def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self._path, isolation_level=None)
-        conn.execute("PRAGMA foreign_keys = ON")
-        return conn
+        self._conn = open_image(origin.data)
+        self._conn.execute("PRAGMA foreign_keys = ON")
+        # the bundle's catalog, unless this image was built from other DDL
+        self.schema_info = bundle.schema_info
+        if not self.schema_info.describes(self._conn):
+            self.schema_info = read_schema(self._conn)
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         if not self.closed:
             self._conn.close()
-            for suffix in ("", "-journal", "-wal", "-shm"):
-                try:
-                    os.unlink(self._path + suffix)
-                except FileNotFoundError:
-                    pass
             self.closed = True
 
     def __enter__(self):
@@ -160,9 +150,7 @@ class EnvHandle:
 
     def reset(self) -> None:
         """Restore the working state to the origin snapshot."""
-        self._conn.close()
-        self.origin.write_to(self._path)
-        self._conn = self._connect()
+        self._conn.deserialize(self.origin.data)
         self.turn_counter = 0
 
     # -- introspection ------------------------------------------------------
@@ -172,12 +160,10 @@ class EnvHandle:
         return self._conn
 
     def columns(self, table: str):
-        if table not in self._columns_cache:
-            self._columns_cache[table] = table_columns(self._conn, table)
-        return self._columns_cache[table]
+        return self.schema_info.columns(table)
 
     def digest(self) -> str:
-        return state_digest(self._conn)
+        return state_digest(self._conn, self.schema_info)
 
     def snapshot(self) -> Snapshot:
         """Immutable copy of the current state; later writes do not affect it."""
@@ -196,9 +182,15 @@ class EnvHandle:
             cur = self._conn.execute(sql, params)
             self._conn.execute("COMMIT")
             return cur.rowcount
-        except sqlite3.Error:
-            self._conn.execute("ROLLBACK")
+        except BaseException:
+            _rollback(self._conn)
             raise
+
+
+def _rollback(conn: sqlite3.Connection) -> None:
+    """Undo the open transaction; a failed COMMIT may already have ended it."""
+    if conn.in_transaction:
+        conn.execute("ROLLBACK")
 
 
 def open_environment(pkg: TaskPackage) -> EnvHandle:
@@ -228,7 +220,18 @@ _JSON_TYPE_CHECKS = {
 }
 
 
+def _check_bindable(value, label: str) -> None:
+    """Reject what SQLite cannot bind as one parameter, before any dispatch."""
+    if value is not None and not isinstance(value, (int, float, str, bytes)):
+        raise MalformedArguments(f"{label}: expected a scalar, got {type(value).__name__}")
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        raise MalformedArguments(f"{label}: integer out of the 64-bit range")
+    if isinstance(value, str) and _SURROGATE_RE.search(value):
+        raise MalformedArguments(f"{label}: string is not valid unicode")
+
+
 def _check_scalar(value, json_type: str, label: str) -> None:
+    _check_bindable(value, label)
     if value is None:
         return  # NULLs pass through; NOT NULL enforcement belongs to the engine
     check = _JSON_TYPE_CHECKS.get(json_type)
@@ -263,13 +266,14 @@ def _normalize_filters(raw, columns: set[str], spec_name: str):
             raise MalformedArguments(f"{spec_name}: filters[{i}] must be an object")
         col = item.get("column")
         op = item.get("op", "=")
-        if col not in columns:
+        if not isinstance(col, str) or col not in columns:
             raise MalformedArguments(f"{spec_name}: unknown filter column {col!r}")
         if op not in QUERY_OPERATORS:
             raise MalformedArguments(f"{spec_name}: unsupported operator {op!r}")
         if "value" not in item:
             raise MalformedArguments(f"{spec_name}: filters[{i}] missing value")
         value = item["value"]
+        _check_bindable(value, f"{spec_name}: filters[{i}].value")
         if value is None and op not in ("=", "!="):
             raise MalformedArguments(f"{spec_name}: NULL only supports = and !=")
         out.append((col, op, value))
@@ -330,6 +334,7 @@ def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
             raise MalformedArguments(f"{spec.name}: only 'summary' is accepted")
         if not isinstance(summary, str) or not summary:
             raise MalformedArguments(f"{spec.name}: summary must be a non-empty string")
+        _check_bindable(summary, f"{spec.name}: summary")
         result = _run_write(
             env, spec, {"summary": summary},
             lambda e, s, a: ("INSERT INTO escalations (summary) VALUES (?)", [a["summary"]]),
@@ -381,6 +386,7 @@ def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
     if limit is not None:
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
             raise MalformedArguments(f"{spec.name}: limit must be a non-negative integer")
+        _check_bindable(limit, f"{spec.name}: limit")
         sql += " LIMIT ?"
         params.append(limit)
     rows = tuple(dict(zip(columns, row)) for row in env.connection.execute(sql, params))
@@ -405,9 +411,10 @@ def _update_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
     setter = args.get("set")
     if not isinstance(setter, dict) or not setter:
         raise MalformedArguments(f"{spec.name}: 'set' must be a non-empty object")
-    for col in setter:
+    for col, value in setter.items():
         if col not in columns:
             raise MalformedArguments(f"{spec.name}: unknown set column {col!r}")
+        _check_bindable(value, f"{spec.name}: set.{col}")
     raw_filters = args.get("filters")
     if not isinstance(raw_filters, dict):
         raise MalformedArguments(f"{spec.name}: 'filters' must be an object (equality only)")
@@ -430,7 +437,10 @@ def _run_write(env: EnvHandle, spec: ToolSpec, args: dict, build) -> ToolResult:
         affected = max(cur.rowcount, 0)
         conn.execute("COMMIT")
     except sqlite3.Error as exc:
-        conn.execute("ROLLBACK")
+        _rollback(conn)
         payload = parse_engine_error(str(exc), env.bundle.error_registry)
         return ToolResult(status="error", error=payload, state_digest=env.digest())
+    except BaseException:
+        _rollback(conn)
+        raise
     return ToolResult(status="success", affected=affected, state_digest=env.digest())

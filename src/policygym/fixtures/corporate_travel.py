@@ -20,12 +20,10 @@ from ..packages import (
     EnvironmentBundle,
     RolloutLimits,
     TaskPackage,
-    compile_environment,
-    derive_tools_from_connection,
-    extract_trigger_annotations,
+    compile_schema,
     save_package,
 )
-from ..snapshots import Snapshot, temp_db_path
+from ..snapshots import Snapshot
 from ..verify import DiffConfig, diff
 
 FIXTURE_NAME = "corporate-travel"
@@ -815,41 +813,23 @@ def canned_generation_outputs() -> dict[str, list[str]]:
 
 
 def build_bundle() -> EnvironmentBundle:
-    conn = compile_environment(SCHEMA_SQL, TRIGGERS_SQL)
-    try:
-        annotations = extract_trigger_annotations(conn)
-        catalog = derive_tools_from_connection(conn, PERMISSIONS, annotations)
-    finally:
-        conn.close()
-    return EnvironmentBundle(
-        schema=SCHEMA_SQL,
-        triggers=TRIGGERS_SQL,
-        permissions=dict(PERMISSIONS),
-        tool_catalog=catalog,
-        error_registry=dict(ERROR_HINTS),
-    )
+    info = compile_schema(SCHEMA_SQL, TRIGGERS_SQL)
+    return EnvironmentBundle.from_schema(SCHEMA_SQL, TRIGGERS_SQL, info, PERMISSIONS, ERROR_HINTS)
 
 
 def empty_snapshot() -> Snapshot:
     """Compiled schema + triggers with no rows."""
-    import sqlite3
+    from ..synthesis import empty_snapshot_for
 
-    with temp_db_path() as path:
-        conn = sqlite3.connect(path)
-        try:
-            compile_environment(SCHEMA_SQL, TRIGGERS_SQL, conn)
-            conn.commit()
-        finally:
-            conn.close()
-        return Snapshot.from_file(path)
+    return empty_snapshot_for(build_bundle())
 
 
 def build_origin_snapshot(bundle: EnvironmentBundle | None = None) -> Snapshot:
     """Seed the boundary-adjacent origin state through the live engine."""
-    from ..synthesis import apply_seed_proposals
+    from ..synthesis import apply_seed_proposals, empty_snapshot_for
 
     bundle = bundle or build_bundle()
-    with open_environment_at(bundle, empty_snapshot()) as env:
+    with open_environment_at(bundle, empty_snapshot_for(bundle)) as env:
         committed, rejected = apply_seed_proposals(env, SEED_PROPOSALS)
         if rejected:
             raise RuntimeError(f"fixture seed rejected: {rejected[0]}")

@@ -21,6 +21,7 @@ import json
 import re
 import sqlite3
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -33,10 +34,10 @@ from .errors import (
 )
 from .snapshots import (
     ColumnInfo,
+    SchemaInfo,
     Snapshot,
-    list_tables,
     quote_ident,
-    table_columns,
+    read_schema,
 )
 from .verify import DiffConfig, diff, validate_excluded_columns
 
@@ -46,7 +47,7 @@ READ_WRITE = "read_write"
 ESCALATION_TOOL = "transfer_to_human_agents"
 ESCALATIONS_TABLE = "escalations"
 ESCALATIONS_DDL = (
-    "CREATE TABLE escalations (\n"
+    "CREATE TABLE IF NOT EXISTS escalations (\n"
     "    id INTEGER PRIMARY KEY AUTOINCREMENT,\n"
     "    summary TEXT NOT NULL\n"
     ")"
@@ -67,12 +68,6 @@ REQUIRED_FILES = (
     "target.db",
 )
 
-_TRIGGER_HEADER_RE = re.compile(
-    r"CREATE\s+TRIGGER\s+(?:IF\s+NOT\s+EXISTS\s+)?[\"'`]?(\w+)[\"'`]?\s+"
-    r"(BEFORE|AFTER|INSTEAD\s+OF)\s+(INSERT|UPDATE|DELETE)"
-    r"(?:\s+OF\s+([\w\s,\"']+?))?\s+ON\s+[\"'`]?(\w+)",
-    re.IGNORECASE | re.DOTALL,
-)
 _RAISE_RE = re.compile(r"RAISE\s*\(\s*(?:ABORT|FAIL|ROLLBACK)\s*,\s*'((?:[^']|'')*)'", re.IGNORECASE)
 _EFFECT_UPDATE_RE = re.compile(r"\bUPDATE\s+[\"'`]?(\w+)[\"'`]?\s+SET\s+[\"'`]?(\w+)", re.IGNORECASE)
 _EFFECT_INSERT_RE = re.compile(r"\bINSERT\s+INTO\s+[\"'`]?(\w+)", re.IGNORECASE)
@@ -141,6 +136,24 @@ class EnvironmentBundle:
     def tables(self, mode: str) -> list[str]:
         return sorted(t for t, m in self.permissions.items() if m == mode)
 
+    @cached_property
+    def schema_info(self) -> SchemaInfo:
+        """Catalog of this bundle's DDL, compiled at most once per bundle."""
+        return compile_schema(self.schema, self.triggers)
+
+    @classmethod
+    def from_schema(
+        cls, schema_sql: str, triggers_sql: str, info: SchemaInfo,
+        permissions: dict[str, str], error_registry: dict[str, str],
+    ) -> "EnvironmentBundle":
+        """Bundle over DDL whose catalog ``info`` is already compiled; the tool
+        catalog derives from it and the bundle keeps it."""
+        catalog = derive_tools_from_schema(info, permissions, extract_trigger_annotations(info))
+        bundle = cls(schema=schema_sql, triggers=triggers_sql, permissions=dict(permissions),
+                     tool_catalog=catalog, error_registry=dict(error_registry))
+        bundle.__dict__["schema_info"] = info  # the cached_property slot
+        return bundle
+
 
 @dataclass(frozen=True)
 class TaskPackage:
@@ -166,62 +179,60 @@ class TaskPackage:
 
 # --- compilation ------------------------------------------------------------
 
-def compile_environment(
-    schema_sql: str, triggers_sql: str, conn: sqlite3.Connection | None = None
-) -> sqlite3.Connection:
-    """Execute the DDL on a scratch (or given) engine; raise CompileFailure.
+def compile_environment(schema_sql: str, triggers_sql: str) -> sqlite3.Connection:
+    """Execute the DDL on a scratch in-memory engine; raise CompileFailure."""
+    return _compile(schema_sql, triggers_sql)[0]
+
+
+def compile_schema(schema_sql: str, triggers_sql: str) -> SchemaInfo:
+    """Catalog of the compiled DDL; raise CompileFailure."""
+    conn, info = _compile(schema_sql, triggers_sql)
+    conn.close()
+    return info
+
+
+def _compile(schema_sql: str, triggers_sql: str) -> tuple[sqlite3.Connection, SchemaInfo]:
+    """Compiled engine and its catalog; raise CompileFailure.
 
     The escalations log table is added when the schema does not declare it.
     Trigger bodies are force-compiled with EXPLAIN probes because SQLite
     resolves trigger references lazily at first fire.
     """
-    own = conn is None
-    if conn is None:
-        conn = sqlite3.connect(":memory:")
+    conn = sqlite3.connect(":memory:")
     try:
         try:
             conn.executescript(schema_sql)
         except sqlite3.Error as exc:
             raise CompileFailure(f"schema: {exc}") from exc
-        if ESCALATIONS_TABLE not in list_tables(conn):
-            conn.execute(ESCALATIONS_DDL)
+        conn.execute(ESCALATIONS_DDL)
         try:
             if triggers_sql.strip():
                 conn.executescript(triggers_sql)
         except sqlite3.Error as exc:
             raise CompileFailure(f"triggers: {exc}") from exc
-        _force_compile_triggers(conn)
+        info = read_schema(conn)
+        _force_compile_triggers(conn, info)
         conn.commit()
     except CompileFailure:
-        if own:
-            conn.close()
+        conn.close()
         raise
-    return conn
+    return conn, info
 
 
-def _force_compile_triggers(conn: sqlite3.Connection) -> None:
-    rows = conn.execute(
-        "SELECT name, sql FROM sqlite_master WHERE type = 'trigger'"
-    ).fetchall()
-    for name, sql in rows:
-        m = _TRIGGER_HEADER_RE.search(sql or "")
-        if not m:
-            continue
-        event, of_cols, table = m.group(3).upper(), m.group(4), m.group(5)
-        qt = quote_ident(table)
+def _force_compile_triggers(conn: sqlite3.Connection, schema: SchemaInfo) -> None:
+    for trigger in schema.triggers:
+        qt = quote_ident(trigger.table)
         try:
-            if event == "INSERT":
+            if trigger.event == "INSERT":
                 conn.execute(f"EXPLAIN INSERT INTO {qt} DEFAULT VALUES")
-            elif event == "UPDATE":
-                cols = [c.strip().strip('"') for c in of_cols.split(",")] if of_cols else []
-                if not cols:
-                    cols = [table_columns(conn, table)[0].name]
+            elif trigger.event == "UPDATE":
+                cols = trigger.of_columns or (schema.columns(trigger.table)[0].name,)
                 sets = ", ".join(f"{quote_ident(c)} = {quote_ident(c)}" for c in cols)
                 conn.execute(f"EXPLAIN UPDATE {qt} SET {sets}")
             else:
                 conn.execute(f"EXPLAIN DELETE FROM {qt}")
         except sqlite3.Error as exc:
-            raise CompileFailure(f"trigger {name}: {exc}") from exc
+            raise CompileFailure(f"trigger {trigger.name}: {exc}") from exc
 
 
 def trigger_names(conn: sqlite3.Connection) -> list[str]:
@@ -233,37 +244,31 @@ def trigger_names(conn: sqlite3.Connection) -> list[str]:
 
 # --- trigger annotations -------------------------------------------------------
 
-def extract_trigger_annotations(conn: sqlite3.Connection) -> dict:
+def extract_trigger_annotations(schema: SchemaInfo | sqlite3.Connection) -> dict:
     """Mechanical annotation extraction from compiled triggers.
 
     Each RAISE message in a BEFORE trigger becomes a precondition line of the
     matching insert/update tool; each statement in an AFTER trigger becomes a
-    side-effect line. No paraphrase, so derivation stays deterministic.
+    side-effect line. No paraphrase, so derivation stays deterministic. A
+    connection is read into its catalog first.
     """
+    if isinstance(schema, sqlite3.Connection):
+        schema = read_schema(schema)
     ann: dict[str, dict[str, dict[str, list[str]]]] = {}
-    rows = conn.execute(
-        "SELECT name, sql FROM sqlite_master WHERE type = 'trigger' ORDER BY rowid"
-    ).fetchall()
-    for _, sql in rows:
-        m = _TRIGGER_HEADER_RE.search(sql or "")
-        if not m:
-            continue
-        timing = m.group(2).upper()
-        event = m.group(3).lower()
-        table = m.group(5)
+    for trigger in schema.triggers:
+        event = trigger.event.lower()
         if event not in ("insert", "update"):
             continue
-        slot = ann.setdefault(table, {}).setdefault(
+        slot = ann.setdefault(trigger.table, {}).setdefault(
             event, {"preconditions": [], "side_effects": []}
         )
-        body = sql[m.end():]
-        if timing == "BEFORE":
-            for msg in _RAISE_RE.findall(body):
+        if trigger.timing == "BEFORE":
+            for msg in _RAISE_RE.findall(trigger.body):
                 slot["preconditions"].append(msg.replace("''", "'"))
-        elif timing == "AFTER":
-            for target, col in _EFFECT_UPDATE_RE.findall(body):
+        elif trigger.timing == "AFTER":
+            for target, col in _EFFECT_UPDATE_RE.findall(trigger.body):
                 slot["side_effects"].append(f"updates {target}.{col}")
-            for target in _EFFECT_INSERT_RE.findall(body):
+            for target in _EFFECT_INSERT_RE.findall(trigger.body):
                 slot["side_effects"].append(f"may insert into {target}")
     return ann
 
@@ -373,17 +378,16 @@ def _compose_description(base: str, pre: list[str], post: list[str]) -> str:
     return " ".join(parts)
 
 
-def derive_tools_from_connection(
-    conn: sqlite3.Connection, permissions: dict[str, str], annotations: dict
+def derive_tools_from_schema(
+    schema: SchemaInfo, permissions: dict[str, str], annotations: dict
 ) -> tuple[ToolSpec, ...]:
     tools: list[ToolSpec] = []
-    known = set(list_tables(conn))
     for table in sorted(permissions):
-        if table not in known:
+        if table not in schema.tables:
             raise SchemaMismatch(f"permission entry for unknown table: {table}")
 
     for table in sorted(permissions):
-        cols = table_columns(conn, table)
+        cols = schema.tables[table].columns
         tools.append(
             ToolSpec(
                 name=f"query_{table}",
@@ -394,7 +398,7 @@ def derive_tools_from_connection(
             )
         )
     for table in sorted(t for t, m in permissions.items() if m == READ_WRITE):
-        cols = table_columns(conn, table)
+        cols = schema.tables[table].columns
         ins = annotations.get(table, {}).get("insert", {})
         upd = annotations.get(table, {}).get("update", {})
         tools.append(
@@ -453,14 +457,10 @@ def derive_tools(
     table, plus the escalation tool. Delete is never derived; lifecycle
     changes go through status updates.
     """
-    conn = compile_environment(schema, triggers)
-    try:
-        ann = trigger_annotations
-        if ann is None:
-            ann = extract_trigger_annotations(conn)
-        return derive_tools_from_connection(conn, permissions, ann)
-    finally:
-        conn.close()
+    info = compile_schema(schema, triggers)
+    if trigger_annotations is None:
+        trigger_annotations = extract_trigger_annotations(info)
+    return derive_tools_from_schema(info, permissions, trigger_annotations)
 
 
 # --- spoiler check -----------------------------------------------------------------
@@ -481,16 +481,17 @@ def find_spoiler(task_text: str, tool_names, redaction_list) -> str | None:
 
 # --- load / save -------------------------------------------------------------------
 
-def _snapshot_shape(conn: sqlite3.Connection) -> dict[str, dict[str, str]]:
-    shape = {}
-    for table in list_tables(conn):
-        shape[table] = {c.name: (c.decl_type or "").upper() for c in table_columns(conn, table)}
-    return shape
+def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
+    return {
+        table: {c.name: (c.decl_type or "").upper() for c in info.columns}
+        for table, info in schema.tables.items()
+    }
 
 
-def _check_snapshot_conforms(snap: Snapshot, want: dict, label: str) -> None:
+def _check_snapshot_conforms(snap: Snapshot, schema: SchemaInfo, label: str) -> None:
     with snap.connect() as conn:
-        have = _snapshot_shape(conn)
+        have = _schema_shape(read_schema(conn))
+    want = _schema_shape(schema)
     for table, cols in want.items():
         if table not in have:
             raise SchemaMismatch(f"{label}: missing table {table}")
@@ -503,12 +504,7 @@ def _check_snapshot_conforms(snap: Snapshot, want: dict, label: str) -> None:
 
 def check_snapshot_schema(pkg: TaskPackage, snap: Snapshot, label: str = "snapshot") -> None:
     """Raise SchemaMismatch unless ``snap`` conforms to the package schema."""
-    conn = compile_environment(pkg.env.schema, pkg.env.triggers)
-    try:
-        shape = _snapshot_shape(conn)
-    finally:
-        conn.close()
-    _check_snapshot_conforms(snap, shape, label)
+    _check_snapshot_conforms(snap, pkg.env.schema_info, label)
 
 
 def load_package(path) -> TaskPackage:
@@ -546,37 +542,24 @@ def load_package(path) -> TaskPackage:
     if not policy_doc.strip():
         raise MissingArtifact("policy.md is empty")
 
-    conn = compile_environment(schema_sql, triggers_sql)
-    try:
-        shape = _snapshot_shape(conn)
-        for table in shape:
-            if table != ESCALATIONS_TABLE and table not in permissions:
-                raise SchemaMismatch(f"no permission entry for table {table}")
-        annotations = extract_trigger_annotations(conn)
-        catalog = derive_tools_from_connection(conn, permissions, annotations)
-        validate_excluded_columns(conn, diff_config)
-    finally:
-        conn.close()
-
+    info = compile_schema(schema_sql, triggers_sql)
+    for table in info.tables:
+        if table != ESCALATIONS_TABLE and table not in permissions:
+            raise SchemaMismatch(f"no permission entry for table {table}")
     if not registry:
         registry = {code: "" for code in harvest_error_codes(triggers_sql)}
+    env = EnvironmentBundle.from_schema(schema_sql, triggers_sql, info, permissions, registry)
+    validate_excluded_columns(info, diff_config)
 
     origin = Snapshot.from_file(root / "origin.db")
     target = Snapshot.from_file(root / "target.db")
-    _check_snapshot_conforms(origin, shape, "origin.db")
-    _check_snapshot_conforms(target, shape, "target.db")
+    _check_snapshot_conforms(origin, info, "origin.db")
+    _check_snapshot_conforms(target, info, "target.db")
 
-    leak = find_spoiler(task_description, [t.name for t in catalog], redaction_list)
+    leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)
     if leak is not None:
         raise SpoilerLeak(f"task description mentions {leak!r}")
 
-    env = EnvironmentBundle(
-        schema=schema_sql,
-        triggers=triggers_sql,
-        permissions=dict(permissions),
-        tool_catalog=catalog,
-        error_registry=registry,
-    )
     delta0 = diff(origin, target, diff_config).total
     return TaskPackage(
         name=manifest.get("name", root.name),

@@ -14,9 +14,17 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InsufficientTrials, IoFailure
-from .executor import ToolCall, ToolResult, open_environment, safe_execute_tool
+from .executor import EnvHandle, ToolCall, ToolResult, open_environment, safe_execute_tool
 from .packages import TaskPackage
-from .verify import canonicalize, canonicalize_connection, dense_reward, diff_canonical, proximity
+from .verify import (
+    CanonicalRelationSet,
+    DiffConfig,
+    canonicalize,
+    canonicalize_connection,
+    dense_reward,
+    diff_canonical,
+    proximity,
+)
 
 ROLE_USER = "user"
 ROLE_AGENT_TEXT = "agent_text"
@@ -108,6 +116,12 @@ def _dialogue_view(turns: list[Turn]) -> list[Turn]:
     return [t for t in turns if t.role in (ROLE_USER, ROLE_AGENT_TEXT)]
 
 
+def distance_to(env: EnvHandle, target: CanonicalRelationSet, cfg: DiffConfig) -> int:
+    """d_t: symmetric-difference distance from the live state to ``target``."""
+    live = canonicalize_connection(env.connection, cfg, env.schema_info)
+    return diff_canonical(live, target).total
+
+
 def run_episode(
     pkg: TaskPackage,
     agent,
@@ -132,8 +146,7 @@ def run_episode(
 
     with open_environment(pkg) as env:
         digest = env.digest()
-        current = diff_canonical(canonicalize_connection(env.connection, cfg), target).total
-        p_prev = proximity(current, delta0, cfg.epsilon)
+        p_prev = proximity(distance_to(env, target, cfg), delta0, cfg.epsilon)
         index = 0
         stopped = False
 
@@ -178,10 +191,7 @@ def run_episode(
                     break
                 result = safe_execute_tool(env, action)
                 digest = result.state_digest
-                current = diff_canonical(
-                    canonicalize_connection(env.connection, cfg), target
-                ).total
-                p_t = proximity(current, delta0, cfg.epsilon)
+                p_t = proximity(distance_to(env, target, cfg), delta0, cfg.epsilon)
                 reward = dense_reward(p_t, p_prev, result.status == "error", cfg.lambda_err)
                 turns.append(Turn(index, ROLE_AGENT_TOOL, action, digest,
                                   proximity=p_t, reward=reward, mask_in_loss=False))
@@ -196,7 +206,7 @@ def run_episode(
                 note = note or "agent action budget exhausted within one turn"
                 break
 
-        final_diff = diff_canonical(canonicalize_connection(env.connection, cfg), target).total
+        final_diff = distance_to(env, target, cfg)
 
     sum_dense = sum(t.reward for t in turns if t.role == ROLE_AGENT_TOOL)
     return Trajectory(

@@ -1,9 +1,9 @@
-"""Snapshot images, value normalization and content digests.
+"""Snapshot images, the schema catalog, value normalization and content digests.
 
 A snapshot is an immutable single-file SQLite database image held as bytes.
-All content-level operations (digests, canonical row extraction) read through
-a short-lived connection; Python 3.10 lacks ``Connection.serialize`` so the
-bytes travel through temp files and the backup API.
+Every content-level operation (digests, canonical row extraction) reads the
+image through a short-lived in-memory connection (``Connection.deserialize``);
+nothing touches the file system unless a caller writes the image out.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
-import os
+import re
 import sqlite3
-import tempfile
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 
 def quote_ident(name: str) -> str:
@@ -37,21 +38,18 @@ class ForeignKey:
     ref_column: str
 
 
-@contextlib.contextmanager
-def temp_db_path(data: bytes | None = None):
-    """Yield a temp file path holding ``data`` (or empty), removed afterwards."""
-    fd, path = tempfile.mkstemp(suffix=".db", prefix="policygym-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            if data:
-                fh.write(data)
-        yield path
-    finally:
-        for suffix in ("", "-journal", "-wal", "-shm"):
-            try:
-                os.unlink(path + suffix)
-            except FileNotFoundError:
-                pass
+def open_image(data: bytes) -> sqlite3.Connection:
+    """Autocommit connection onto an in-memory copy of a database image.
+
+    A WAL-mode header (bytes 18-19 == 2) is rewritten to rollback mode,
+    because an in-memory database cannot open in WAL mode.
+    """
+    if data[18:20] == b"\x02\x02":
+        data = data[:18] + b"\x01\x01" + data[20:]
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    if data:  # an empty image is an empty database, which deserialize rejects
+        conn.deserialize(data)
+    return conn
 
 
 @dataclass(frozen=True)
@@ -67,16 +65,7 @@ class Snapshot:
 
     @classmethod
     def from_connection(cls, conn: sqlite3.Connection) -> "Snapshot":
-        # backup() captures a consistent image even with dirty pages in flight
-        with temp_db_path() as path:
-            dest = sqlite3.connect(path)
-            try:
-                conn.backup(dest)
-                dest.commit()
-            finally:
-                dest.close()
-            with open(path, "rb") as fh:
-                return cls(fh.read())
+        return cls(conn.serialize())
 
     def write_to(self, path) -> None:
         with open(path, "wb") as fh:
@@ -84,63 +73,140 @@ class Snapshot:
 
     @contextlib.contextmanager
     def connect(self):
-        """Read-only connection onto a scratch copy of the image."""
-        with temp_db_path(self.data) as path:
-            conn = sqlite3.connect(path)
-            try:
-                yield conn
-            finally:
-                conn.close()
+        """Connection onto a scratch in-memory copy of the image."""
+        conn = open_image(self.data)
+        try:
+            yield conn
+        finally:
+            conn.close()
 
     def digest(self) -> str:
         with self.connect() as conn:
             return state_digest(conn)
 
 
-# --- schema introspection ----------------------------------------------------
+# --- schema catalog ------------------------------------------------------------
 
-def list_tables(conn: sqlite3.Connection) -> list[str]:
-    rows = conn.execute(
-        "SELECT name FROM sqlite_master"
-        " WHERE type = 'table' AND name NOT LIKE 'sqlite_%' ORDER BY name"
-    ).fetchall()
-    return [r[0] for r in rows]
+@dataclass(frozen=True)
+class TableInfo:
+    name: str
+    columns: tuple[ColumnInfo, ...]
+    foreign_keys: tuple[ForeignKey, ...]
+    autoincrement: bool
+    sql: str  # the CREATE TABLE statement as stored in sqlite_master
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return tuple(c.name for c in self.columns)
+
+    @property
+    def primary_key(self) -> str | None:
+        """First primary-key column in schema order."""
+        return next((c.name for c in self.columns if c.primary_key), None)
 
 
-def table_columns(conn: sqlite3.Connection, table: str) -> list[ColumnInfo]:
-    rows = conn.execute(f"PRAGMA table_info({quote_ident(table)})").fetchall()
-    return [
-        ColumnInfo(name=r[1], decl_type=(r[2] or ""), notnull=bool(r[3]),
-                   default=r[4], primary_key=bool(r[5]))
-        for r in rows
-    ]
+class TriggerInfo(NamedTuple):
+    name: str
+    timing: str  # BEFORE | AFTER | INSTEAD OF
+    event: str  # INSERT | UPDATE | DELETE
+    of_columns: tuple[str, ...]  # the UPDATE OF column list, empty otherwise
+    table: str
+    body: str  # everything after the ON <table> clause
 
 
-def foreign_keys(conn: sqlite3.Connection, table: str) -> list[ForeignKey]:
-    out = []
-    for r in conn.execute(f"PRAGMA foreign_key_list({quote_ident(table)})"):
+_TRIGGER_HEADER_RE = re.compile(
+    r"CREATE\s+TRIGGER\s+(?:IF\s+NOT\s+EXISTS\s+)?[\"'`]?(\w+)[\"'`]?\s+"
+    r"(BEFORE|AFTER|INSTEAD\s+OF)\s+(INSERT|UPDATE|DELETE)"
+    r"(?:\s+OF\s+([\w\s,\"'`]+?))?\s+ON\s+[\"'`]?(\w+)[\"'`]?",
+    re.IGNORECASE,
+)
+
+
+def parse_trigger(sql: str) -> TriggerInfo | None:
+    """Header fields of a CREATE TRIGGER statement, or None if unrecognized."""
+    m = _TRIGGER_HEADER_RE.search(sql)
+    if m is None:
+        return None
+    name, timing, event, of_columns, table = m.groups()
+    columns = (c.strip().strip("\"'`") for c in (of_columns or "").split(","))
+    return TriggerInfo(
+        name=name,
+        timing=" ".join(timing.upper().split()),
+        event=event.upper(),
+        of_columns=tuple(c for c in columns if c),
+        table=table,
+        body=sql[m.end():],
+    )
+
+
+_TABLES_SQL = (
+    "SELECT name, coalesce(sql, '') FROM sqlite_master"
+    " WHERE type = 'table' AND name NOT LIKE 'sqlite_%' ORDER BY name"
+)
+
+
+@dataclass(frozen=True)
+class SchemaInfo:
+    """Immutable catalog of one schema: user tables in name order and the
+    parsed triggers in creation order (unrecognized headers are skipped)."""
+
+    tables: Mapping[str, TableInfo]
+    triggers: tuple[TriggerInfo, ...]
+
+    def table(self, name: str) -> TableInfo | None:
+        """Lookup that folds case like SQLite does for identifiers."""
+        if name in self.tables:
+            return self.tables[name]
+        return next((t for t in self.tables.values() if t.name.lower() == name.lower()), None)
+
+    def columns(self, table: str) -> tuple[ColumnInfo, ...]:
+        """Columns of ``table`` in schema order; empty for an unknown table."""
+        info = self.table(table)
+        return info.columns if info is not None else ()
+
+    def describes(self, conn: sqlite3.Connection) -> bool:
+        """True when ``conn`` holds exactly these tables, created by the same DDL."""
+        have = conn.execute(_TABLES_SQL).fetchall()
+        return have == [(t.name, t.sql) for t in self.tables.values()]
+
+
+def read_schema(conn: sqlite3.Connection) -> SchemaInfo:
+    """Catalog of the database behind ``conn``.
+
+    The only reader of ``PRAGMA table_info`` and ``PRAGMA foreign_key_list``;
+    everything else asks a SchemaInfo.
+    """
+    rows = conn.execute(_TABLES_SQL).fetchall()
+    columns = {
+        name: tuple(
+            ColumnInfo(name=r[1], decl_type=(r[2] or ""), notnull=bool(r[3]),
+                       default=r[4], primary_key=bool(r[5]))
+            for r in conn.execute(f"PRAGMA table_info({quote_ident(name)})")
+        )
+        for name, _ in rows
+    }
+    by_folded_name = {name.lower(): cols for name, cols in columns.items()}
+    tables = {}
+    for name, sql in rows:
+        fks = []
         # columns: id, seq, table, from, to, on_update, on_delete, match
-        ref_col = r[4]
-        if ref_col is None:
-            # implicit reference to the parent's primary key
-            parents = [c.name for c in table_columns(conn, r[2]) if c.primary_key]
-            ref_col = parents[0] if parents else "rowid"
-        out.append(ForeignKey(column=r[3], ref_table=r[2], ref_column=ref_col))
-    return out
-
-
-def is_autoincrement(conn: sqlite3.Connection, table: str) -> bool:
-    row = conn.execute(
-        "SELECT sql FROM sqlite_master WHERE type = 'table' AND name = ?", (table,)
-    ).fetchone()
-    return bool(row and row[0] and "AUTOINCREMENT" in row[0].upper())
-
-
-def table_sql(conn: sqlite3.Connection, table: str) -> str:
-    row = conn.execute(
-        "SELECT sql FROM sqlite_master WHERE type = 'table' AND name = ?", (table,)
-    ).fetchone()
-    return row[0] if row and row[0] else ""
+        for r in conn.execute(f"PRAGMA foreign_key_list({quote_ident(name)})"):
+            ref_col = r[4]
+            if ref_col is None:
+                # implicit reference to the parent's primary key
+                parent = by_folded_name.get(r[2].lower(), ())
+                ref_col = next((c.name for c in parent if c.primary_key), "rowid")
+            fks.append(ForeignKey(column=r[3], ref_table=r[2], ref_column=ref_col))
+        tables[name] = TableInfo(name=name, columns=columns[name], foreign_keys=tuple(fks),
+                                 autoincrement="AUTOINCREMENT" in sql.upper(), sql=sql)
+    triggers = (
+        parse_trigger(sql or "")
+        for (sql,) in conn.execute(
+            "SELECT sql FROM sqlite_master WHERE type = 'trigger' ORDER BY rowid"
+        )
+    )
+    return SchemaInfo(tables=MappingProxyType(tables),
+                      triggers=tuple(t for t in triggers if t is not None))
 
 
 # --- value normalization -------------------------------------------------------
@@ -192,16 +258,19 @@ def row_sort_key(row: tuple) -> bytes:
 
 # --- content digest ---------------------------------------------------------------
 
-def state_digest(conn: sqlite3.Connection) -> str:
+def state_digest(conn: sqlite3.Connection, schema: SchemaInfo | None = None) -> str:
     """256-bit content hash of the full database state.
 
     Canonical dump: user tables sorted by name, every column in schema order,
     rows sorted by full-tuple byte order. Physical row order and file layout
-    do not affect the digest.
+    do not affect the digest. ``schema`` must describe ``conn``; it is read
+    from ``conn`` when not given.
     """
+    if schema is None:
+        schema = read_schema(conn)
     h = hashlib.sha256()
-    for table in list_tables(conn):
-        cols = [c.name for c in table_columns(conn, table)]
+    for table, info in schema.tables.items():
+        cols = info.column_names
         h.update(b"T" + table.encode() + b"\x00" + ",".join(cols).encode() + b"\x00")
         select = "SELECT {} FROM {}".format(
             ", ".join(quote_ident(c) for c in cols), quote_ident(table)

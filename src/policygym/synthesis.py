@@ -32,21 +32,11 @@ from .packages import (
     RolloutLimits,
     TaskPackage,
     compile_environment,
-    derive_tools_from_connection,
-    extract_trigger_annotations,
+    compile_schema,
     find_spoiler,
     harvest_error_codes,
 )
-from .snapshots import (
-    Snapshot,
-    foreign_keys,
-    is_autoincrement,
-    list_tables,
-    quote_ident,
-    table_columns,
-    table_sql,
-    temp_db_path,
-)
+from .snapshots import SchemaInfo, Snapshot, quote_ident
 from .verify import DiffConfig, diff
 
 _PERMISSION_TAG_RE = re.compile(
@@ -54,11 +44,6 @@ _PERMISSION_TAG_RE = re.compile(
 )
 _QUOTA_CMP_RE = re.compile(r">=\s*\d+")
 _CHECK_ENUM_RE = re.compile(r"CHECK\s*\(\s*[\"'`]?(\w+)[\"'`]?\s+IN\s*\(([^)]*)\)\s*\)", re.IGNORECASE)
-_TRIGGER_EVENT_RE = re.compile(
-    r"CREATE\s+TRIGGER\s+(?:IF\s+NOT\s+EXISTS\s+)?[\"'`]?\w+[\"'`]?\s+"
-    r"(BEFORE|AFTER)\s+(INSERT|UPDATE|DELETE)(?:\s+OF\s+[\w\s,\"']+?)?\s+ON\s+[\"'`]?(\w+)",
-    re.IGNORECASE,
-)
 
 ARCHITECT_STAGES = ("analyze", "policy", "tables", "triggers")
 
@@ -200,7 +185,8 @@ def architect_compile(
     reports.append(VerificationReport(stage="policy", physical="pass",
                                       semantic=sem, semantic_detail=detail))
 
-    def compiled_stage(stage: str, check) -> str:
+    def compiled_stage(stage: str, check):
+        """(text, check(text)) for the first attempt whose check passes."""
         failure = ""
         last_report = None
         for attempt in range(1, max_attempts + 1):
@@ -208,7 +194,7 @@ def architect_compile(
                        "policy": policy_doc, "failure": failure}
             text = port.generate(stage, context, seed)
             try:
-                check(text)
+                checked = check(text)
             except CompileFailure as exc:
                 failure = str(exc)
                 last_report = VerificationReport(stage=stage, physical="fail",
@@ -219,36 +205,22 @@ def architect_compile(
             report = VerificationReport(stage=stage, physical="pass",
                                         semantic=sem_v, semantic_detail=det, attempts=attempt)
             reports.append(report)
-            return text
+            return text, checked
         raise CompilationExhausted(
             f"stage {stage!r} failed physical check after {max_attempts} attempts: {failure}",
             report=last_report,
         )
 
-    schema_sql = compiled_stage("tables", lambda text: compile_environment(text, "").close())
-
-    def check_triggers(text: str) -> None:
-        compile_environment(schema_sql, text).close()
-
-    triggers_sql = compiled_stage("triggers", check_triggers)
+    schema_sql, _ = compiled_stage("tables", lambda text: compile_environment(text, "").close())
+    triggers_sql, info = compiled_stage("triggers", lambda text: compile_schema(schema_sql, text))
 
     permissions = parse_permission_tags(schema_sql)
-    conn = compile_environment(schema_sql, triggers_sql)
-    try:
-        for table in list_tables(conn):
-            if table != ESCALATIONS_TABLE and table not in permissions:
-                permissions[table] = READ_WRITE
-        annotations = extract_trigger_annotations(conn)
-        catalog = derive_tools_from_connection(conn, permissions, annotations)
-    finally:
-        conn.close()
-
-    bundle = EnvironmentBundle(
-        schema=schema_sql,
-        triggers=triggers_sql,
-        permissions=permissions,
-        tool_catalog=catalog,
-        error_registry={code: "" for code in harvest_error_codes(triggers_sql)},
+    for table in info.tables:
+        if table != ESCALATIONS_TABLE and table not in permissions:
+            permissions[table] = READ_WRITE
+    bundle = EnvironmentBundle.from_schema(
+        schema_sql, triggers_sql, info, permissions,
+        {code: "" for code in harvest_error_codes(triggers_sql)},
     )
     return ArchitectResult(bundle=bundle, policy_doc=policy_doc,
                            reports=tuple(reports), blueprint=blueprint)
@@ -266,17 +238,18 @@ def _check_enum_values(create_sql: str) -> dict[str, list[str]]:
     return out
 
 
-def derive_probe_row(conn: sqlite3.Connection, table: str) -> dict | None:
+def derive_probe_row(conn: sqlite3.Connection, table: str, schema: SchemaInfo) -> dict | None:
     """Best-effort trivially-valid insert arguments for ``table``.
 
     Returns None when a required foreign key has no candidate parent value;
     triggers may still reject the row, which probing treats as signal, not
-    failure.
+    failure. ``schema`` must describe ``conn``.
     """
-    enums = _check_enum_values(table_sql(conn, table))
-    fks = {fk.column: fk for fk in foreign_keys(conn, table)}
+    info = schema.table(table)
+    enums = _check_enum_values(info.sql)
+    fks = {fk.column: fk for fk in info.foreign_keys}
     row: dict = {}
-    for col in table_columns(conn, table):
+    for col in info.columns:
         if col.primary_key and "INT" in (col.decl_type or "").upper():
             continue
         if col.default is not None:
@@ -346,7 +319,8 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
     except CompileFailure as exc:
         return VerificationReport(stage="triggers", physical="fail", physical_message=str(exc))
     try:
-        tables = list_tables(conn)
+        schema = bundle.schema_info
+        tables = list(schema.tables)
         declared = [t for t in tables if t != ESCALATIONS_TABLE]
         if not declared:
             warns.append("schema declares no tables; vacuous pass")
@@ -356,7 +330,7 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
                     stage="triggers", physical="fail",
                     physical_message=f"declared table missing: {table}",
                 )
-            row = derive_probe_row(conn, table)
+            row = derive_probe_row(conn, table, schema)
             if row is None:
                 warns.append(f"{table}: valid probe not derivable (empty parent tables)")
             else:
@@ -373,7 +347,7 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
                 if outcome == "rejected":
                     warns.append(f"{table}: valid probe rejected: {message}")
             # trivially-invalid probe: violate the first NOT NULL column
-            target = next((c for c in table_columns(conn, table)
+            target = next((c for c in schema.tables[table].columns
                            if c.notnull and c.default is None and not c.primary_key), None)
             if target is not None:
                 sql = f"INSERT INTO {quote_ident(table)} ({quote_ident(target.name)}) VALUES (NULL)"
@@ -391,14 +365,12 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
 # --- seeding ------------------------------------------------------------------------
 
 def empty_snapshot_for(bundle: EnvironmentBundle) -> Snapshot:
-    with temp_db_path() as path:
-        conn = sqlite3.connect(path)
-        try:
-            compile_environment(bundle.schema, bundle.triggers, conn)
-            conn.commit()
-        finally:
-            conn.close()
-        return Snapshot.from_file(path)
+    """Compiled schema + triggers with no rows."""
+    conn = compile_environment(bundle.schema, bundle.triggers)
+    try:
+        return Snapshot(conn.serialize())
+    finally:
+        conn.close()
 
 
 def apply_seed_proposals(env: EnvHandle, proposals) -> tuple[dict[str, int], list[dict]]:
@@ -442,7 +414,7 @@ def seed_initial_state(
                                        ["trade-offs", "distractors", "substitutes", "noise"]),
         "archetypes": strategy_cfg.get("archetypes",
                                        ["mismatch", "entangled", "rookie", "edge"]),
-        "tables": {t: [c.name for c in _bundle_columns(bundle, t)]
+        "tables": {t: [c.name for c in bundle.schema_info.columns(t)]
                    for t in sorted(bundle.permissions)},
     }
     text = port.generate("seed_state", context, seed)
@@ -463,29 +435,15 @@ def seed_initial_state(
         return env.snapshot()
 
 
-def _bundle_columns(bundle: EnvironmentBundle, table: str):
-    conn = compile_environment(bundle.schema, bundle.triggers)
-    try:
-        return table_columns(conn, table)
-    finally:
-        conn.close()
-
-
 # --- boundary probing ------------------------------------------------------------------
 
-def quota_bearing_tables(conn: sqlite3.Connection) -> list[str]:
+def quota_bearing_tables(schema: SchemaInfo) -> list[str]:
     """Tables whose BEFORE INSERT triggers compare a count against a threshold."""
     out = []
-    for (sql,) in conn.execute(
-        "SELECT sql FROM sqlite_master WHERE type = 'trigger' ORDER BY name"
-    ):
-        m = _TRIGGER_EVENT_RE.search(sql or "")
-        if not m:
-            continue
-        if m.group(1).upper() == "BEFORE" and m.group(2).upper() == "INSERT":
-            if _QUOTA_CMP_RE.search(sql):
-                if m.group(3) not in out:
-                    out.append(m.group(3))
+    for trigger in sorted(schema.triggers, key=lambda t: t.name):
+        if trigger.timing == "BEFORE" and trigger.event == "INSERT":
+            if _QUOTA_CMP_RE.search(trigger.body) and trigger.table not in out:
+                out.append(trigger.table)
     return out
 
 
@@ -506,21 +464,22 @@ def probe_boundary_adjacency(
     for spec in probe_specs or []:
         candidates.append(ToolCall.from_json(spec))
 
+    schema = bundle.schema_info
     with s.connect() as conn:
-        for table in quota_bearing_tables(conn):
+        for table in quota_bearing_tables(schema):
             if bundle.permissions.get(table) != READ_WRITE:
                 continue
-            row = derive_probe_row(conn, table)
+            row = derive_probe_row(conn, table, schema)
             if row is not None:
                 candidates.append(ToolCall(tool_name=f"insert_{table}", arguments=row))
         for table in bundle.tables(READ_WRITE):
-            cols = {c.name: c for c in table_columns(conn, table)}
-            if "status" not in cols:
+            info = schema.table(table)
+            if info is None or "status" not in info.column_names:
                 continue
-            pk = next((c.name for c in table_columns(conn, table) if c.primary_key), None)
+            pk = info.primary_key
             if pk is None:
                 continue
-            enums = _check_enum_values(table_sql(conn, table)).get("status", [])
+            enums = _check_enum_values(info.sql).get("status", [])
             rows = conn.execute(
                 "SELECT {pk}, status FROM {t} ORDER BY {pk} LIMIT 3".format(
                     pk=quote_ident(pk), t=quote_ident(table)
@@ -648,20 +607,14 @@ def build_redaction_list(
     tokens: dict[str, None] = {}
     for tool in bundle.tool_catalog:
         tokens.setdefault(tool.name, None)
-    conn = compile_environment(bundle.schema, bundle.triggers)
-    try:
-        key_columns: dict[str, str] = {}
-        for table in list_tables(conn):
-            tokens.setdefault(table, None)
-            for col in table_columns(conn, table):
-                if "_" in col.name:
-                    tokens.setdefault(col.name, None)
-            if is_autoincrement(conn, table):
-                pk = next((c.name for c in table_columns(conn, table) if c.primary_key), None)
-                if pk:
-                    key_columns[table] = pk
-    finally:
-        conn.close()
+    key_columns: dict[str, str] = {}
+    for table, info in bundle.schema_info.tables.items():
+        tokens.setdefault(table, None)
+        for col in info.column_names:
+            if "_" in col:
+                tokens.setdefault(col, None)
+        if info.autoincrement and info.primary_key:
+            key_columns[table] = info.primary_key
     if ep is not None:
         tools = bundle.tools_by_name()
         for call, result in ep.actions:
@@ -718,17 +671,11 @@ def project_user_view(
 def default_diff_config(bundle: EnvironmentBundle) -> DiffConfig:
     """Exclude every auto-increment key column; technical keys carry no
     business meaning."""
-    excluded: dict[str, frozenset[str]] = {}
-    conn = compile_environment(bundle.schema, bundle.triggers)
-    try:
-        for table in list_tables(conn):
-            if not is_autoincrement(conn, table):
-                continue
-            pk = next((c.name for c in table_columns(conn, table) if c.primary_key), None)
-            if pk:
-                excluded[table] = frozenset({pk})
-    finally:
-        conn.close()
+    excluded = {
+        table: frozenset({info.primary_key})
+        for table, info in bundle.schema_info.tables.items()
+        if info.autoincrement and info.primary_key
+    }
     return DiffConfig(excluded_columns=excluded)
 
 

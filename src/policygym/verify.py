@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 
 from .errors import SchemaMismatch, UnknownExcludedColumn
 from .snapshots import (
+    ForeignKey,
+    SchemaInfo,
     Snapshot,
-    foreign_keys,
-    list_tables,
+    TableInfo,
     normalize_value,
     quote_ident,
+    read_schema,
     row_sort_key,
-    table_columns,
 )
 
 DEFAULT_EPSILON = 1e-9
@@ -132,33 +133,36 @@ class SnapshotDiff:
         return "\n".join(lines)
 
 
-def validate_excluded_columns(conn: sqlite3.Connection, cfg: DiffConfig) -> None:
-    tables = set(list_tables(conn))
+def validate_excluded_columns(schema: SchemaInfo, cfg: DiffConfig) -> None:
     for table, cols in cfg.excluded_columns.items():
-        if table not in tables:
+        if table not in schema.tables:
             raise UnknownExcludedColumn(f"excluded table not in schema: {table}")
-        have = {c.name for c in table_columns(conn, table)}
+        have = schema.tables[table].column_names
         for col in cols:
             if col not in have:
                 raise UnknownExcludedColumn(f"excluded column not in schema: {table}.{col}")
 
 
-def _dropped_fk_columns(conn: sqlite3.Connection, table: str, cfg: DiffConfig) -> set[str]:
-    dropped = set()
-    for fk in foreign_keys(conn, table):
-        parent_excluded = cfg.excluded_columns.get(fk.ref_table, frozenset())
-        if fk.ref_column in parent_excluded:
-            dropped.add(fk.column)
-    return dropped
+def _keys_to_excluded(info: TableInfo, cfg: DiffConfig) -> list[ForeignKey]:
+    """Foreign keys of ``info`` that reference an excluded parent column."""
+    return [fk for fk in info.foreign_keys
+            if fk.ref_column in cfg.excluded_columns.get(fk.ref_table, frozenset())]
 
 
 def _remap_digest(row: tuple) -> str:
     return hashlib.sha256(row_sort_key(row)).hexdigest()[:16]
 
 
-def canonicalize_connection(conn: sqlite3.Connection, cfg: DiffConfig) -> CanonicalRelationSet:
-    """Canonical relation set of the live database behind ``conn``."""
-    validate_excluded_columns(conn, cfg)
+def canonicalize_connection(
+    conn: sqlite3.Connection, cfg: DiffConfig, schema: SchemaInfo | None = None
+) -> CanonicalRelationSet:
+    """Canonical relation set of the live database behind ``conn``.
+
+    ``schema`` must describe ``conn``; it is read from ``conn`` when not given.
+    """
+    if schema is None:
+        schema = read_schema(conn)
+    validate_excluded_columns(schema, cfg)
     decimals = cfg.float_decimals
     tables: dict[str, Counter] = {}
     columns: dict[str, tuple[str, ...]] = {}
@@ -167,16 +171,13 @@ def canonicalize_connection(conn: sqlite3.Connection, cfg: DiffConfig) -> Canoni
     # column that some foreign key points at through an excluded key.
     remap: dict[tuple[str, str], dict] = {}
     if cfg.fk_mode == "canonical_remap":
-        targets = set()
-        for table in list_tables(conn):
-            for fk in foreign_keys(conn, table):
-                if fk.ref_column in cfg.excluded_columns.get(fk.ref_table, frozenset()):
-                    targets.add((fk.ref_table, fk.ref_column))
+        targets = {(fk.ref_table, fk.ref_column)
+                   for info in schema.tables.values() for fk in _keys_to_excluded(info, cfg)}
         for ref_table, ref_column in targets:
-            cols = table_columns(conn, ref_table)
             excluded = cfg.excluded_columns.get(ref_table, frozenset())
-            own_fks = {fk.column for fk in foreign_keys(conn, ref_table)}
-            keep = [c.name for c in cols if c.name not in excluded and c.name not in own_fks]
+            ref_info = schema.table(ref_table)
+            own_fks = {fk.column for fk in ref_info.foreign_keys}
+            keep = [c for c in ref_info.column_names if c not in excluded and c not in own_fks]
             mapping = {}
             select = "SELECT {}, {} FROM {}".format(
                 quote_ident(ref_column),
@@ -189,12 +190,12 @@ def canonicalize_connection(conn: sqlite3.Connection, cfg: DiffConfig) -> Canoni
                 mapping[key] = _remap_digest(content)
             remap[(ref_table, ref_column)] = mapping
 
-    for table in list_tables(conn):
-        cols = table_columns(conn, table)
+    for table, info in schema.tables.items():
         excluded = cfg.excluded_columns.get(table, frozenset())
-        fk_by_column = {fk.column: fk for fk in foreign_keys(conn, table)}
-        dropped = _dropped_fk_columns(conn, table, cfg) if cfg.fk_mode == "drop" else set()
-        kept = [c.name for c in cols if c.name not in excluded and c.name not in dropped]
+        fk_by_column = {fk.column: fk for fk in info.foreign_keys}
+        drop = cfg.fk_mode == "drop"
+        dropped = {fk.column for fk in _keys_to_excluded(info, cfg)} if drop else set()
+        kept = [c for c in info.column_names if c not in excluded and c not in dropped]
         columns[table] = tuple(kept)
         counter: Counter = Counter()
         if kept:

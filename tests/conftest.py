@@ -8,7 +8,7 @@ import pytest
 
 from policygym import load_package
 from policygym.fixtures import corporate_travel
-from policygym.snapshots import Snapshot, temp_db_path
+from policygym.snapshots import Snapshot
 
 
 @pytest.fixture(scope="session")
@@ -24,16 +24,15 @@ def travel_pkg(fixture_dir):
 
 
 def snapshot_from_sql(statements) -> Snapshot:
-    """Build a snapshot by executing raw SQL on a fresh database."""
-    with temp_db_path() as path:
-        conn = sqlite3.connect(path)
-        try:
-            for stmt in statements:
-                if isinstance(stmt, tuple):
-                    conn.execute(stmt[0], stmt[1])
-                else:
-                    conn.executescript(stmt)
-            conn.commit()
-        finally:
-            conn.close()
-        return Snapshot.from_file(path)
+    """Build a snapshot by executing raw SQL on a fresh in-memory database."""
+    conn = sqlite3.connect(":memory:")
+    try:
+        for stmt in statements:
+            if isinstance(stmt, tuple):
+                conn.execute(stmt[0], stmt[1])
+            else:
+                conn.executescript(stmt)
+        conn.commit()
+        return Snapshot(conn.serialize())
+    finally:
+        conn.close()

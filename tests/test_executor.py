@@ -7,6 +7,7 @@ import pytest
 from policygym.errors import MalformedArguments, ReadOnlyTable, UnknownTool
 from policygym.executor import (
     ToolCall,
+    _run_write,
     execute_tool,
     open_environment,
     parse_engine_error,
@@ -337,3 +338,54 @@ def test_query_null_filter_semantics(env):
         "filters": [{"column": "cancellation_step", "op": "!=", "value": None}],
     })).rows
     assert rows == ()
+
+
+_FLIGHT = {"travel_request_id": 2, "flight_code": "FL-904", "cost": 100,
+           "class": "ECONOMY", "departure_step": 30, "booking_step": 12}
+
+# argument shapes SQLite cannot bind; each used to escape safe_execute_tool
+_UNBINDABLE = [
+    ("query_travel_requests", {"filters": {"id": [1]}}),
+    ("query_travel_requests", {"filters": {"id": 2**70}}),
+    ("query_travel_requests", {"filters": {"trip_purpose": "\ud800"}}),
+    ("query_travel_requests", {"filters": [{"column": "id", "op": "<", "value": {"v": 1}}]}),
+    ("query_travel_requests", {"filters": [{"column": ["id"], "op": "=", "value": 1}]}),
+    ("query_travel_requests", {"limit": 2**70}),
+    ("update_travel_requests", {"filters": {"id": 2}, "set": {"current_step": 2**70}}),
+    ("update_travel_requests", {"filters": {"id": 2}, "set": {"current_step": [2]}}),
+    ("update_travel_requests", {"filters": {"id": 2}, "set": {"trip_purpose": {"a": 1}}}),
+    ("update_travel_requests", {"filters": {"id": [2]}, "set": {"current_step": 2}}),
+    ("insert_flight_bookings", {**_FLIGHT, "cost": 2**70}),
+    ("insert_flight_bookings", {**_FLIGHT, "cost": -(2**63) - 1}),
+    ("transfer_to_human_agents", {"summary": "see \udc80"}),
+]
+
+
+@pytest.mark.parametrize("tool_name, arguments", _UNBINDABLE, ids=[
+    "filter-list", "filter-overflow", "filter-surrogate", "filter-dict", "filter-column-list",
+    "limit-overflow", "set-overflow", "set-list", "set-dict", "update-filter-list",
+    "insert-overflow", "insert-underflow", "summary-surrogate",
+])
+def test_unbindable_arguments_are_malformed_and_leave_handle_usable(env, tool_name, arguments):
+    before = env.digest()
+    result = safe_execute_tool(env, ToolCall(tool_name, arguments))
+    assert result.status == "error"
+    assert result.error.code == "MALFORMED_ARGUMENTS"
+    assert result.state_digest == before == env.digest()
+    assert not env.connection.in_transaction
+    follow = execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "next"}))
+    assert follow.status == "success"
+
+
+def test_writes_roll_back_on_non_engine_exceptions(env):
+    before = env.digest()
+    spec = env.bundle.tools_by_name()["transfer_to_human_agents"]
+    unbindable = ("INSERT INTO escalations (summary) VALUES (?)", [2**70])
+    with pytest.raises(OverflowError):
+        _run_write(env, spec, {}, lambda e, s, a: unbindable)
+    assert not env.connection.in_transaction
+    with pytest.raises(OverflowError):
+        env.system_write(*unbindable)
+    assert not env.connection.in_transaction
+    assert env.digest() == before
+    assert execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "ok"})).ok

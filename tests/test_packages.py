@@ -189,6 +189,20 @@ def test_round_trip_then_single_row_edit_diffs_one(travel_pkg, tmp_path):
     assert d.total == 1
 
 
+def test_load_package_reads_wal_mode_images(travel_pkg, tmp_path):
+    out = tmp_path / "wal"
+    save_package(travel_pkg, out)
+    for name in ("origin.db", "target.db"):
+        conn = sqlite3.connect(out / name)
+        assert conn.execute("PRAGMA journal_mode=WAL").fetchone() == ("wal",)
+        conn.close()  # the last close checkpoints and removes the -wal file
+        assert (out / name).read_bytes()[18:20] == b"\x02\x02"
+    reloaded = load_package(out)
+    assert reloaded.origin_snapshot.digest() == travel_pkg.origin_snapshot.digest()
+    assert reloaded.target_snapshot.digest() == travel_pkg.target_snapshot.digest()
+    assert reloaded.delta0 == travel_pkg.delta0
+
+
 def test_save_to_unwritable_location_raises_io_failure(travel_pkg, tmp_path):
     # a regular file where a directory is needed fails for any uid (root included)
     blocker = tmp_path / "blocker"
