@@ -24,13 +24,12 @@ from .errors import (
     PolicygymError,
     PortFailure,
 )
-from .executor import open_environment, safe_execute_tool
 from .packages import TaskPackage, check_snapshot_schema, load_package, save_package
 from .rollout import (
     ROLE_AGENT_TOOL,
+    EpisodeScorer,
     Trajectory,
     Turn,
-    distance_to,
     export_trajectory,
     import_trajectory,
     pass_at_k,
@@ -38,7 +37,7 @@ from .rollout import (
     run_episode,
 )
 from .snapshots import Snapshot
-from .verify import canonicalize, dense_reward, diff, proximity
+from .verify import diff
 
 EXIT_OK = 0
 EXIT_TASK = 1
@@ -196,26 +195,20 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
 
     The recorded per-turn digests must match the replay exactly; any drift
     means the trajectory does not belong to this package state."""
-    cfg = pkg.diff_config
-    target = canonicalize(pkg.target_snapshot, cfg)
     turns: list[Turn] = []
-    with open_environment(pkg) as env:
-        p_prev = proximity(distance_to(env, target, cfg), pkg.delta0, cfg.epsilon)
+    with EpisodeScorer(pkg) as scorer:
         for turn in recorded.turns:
             if turn.role != ROLE_AGENT_TOOL:
                 turns.append(turn)
                 continue
-            result = safe_execute_tool(env, turn.content)
+            result, p_t, reward = scorer.step(turn.content)
             if result.state_digest != turn.state_digest:
                 raise _Failure(
                     f"replay digest mismatch at turn {turn.index}; "
                     "trajectory does not replay against this package"
                 )
-            p_t = proximity(distance_to(env, target, cfg), pkg.delta0, cfg.epsilon)
-            reward = dense_reward(p_t, p_prev, result.status == "error", cfg.lambda_err)
             turns.append(dataclasses.replace(turn, proximity=p_t, reward=reward))
-            p_prev = p_t
-        final_diff = distance_to(env, target, cfg)
+        final_diff = scorer.final_diff()
     sum_dense = sum(t.reward for t in turns if t.role == ROLE_AGENT_TOOL)
     return dataclasses.replace(
         recorded, turns=tuple(turns), final_diff=final_diff,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 import sqlite3
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import MalformedArguments, ReadOnlyTable, UnknownTool
 from .packages import (
@@ -18,7 +19,10 @@ from .packages import (
     TaskPackage,
     ToolSpec,
 )
-from .snapshots import Snapshot, open_image, quote_ident, read_schema, state_digest
+from .snapshots import Snapshot, load_image, open_image, quote_ident, read_schema, state_digest
+
+if TYPE_CHECKING:
+    from .tracker import VerificationBase
 
 UNCLASSIFIED = "UNCLASSIFIED"
 
@@ -120,26 +124,38 @@ class EnvHandle:
 
     Callers must serialize execute_tool on one handle; open several handles
     for parallel rollouts. The origin snapshot bytes are never mutated.
+
+    A handle opened on a package (``base`` given) knows its target and, unless
+    the schema keeps the full scan, tracks digest and distance incrementally
+    (see tracker.py); other handles digest by full scan and have no target.
     """
 
-    def __init__(self, bundle: EnvironmentBundle, origin: Snapshot):
+    def __init__(self, bundle: EnvironmentBundle, origin: Snapshot,
+                 base: VerificationBase | None = None):
         self.bundle = bundle
         self.origin = origin
         self.turn_counter = 0
         self.closed = False
         self._tools = bundle.tools_by_name()
+        self._base = base
         self._conn = open_image(origin.data)
         self._conn.execute("PRAGMA foreign_keys = ON")
-        # the bundle's catalog, unless this image was built from other DDL
-        self.schema_info = bundle.schema_info
-        if not self.schema_info.describes(self._conn):
-            self.schema_info = read_schema(self._conn)
+        if base is not None:
+            self.schema_info = base.schema
+            self._tracker = base.track(self._conn)
+        else:
+            # the bundle's catalog, unless this image was built from other DDL
+            self.schema_info = bundle.schema_info
+            if not self.schema_info.describes(self._conn):
+                self.schema_info = read_schema(self._conn)
+            self._tracker = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
         if not self.closed:
             self._conn.close()
+            self._tracker = None  # its row copies go now, even if the handle lingers
             self.closed = True
 
     def __enter__(self):
@@ -150,7 +166,10 @@ class EnvHandle:
 
     def reset(self) -> None:
         """Restore the working state to the origin snapshot."""
-        self._conn.deserialize(self.origin.data)
+        if self._tracker is not None:
+            self._tracker.reset(self.origin.data)
+        else:
+            load_image(self._conn, self.origin.data)
         self.turn_counter = 0
 
     # -- introspection ------------------------------------------------------
@@ -159,11 +178,26 @@ class EnvHandle:
     def connection(self) -> sqlite3.Connection:
         return self._conn
 
+    @property
+    def tracked(self) -> bool:
+        """True when digest and distance follow the change log (tracker.py)."""
+        return self._tracker is not None
+
     def columns(self, table: str):
         return self.schema_info.columns(table)
 
     def digest(self) -> str:
+        if self._tracker is not None:
+            return self._tracker.digest()
         return state_digest(self._conn, self.schema_info)
+
+    def distance(self) -> int:
+        """d_t: symmetric-difference distance from the live state to the package target."""
+        if self._tracker is not None:
+            return self._tracker.distance()
+        if self._base is None:
+            raise RuntimeError("no target: open the environment with open_environment(pkg)")
+        return self._base.reference_distance(self._conn)
 
     def snapshot(self) -> Snapshot:
         """Immutable copy of the current state; later writes do not affect it."""
@@ -176,11 +210,14 @@ class EnvHandle:
 
         Used by seeding and probing; agent traffic must go through
         execute_tool. Raises sqlite3.Error on rejection; fully rolled back.
+        A tracked handle rescans at its next read, since ``sql`` may be DDL.
         """
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             cur = self._conn.execute(sql, params)
             self._conn.execute("COMMIT")
+            if self._tracker is not None:
+                self._tracker.invalidate()
             return cur.rowcount
         except BaseException:
             _rollback(self._conn)
@@ -194,8 +231,9 @@ def _rollback(conn: sqlite3.Connection) -> None:
 
 
 def open_environment(pkg: TaskPackage) -> EnvHandle:
-    """Instantiate a live environment seeded from the package origin."""
-    return EnvHandle(pkg.env, pkg.origin_snapshot)
+    """Instantiate a live environment seeded from the package origin, scored
+    against the package target."""
+    return EnvHandle(pkg.env, pkg.origin_snapshot, pkg.verification_base)
 
 
 def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHandle:
@@ -297,6 +335,8 @@ def _filters_to_sql(filters) -> tuple[str, list]:
 # --- execution ----------------------------------------------------------------------
 
 def _lookup_tool(env: EnvHandle, name: str) -> ToolSpec:
+    if not isinstance(name, str):  # a port may send any JSON value
+        raise UnknownTool(repr(name))
     spec = env._tools.get(name)
     if spec is not None:
         return spec
@@ -404,6 +444,12 @@ def _insert_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
 
 
 def _update_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
+    """UPDATE for ``{"filters": {column: value, ...}, "set": {...}}``.
+
+    Empty ``filters`` update every row of the table. That is intended:
+    recorded trajectories may hold such calls, and rejecting them now would
+    break their replays; the triggers still judge every row.
+    """
     columns = {c.name for c in env.columns(spec.table)}
     extra = set(args) - {"filters", "set"}
     if extra:

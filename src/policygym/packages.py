@@ -171,6 +171,17 @@ class TaskPackage:
     redaction_list: tuple[str, ...] = ()
     delta0: int = 0
 
+    @cached_property
+    def verification_base(self):
+        """Origin state and origin-to-target difference shared by every handle
+        that ``open_environment`` opens on this package; built on first use
+        (a ``tracker.VerificationBase``)."""
+        # imported here: processes that never open a package handle (ports,
+        # ``policygym fixture``) skip compiling the tracker at start-up
+        from .tracker import VerificationBase
+
+        return VerificationBase(self)
+
     @property
     def trivial(self) -> bool:
         """True when origin already equals target (degenerate no-op task)."""

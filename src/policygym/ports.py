@@ -134,6 +134,8 @@ class SubprocessTransport:
             raise PortFailure(f"port response is not JSON: {raw[:200]!r}") from exc
         if not isinstance(response, dict):
             raise PortFailure("port response must be a JSON object")
+        if response.get("type") == "error":
+            raise PortFailure(f"port error: {response.get('message', '')}")
         return response
 
     def _read_line(self) -> str:

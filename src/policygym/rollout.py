@@ -14,17 +14,9 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InsufficientTrials, IoFailure
-from .executor import EnvHandle, ToolCall, ToolResult, open_environment, safe_execute_tool
+from .executor import ToolCall, ToolResult, open_environment, safe_execute_tool
 from .packages import TaskPackage
-from .verify import (
-    CanonicalRelationSet,
-    DiffConfig,
-    canonicalize,
-    canonicalize_connection,
-    dense_reward,
-    diff_canonical,
-    proximity,
-)
+from .verify import dense_reward, proximity
 
 ROLE_USER = "user"
 ROLE_AGENT_TEXT = "agent_text"
@@ -116,10 +108,46 @@ def _dialogue_view(turns: list[Turn]) -> list[Turn]:
     return [t for t in turns if t.role in (ROLE_USER, ROLE_AGENT_TEXT)]
 
 
-def distance_to(env: EnvHandle, target: CanonicalRelationSet, cfg: DiffConfig) -> int:
-    """d_t: symmetric-difference distance from the live state to ``target``."""
-    live = canonicalize_connection(env.connection, cfg, env.schema_info)
-    return diff_canonical(live, target).total
+class EpisodeScorer:
+    """A fresh environment on ``pkg`` that scores each tool call against the
+    package target: the one per-step loop behind ``run_episode`` and
+    ``policygym score``.
+
+    ``digest`` is the state digest after the last call (the origin's before
+    the first); ``final_diff()`` is the distance to the target now.
+    """
+
+    def __init__(self, pkg: TaskPackage):
+        self.pkg = pkg
+        self.env = open_environment(pkg)
+        self.digest = self.env.digest()
+        self._p_prev = self._proximity()
+
+    def _proximity(self) -> float:
+        return proximity(self.env.distance(), self.pkg.delta0, self.pkg.diff_config.epsilon)
+
+    def step(self, call: ToolCall) -> tuple[ToolResult, float, float]:
+        """Run ``call``; return its result, the proximity after it and its
+        dense reward (the proximity delta, or the penalty on an error)."""
+        result = safe_execute_tool(self.env, call)
+        p_t = self._proximity()
+        reward = dense_reward(p_t, self._p_prev, result.status == "error",
+                              self.pkg.diff_config.lambda_err)
+        self.digest = result.state_digest
+        self._p_prev = p_t
+        return result, p_t, reward
+
+    def final_diff(self) -> int:
+        return self.env.distance()
+
+    def close(self) -> None:
+        self.env.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def run_episode(
@@ -137,16 +165,11 @@ def run_episode(
     with the state-proximity delta (or the violation penalty) against the
     package target.
     """
-    cfg = pkg.diff_config
-    delta0 = pkg.delta0
-    target = canonicalize(pkg.target_snapshot, cfg)
     turns: list[Turn] = []
     termination = TERMINATION_BUDGET
     note = ""
 
-    with open_environment(pkg) as env:
-        digest = env.digest()
-        p_prev = proximity(distance_to(env, target, cfg), delta0, cfg.epsilon)
+    with EpisodeScorer(pkg) as scorer:
         index = 0
         stopped = False
 
@@ -158,7 +181,7 @@ def run_episode(
                 note = f"user port failure: {exc}"
                 stopped = True
                 break
-            turns.append(Turn(index, ROLE_USER, utterance, digest))
+            turns.append(Turn(index, ROLE_USER, utterance, scorer.digest))
             index += 1
             if detect_stop(utterance, pkg.limits.stop_token):
                 termination = TERMINATION_STOP
@@ -180,7 +203,8 @@ def run_episode(
                     stopped = True
                     break
                 if isinstance(action, str):
-                    turns.append(Turn(index, ROLE_AGENT_TEXT, action, digest, mask_in_loss=False))
+                    turns.append(Turn(index, ROLE_AGENT_TEXT, action, scorer.digest,
+                                      mask_in_loss=False))
                     index += 1
                     ended_with_text = True
                     break
@@ -189,16 +213,12 @@ def run_episode(
                     note = f"agent port returned unsupported action: {type(action).__name__}"
                     stopped = True
                     break
-                result = safe_execute_tool(env, action)
-                digest = result.state_digest
-                p_t = proximity(distance_to(env, target, cfg), delta0, cfg.epsilon)
-                reward = dense_reward(p_t, p_prev, result.status == "error", cfg.lambda_err)
-                turns.append(Turn(index, ROLE_AGENT_TOOL, action, digest,
+                result, p_t, reward = scorer.step(action)
+                turns.append(Turn(index, ROLE_AGENT_TOOL, action, scorer.digest,
                                   proximity=p_t, reward=reward, mask_in_loss=False))
                 index += 1
-                turns.append(Turn(index, ROLE_TOOL_RESULT, result, digest))
+                turns.append(Turn(index, ROLE_TOOL_RESULT, result, scorer.digest))
                 index += 1
-                p_prev = p_t
             if stopped:
                 break
             if not ended_with_text:
@@ -206,7 +226,7 @@ def run_episode(
                 note = note or "agent action budget exhausted within one turn"
                 break
 
-        final_diff = distance_to(env, target, cfg)
+        final_diff = scorer.final_diff()
 
     sum_dense = sum(t.reward for t in turns if t.role == ROLE_AGENT_TOOL)
     return Trajectory(

@@ -38,17 +38,22 @@ class ForeignKey:
     ref_column: str
 
 
-def open_image(data: bytes) -> sqlite3.Connection:
-    """Autocommit connection onto an in-memory copy of a database image.
+def load_image(conn: sqlite3.Connection, data: bytes) -> None:
+    """Replace the main database behind ``conn`` with an in-memory copy of an image.
 
     A WAL-mode header (bytes 18-19 == 2) is rewritten to rollback mode,
     because an in-memory database cannot open in WAL mode.
     """
     if data[18:20] == b"\x02\x02":
         data = data[:18] + b"\x01\x01" + data[20:]
+    conn.deserialize(data)
+
+
+def open_image(data: bytes) -> sqlite3.Connection:
+    """Autocommit connection onto an in-memory copy of a database image."""
     conn = sqlite3.connect(":memory:", isolation_level=None)
     if data:  # an empty image is an empty database, which deserialize rejects
-        conn.deserialize(data)
+        load_image(conn, data)
     return conn
 
 

@@ -1,0 +1,368 @@
+"""Incremental state verification: the state digest and the distance to the
+target, kept current from a per-connection change log.
+
+TEMP triggers (AFTER INSERT, UPDATE and DELETE on every user table) copy the
+old and new rows of each change into a TEMP change log. The TEMP schema
+belongs to the connection, so package DDL, snapshots, ``serialize()`` output
+and saved images never contain them, and the log rolls back with a rejected
+call. After a call the tracker folds the logged rows into
+
+* per-table sorted row-key blocks, re-hashed into a digest bit-identical to
+  ``snapshots.state_digest``;
+* a signed multiset of canonical rows, live minus target, under the rules of
+  ``verify.canonicalize_connection``; d_t is the sum of its absolute counts.
+
+A call therefore costs O(changed rows) plus one hash over the row keys from
+the first changed one on: the tracker keeps the hash state every ``MARK``
+bytes of digest input and resumes from the last one before the change. A
+call that changed nothing reuses the previous digest. The origin's blocks
+and the origin-minus-target multiset form a ``VerificationBase``: built once
+per package from one scan of each image, never mutated, and shared by every
+handle and thread; a handle copies a table's rows on its first write there.
+
+The full-scan functions stay the reference, and some schemas keep them:
+
+* a schema that uses REPLACE conflict resolution, which deletes rows without
+  firing delete triggers, or that has a user table named like the log (the
+  TEMP table would shadow it in unqualified SQL), gets no tracker at all;
+* under ``fk_mode="canonical_remap"`` a child's canonical row depends on its
+  parent's content, so d_t is computed by full scan while the digest stays
+  incremental; so it is when the target image has another catalog.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import re
+import sqlite3
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
+from types import MappingProxyType
+
+from .snapshots import (
+    SchemaInfo,
+    Snapshot,
+    load_image,
+    normalize_value,
+    quote_ident,
+    read_schema,
+    row_sort_key,
+    state_digest,
+)
+from .verify import (
+    CanonicalRelationSet,
+    DiffConfig,
+    _keys_to_excluded,
+    canonicalize,
+    canonicalize_connection,
+    diff_canonical,
+    validate_excluded_columns,
+)
+
+LOG_TABLE = "policygym_changelog"
+MARK = 8192  # bytes of digest input between two kept hash states
+_REPLACE_RE = re.compile(r"\bREPLACE\b", re.IGNORECASE)
+_DDL_SQL = "SELECT coalesce(sql, '') FROM sqlite_master WHERE type IN ('table', 'trigger')"
+
+
+@dataclass(frozen=True)
+class _Table:
+    """How one user table's rows become digest records and canonical rows."""
+
+    name: str
+    columns: tuple[str, ...]
+    kept: tuple[int, ...]  # positions of the canonical columns
+    decimals: int | None
+
+    @property
+    def header(self) -> bytes:
+        """The table's record in the digest, as state_digest writes it."""
+        return b"T" + self.name.encode() + b"\x00" + ",".join(self.columns).encode() + b"\x00"
+
+    @property
+    def select(self) -> str:
+        return "SELECT {} FROM {}".format(
+            ", ".join(quote_ident(c) for c in self.columns), quote_ident(self.name))
+
+    def key(self, row) -> bytes:
+        """The row's record in the digest: its sort key, framed. Framing keeps
+        the order, because every record ends in the same zero byte."""
+        return b"R" + row_sort_key(tuple(normalize_value(v) for v in row)) + b"\x00"
+
+    def canonical(self, row) -> tuple:
+        return tuple(normalize_value(row[i], self.decimals) for i in self.kept)
+
+
+def _tables(schema: SchemaInfo, cfg: DiffConfig) -> tuple[_Table, ...]:
+    out = []
+    for name, info in schema.tables.items():
+        excluded = cfg.excluded_columns.get(name, frozenset())
+        dropped = {fk.column for fk in _keys_to_excluded(info, cfg)}
+        cols = info.column_names
+        out.append(_Table(
+            name=name, columns=cols, decimals=cfg.float_decimals,
+            kept=tuple(i for i, c in enumerate(cols) if c not in excluded and c not in dropped),
+        ))
+    return tuple(out)
+
+
+def _log_ddl(tables: tuple[_Table, ...]) -> tuple[list[str], list[str]]:
+    """(install, drop) statements for the TEMP log and its triggers. A log row
+    is (table index, +1 for a new row or -1 for an old one, its values...)."""
+    width = max((len(t.columns) for t in tables), default=0)
+    install = ["CREATE TEMP TABLE IF NOT EXISTS {} (tbl, sign{})".format(
+        LOG_TABLE, "".join(f", c{i}" for i in range(width)))]
+    drop = []
+    for i, t in enumerate(tables):
+        slots = "tbl, sign" + "".join(f", c{j}" for j in range(len(t.columns)))
+
+        def log(sign, ref):
+            values = "".join(f", {ref}.{quote_ident(c)}" for c in t.columns)
+            return f"INSERT INTO {LOG_TABLE} ({slots}) VALUES ({i}, {sign}{values});"
+
+        bodies = {"insert": log(1, "NEW"), "delete": log(-1, "OLD"),
+                  "update": log(-1, "OLD") + " " + log(1, "NEW")}
+        for event, body in bodies.items():
+            name = f"{LOG_TABLE}_{i}_{event}"
+            install.append(f"CREATE TEMP TRIGGER {name} AFTER {event.upper()} "
+                           f"ON main.{quote_ident(t.name)} BEGIN {body} END")
+            drop.append(f"DROP TRIGGER IF EXISTS temp.{name}")
+    return install, drop
+
+
+def _refuses_log(conn: sqlite3.Connection, schema: SchemaInfo) -> bool:
+    """True when a change log on this schema could miss a change."""
+    if any(name.lower() == LOG_TABLE for name in schema.tables):
+        return True
+    return any(_REPLACE_RE.search(sql) for (sql,) in conn.execute(_DDL_SQL))
+
+
+class VerificationBase:
+    """What every handle opened on one package starts from.
+
+    Built once from one scan of the origin image (and one of the target),
+    then only read, so any number of handles and threads share it.
+    ``tracked`` is False for a schema the change log cannot follow; its
+    handles use the full-scan reference for digest and distance alike.
+    """
+
+    def __init__(self, pkg):  # a packages.TaskPackage
+        self.cfg: DiffConfig = pkg.diff_config
+        self._target: Snapshot = pkg.target_snapshot
+        with pkg.origin_snapshot.connect() as conn:
+            # the bundle's catalog, unless this image was built from other DDL
+            schema = pkg.env.schema_info
+            self.schema = schema if schema.describes(conn) else read_schema(conn)
+            validate_excluded_columns(self.schema, self.cfg)
+            self.tables = _tables(self.schema, self.cfg)
+            self.install_sql, self.drop_sql = _log_ddl(self.tables)
+            self.tracked = not _refuses_log(conn, self.schema) and self._installs(conn)
+            if self.tracked:
+                rows, signed = self.scan(conn)
+                # a handle's first write to a table copies the table's tuple
+                # into a list, in time independent of what the call changed
+                self.rows = MappingProxyType({name: tuple(keys) for name, keys in rows.items()})
+                self.blocks = MappingProxyType(
+                    {t.name: t.header + b"".join(rows[t.name]) for t in self.tables})
+                del rows
+                self.mark = MARK
+                marks, self.digest = _hash(self.blocks.values(), (hashlib.sha256(),), 0, MARK)
+                self.marks = tuple(marks)
+                self.signed = None if signed is None else MappingProxyType(signed)
+                self.distance = None if signed is None else sum(map(abs, signed.values()))
+
+    def _installs(self, conn: sqlite3.Connection) -> bool:
+        """Try the log on the scratch origin copy; a schema that refuses its
+        triggers (a virtual table, say) keeps the full scan."""
+        try:
+            for sql in self.install_sql:
+                conn.execute(sql)
+        except sqlite3.Error:
+            return False
+        return True
+
+    def scan(self, live: sqlite3.Connection):
+        """(sorted digest records per table, live-minus-target canonical counts)
+        of the database behind ``live``; the counts are None when d_t needs the
+        full-scan reference."""
+        rows, signed = {}, {}
+        with self._target.connect() as target:
+            counted = self.cfg.fk_mode == "drop" and self.schema.describes(target)
+            for t in self.tables:
+                live_rows = live.execute(t.select).fetchall()
+                rows[t.name] = sorted(map(t.key, live_rows))
+                if counted:
+                    counts = Counter(map(t.canonical, live_rows))
+                    counts.subtract(map(t.canonical, target.execute(t.select)))
+                    signed.update(((t.name, row), n) for row, n in counts.items() if n)
+        return rows, signed if counted else None
+
+    @cached_property
+    def target(self) -> CanonicalRelationSet:
+        """The target's canonical relation set, for full-scan distances."""
+        return canonicalize(self._target, self.cfg)
+
+    def reference_distance(self, conn: sqlite3.Connection) -> int:
+        """d_t by full scan of the live database behind ``conn``."""
+        live = canonicalize_connection(conn, self.cfg, self.schema)
+        return diff_canonical(live, self.target).total
+
+    def track(self, conn: sqlite3.Connection) -> "StateTracker | None":
+        """A tracker on ``conn``, which holds a fresh copy of the origin."""
+        return StateTracker(conn, self) if self.tracked else None
+
+
+def _hash(blocks, marks, start: int, mark: int) -> tuple[list, str]:
+    """(marks, hex digest) of the concatenated ``blocks``, whose first
+    ``start`` bytes are the same as when ``marks`` were taken; ``marks[j]`` is
+    the hash state after ``j * mark`` bytes. Marks are copied, never updated,
+    so the base's marks can be shared."""
+    marks = list(marks[: start // mark + 1])
+    h = marks[-1].copy()
+    at = (len(marks) - 1) * mark  # bytes hashed so far
+    end = 0
+    for block in blocks:
+        begin, end = end, end + len(block)
+        view = memoryview(block)
+        while at < end:
+            stop = min(end, (at // mark + 1) * mark)
+            h.update(view[at - begin:stop - begin])
+            at = stop
+            if at % mark == 0:
+                marks.append(h.copy())
+    return marks, h.hexdigest()
+
+
+class StateTracker:
+    """The digest and d_t of one connection, kept current from its change log."""
+
+    def __init__(self, conn: sqlite3.Connection, base: VerificationBase):
+        self._conn = conn
+        self._base = base
+        self._install()
+        self._restore()
+
+    def _install(self) -> None:
+        for sql in self._base.install_sql:
+            self._conn.execute(sql)
+
+    def _restore(self) -> None:
+        """Back to the base: the origin state, nothing copied yet."""
+        base = self._base
+        self._rows: dict[str, list[bytes]] = {}  # filled on a table's first write
+        self._blocks = dict(base.blocks)
+        self._dirty: dict[str, int] = {}  # table -> first record that may differ
+        self._marks = base.marks
+        self._digest = base.digest
+        self._signed = None if base.signed is None else dict(base.signed)
+        self._distance = base.distance
+        self._stale = False
+        self._conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
+        self._seen = self._conn.total_changes
+
+    # -- reads -----------------------------------------------------------------
+
+    def digest(self) -> str:
+        if self._conn.in_transaction:
+            # the log holds changes that may still roll back
+            return state_digest(self._conn, self._base.schema)
+        self._sync()
+        if self._dirty:
+            start = None  # digest input bytes before the first change
+            offset = 0
+            for t in self._base.tables:
+                first = self._dirty.get(t.name)
+                if first is not None:
+                    keys = self._rows[t.name]
+                    if start is None:
+                        start = offset + len(t.header) + sum(map(len, islice(keys, first)))
+                    self._blocks[t.name] = t.header + b"".join(keys)
+                offset += len(self._blocks[t.name])
+            self._dirty.clear()
+            self._marks, self._digest = _hash(
+                self._blocks.values(), self._marks, start, self._base.mark)
+        return self._digest
+
+    def distance(self) -> int:
+        if self._signed is None or self._conn.in_transaction:
+            return self._base.reference_distance(self._conn)
+        self._sync()
+        return self._distance
+
+    # -- writes ------------------------------------------------------------------
+
+    def invalidate(self) -> None:
+        """Rescan at the next read (after a write the log may not follow, such as DDL)."""
+        self._stale = True
+
+    def reset(self, data: bytes) -> None:
+        """Load the origin image ``data`` into the connection and return to the base.
+
+        The TEMP triggers are dropped before ``deserialize`` and created again
+        after: TEMP triggers on ``main`` tables were seen to stop firing, now
+        and then, after a ``deserialize`` that left them in place."""
+        for sql in self._base.drop_sql:
+            self._conn.execute(sql)
+        load_image(self._conn, data)
+        self._install()
+        self._restore()
+
+    # -- folding the log -------------------------------------------------------------
+
+    def _sync(self) -> None:
+        conn = self._conn
+        if self._stale:
+            self._rescan()
+        elif conn.total_changes != self._seen:
+            logged = conn.execute(f"SELECT * FROM temp.{LOG_TABLE}").fetchall()
+            if logged:
+                conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
+                self._fold(logged)
+        self._seen = conn.total_changes
+
+    def _fold(self, logged) -> None:
+        net = Counter()
+        for tbl, sign, *values in logged:
+            net[tbl, tuple(values)] += sign
+        tables = self._base.tables
+        for (tbl, values), n in net.items():
+            if not n:
+                continue
+            t = tables[tbl]
+            row = values[: len(t.columns)]
+            keys = self._rows.get(t.name)
+            if keys is None:
+                keys = self._rows[t.name] = list(self._base.rows[t.name])
+            key = t.key(row)
+            i = bisect_left(keys, key)
+            if n > 0:
+                keys[i:i] = [key] * n
+            else:
+                if keys[i:i - n] != [key] * -n:  # a change the log did not see
+                    self._rescan()
+                    return
+                del keys[i:i - n]
+            # records before i are untouched by this change
+            self._dirty[t.name] = min(i, self._dirty.get(t.name, i))
+            if self._signed is not None:
+                entry = (t.name, t.canonical(row))
+                before = self._signed.get(entry, 0)
+                after = before + n
+                self._distance += abs(after) - abs(before)
+                if after:
+                    self._signed[entry] = after
+                else:
+                    del self._signed[entry]
+
+    def _rescan(self) -> None:
+        self._conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
+        rows, signed = self._base.scan(self._conn)
+        self._rows = rows
+        self._dirty = dict.fromkeys(rows, 0)
+        if signed is not None:
+            self._signed = signed
+            self._distance = sum(map(abs, signed.values()))
+        self._stale = False

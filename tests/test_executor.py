@@ -10,6 +10,7 @@ from policygym.executor import (
     _run_write,
     execute_tool,
     open_environment,
+    open_environment_at,
     parse_engine_error,
     safe_execute_tool,
 )
@@ -389,3 +390,19 @@ def test_writes_roll_back_on_non_engine_exceptions(env):
     assert not env.connection.in_transaction
     assert env.digest() == before
     assert execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "ok"})).ok
+
+
+@pytest.mark.parametrize("name", [5, 2.5, None, ["insert_users"], {"tool": "query_users"}])
+@pytest.mark.parametrize("opened_at", [False, True], ids=["tracked", "open_environment_at"])
+def test_non_string_tool_name_is_unknown_tool(travel_pkg, name, opened_at):
+    if opened_at:
+        handle = open_environment_at(travel_pkg.env, travel_pkg.origin_snapshot)
+    else:
+        handle = open_environment(travel_pkg)
+    with handle as env:
+        assert env.tracked is not opened_at
+        before = env.digest()
+        result = safe_execute_tool(env, ToolCall(name, {}))
+        assert result.status == "error"
+        assert result.error.code == "UNKNOWN_TOOL"
+        assert result.state_digest == before == travel_pkg.origin_snapshot.digest()

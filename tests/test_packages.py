@@ -10,6 +10,7 @@ import sqlite3
 import pytest
 
 from policygym import load_package, save_package
+from policygym.executor import ToolCall, execute_tool, open_environment, open_environment_at
 from policygym.errors import (
     CompileFailure,
     IoFailure,
@@ -201,6 +202,12 @@ def test_load_package_reads_wal_mode_images(travel_pkg, tmp_path):
     assert reloaded.origin_snapshot.digest() == travel_pkg.origin_snapshot.digest()
     assert reloaded.target_snapshot.digest() == travel_pkg.target_snapshot.digest()
     assert reloaded.delta0 == travel_pkg.delta0
+    for env in (open_environment(reloaded),
+                open_environment_at(reloaded.env, reloaded.origin_snapshot)):
+        with env:
+            execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "note"}))
+            env.reset()
+            assert env.digest() == travel_pkg.origin_snapshot.digest()
 
 
 def test_save_to_unwritable_location_raises_io_failure(travel_pkg, tmp_path):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from policygym.errors import InsufficientTrials
 from policygym.fixtures import corporate_travel
-from policygym.ports import ScriptedAgentPort, ScriptedUserPort
+from policygym.ports import ScriptedAgentPort, ScriptedUserPort, SubprocessAgentPort
 from policygym.rollout import (
     Trajectory,
     compute_metrics,
@@ -259,3 +261,17 @@ def test_agent_multiple_tools_within_one_user_turn(travel_pkg):
     ]
     # read-only queries do not move the state
     assert all(r == 0.0 for r in trajectory.dense_rewards())
+
+
+def test_subprocess_port_error_reply_keeps_its_message(travel_pkg, tmp_path):
+    script = tmp_path / "agent_script.json"
+    script.write_text(json.dumps([{"text": "Hello, how can I help?"}]))
+    agent = SubprocessAgentPort(
+        f"{sys.executable} -m policygym.ports --role agent --script {script}", timeout=30)
+    user = ScriptedUserPort(["hi", "please book the flight"])
+    try:
+        trajectory = run_episode(travel_pkg, agent, user, seed=0)
+    finally:
+        agent.close()
+    assert trajectory.termination == "deviation"
+    assert "agent script exhausted" in trajectory.note
