@@ -128,6 +128,11 @@ class EnvHandle:
     A handle opened on a package (``base`` given) knows its target and, unless
     the schema keeps the full scan, tracks digest and distance incrementally
     (see tracker.py); other handles digest by full scan and have no target.
+
+    A tracked handle takes an idle connection from the package's pool when
+    there is one, and ``close()`` gives it back reset to the origin, unless
+    it is inside a transaction or ran ``system_write`` (arbitrary SQL, TEMP
+    DDL included). A closed handle no longer reaches its connection.
     """
 
     def __init__(self, bundle: EnvironmentBundle, origin: Snapshot,
@@ -138,25 +143,38 @@ class EnvHandle:
         self.closed = False
         self._tools = bundle.tools_by_name()
         self._base = base
-        self._conn = open_image(origin.data)
-        self._conn.execute("PRAGMA foreign_keys = ON")
+        self._reusable = True  # the connection may go back to the pool
+        if base is not None and base.tracked:
+            self._tracker = base.take(lambda: _connect(origin.data))
+            self._conn = self._tracker.conn
+        else:
+            self._tracker = None
+            self._conn = _connect(origin.data)
         if base is not None:
             self.schema_info = base.schema
-            self._tracker = base.track(self._conn)
         else:
             # the bundle's catalog, unless this image was built from other DDL
             self.schema_info = bundle.schema_info
             if not self.schema_info.describes(self._conn):
                 self.schema_info = read_schema(self._conn)
-            self._tracker = None
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        if not self.closed:
-            self._conn.close()
-            self._tracker = None  # its row copies go now, even if the handle lingers
-            self.closed = True
+        if self.closed:
+            return
+        conn, tracker = self._conn, self._tracker
+        self._conn = self._tracker = None
+        self.closed = True
+        if tracker is not None and self._reusable and not conn.in_transaction:
+            try:
+                tracker.reset(self.origin.data)  # also drops its row copies
+            except sqlite3.Error:
+                conn.close()
+            else:
+                self._base.give_back(tracker)
+        else:
+            conn.close()
 
     def __enter__(self):
         return self
@@ -169,13 +187,15 @@ class EnvHandle:
         if self._tracker is not None:
             self._tracker.reset(self.origin.data)
         else:
-            load_image(self._conn, self.origin.data)
+            load_image(self.connection, self.origin.data)
         self.turn_counter = 0
 
     # -- introspection ------------------------------------------------------
 
     @property
     def connection(self) -> sqlite3.Connection:
+        if self.closed:
+            raise RuntimeError("environment is closed")
         return self._conn
 
     @property
@@ -189,7 +209,7 @@ class EnvHandle:
     def digest(self) -> str:
         if self._tracker is not None:
             return self._tracker.digest()
-        return state_digest(self._conn, self.schema_info)
+        return state_digest(self.connection, self.schema_info)
 
     def distance(self) -> int:
         """d_t: symmetric-difference distance from the live state to the package target."""
@@ -197,11 +217,11 @@ class EnvHandle:
             return self._tracker.distance()
         if self._base is None:
             raise RuntimeError("no target: open the environment with open_environment(pkg)")
-        return self._base.reference_distance(self._conn)
+        return self._base.reference_distance(self.connection)
 
     def snapshot(self) -> Snapshot:
         """Immutable copy of the current state; later writes do not affect it."""
-        return Snapshot.from_connection(self._conn)
+        return Snapshot.from_connection(self.connection)
 
     # -- privileged writes ----------------------------------------------------
 
@@ -210,18 +230,29 @@ class EnvHandle:
 
         Used by seeding and probing; agent traffic must go through
         execute_tool. Raises sqlite3.Error on rejection; fully rolled back.
-        A tracked handle rescans at its next read, since ``sql`` may be DDL.
+        A tracked handle rescans at its next read, since ``sql`` may be DDL,
+        and its connection is not pooled at close.
         """
-        self._conn.execute("BEGIN IMMEDIATE")
+        conn = self.connection
+        self._reusable = False
+        conn.execute("BEGIN IMMEDIATE")
         try:
-            cur = self._conn.execute(sql, params)
-            self._conn.execute("COMMIT")
+            cur = conn.execute(sql, params)
+            conn.execute("COMMIT")
             if self._tracker is not None:
                 self._tracker.invalidate()
             return cur.rowcount
         except BaseException:
-            _rollback(self._conn)
+            _rollback(conn)
             raise
+
+
+def _connect(data: bytes) -> sqlite3.Connection:
+    """A handle's connection onto a copy of the image ``data``. A pooled one
+    serves handles on any thread, one handle at a time."""
+    conn = open_image(data, check_same_thread=False)
+    conn.execute("PRAGMA foreign_keys = ON")
+    return conn
 
 
 def _rollback(conn: sqlite3.Connection) -> None:
@@ -239,14 +270,6 @@ def open_environment(pkg: TaskPackage) -> EnvHandle:
 def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHandle:
     """Live environment starting from an arbitrary snapshot (synthesis paths)."""
     return EnvHandle(bundle, snapshot)
-
-
-def snapshot(env: EnvHandle) -> Snapshot:
-    return env.snapshot()
-
-
-def reset(env: EnvHandle) -> None:
-    env.reset()
 
 
 # --- argument validation ---------------------------------------------------------

@@ -17,11 +17,14 @@ import selectors
 import shlex
 import subprocess
 import sys
+import tempfile
+import time
 
 from .errors import PortFailure
 from .executor import ToolCall
 
 DEFAULT_PORT_TIMEOUT = float(os.environ.get("POLICYGYM_PORT_TIMEOUT", "120"))
+STDERR_TAIL = 4096  # bytes of a port's stderr that a PortFailure quotes
 
 
 class AgentPort:
@@ -100,19 +103,25 @@ class ScriptedUserPort(UserPort):
 # --- subprocess transport ------------------------------------------------------------
 
 class SubprocessTransport:
-    """One long-lived worker process; one JSON line out, one JSON line back."""
+    """One long-lived worker process; one JSON line out, one JSON line back.
+
+    The worker's stderr goes to an anonymous temporary file; a failure quotes
+    its last ``STDERR_TAIL`` bytes, and nothing reads it otherwise.
+    """
 
     def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT):
         self.cmd = cmd
         self.timeout = timeout
+        self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
                 shlex.split(cmd),
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
+                stderr=self._stderr,
             )
         except OSError as exc:
+            self._stderr.close()
             raise PortFailure(f"cannot spawn port command {cmd!r}: {exc}") from exc
         self._buffer = bytearray()
         self._selector = selectors.DefaultSelector()
@@ -120,56 +129,69 @@ class SubprocessTransport:
 
     def request(self, doc: dict) -> dict:
         if self._proc.poll() is not None:
-            raise PortFailure(f"port process exited with {self._proc.returncode}")
+            raise self._failure(f"port process exited with {self._proc.returncode}")
         line = json.dumps(doc, sort_keys=True) + "\n"
         try:
             self._proc.stdin.write(line.encode("utf-8"))
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise PortFailure(f"port stdin closed: {exc}") from exc
+            raise self._failure(f"port stdin closed: {exc}") from exc
         raw = self._read_line()
         try:
             response = json.loads(raw)
         except json.JSONDecodeError as exc:
-            raise PortFailure(f"port response is not JSON: {raw[:200]!r}") from exc
+            raise self._failure(f"port response is not JSON: {raw[:200]!r}") from exc
         if not isinstance(response, dict):
-            raise PortFailure("port response must be a JSON object")
+            raise self._failure("port response must be a JSON object")
         if response.get("type") == "error":
-            raise PortFailure(f"port error: {response.get('message', '')}")
+            raise self._failure(f"port error: {response.get('message', '')}")
         return response
 
     def _read_line(self) -> str:
-        import time
-
         deadline = time.monotonic() + self.timeout
         while b"\n" not in self._buffer:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise PortFailure(f"port timed out after {self.timeout}s")
+                raise self._failure(f"port timed out after {self.timeout}s")
             if not self._selector.select(timeout=min(remaining, 0.5)):
                 if self._proc.poll() is not None and b"\n" not in self._buffer:
-                    raise PortFailure("port process exited mid-request")
+                    raise self._failure("port process exited mid-request")
                 continue
             chunk = self._proc.stdout.read1(65536)
             if chunk:
                 self._buffer.extend(chunk)
             elif self._proc.poll() is not None:
-                raise PortFailure("port closed stdout")
+                raise self._failure("port closed stdout")
         line, _, rest = bytes(self._buffer).partition(b"\n")
         self._buffer = bytearray(rest)
         return line.decode("utf-8")
 
+    def _failure(self, message: str) -> PortFailure:
+        """``message`` plus the tail of what the worker wrote to stderr. The
+        read does not move the file offset the worker writes at."""
+        fd = self._stderr.fileno()
+        size = os.fstat(fd).st_size
+        start = max(0, size - STDERR_TAIL)
+        tail = os.pread(fd, size - start, start).decode("utf-8", "replace").strip()
+        return PortFailure(f"{message}; stderr: {tail}" if tail else message)
+
     def close(self) -> None:
+        self._selector.close()
+        # closing stdin first lets a worker that reads to end of input exit
+        # by itself before it is terminated
         try:
-            self._selector.close()
-        except Exception:
-            pass
+            self._proc.stdin.close()
+        except BrokenPipeError:
+            pass  # the flush of an unsent request failed; the pipe is closed anyway
         if self._proc.poll() is None:
             self._proc.terminate()
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
+        self._proc.stdout.close()
+        self._stderr.close()
 
 
 def _history_json(history) -> list[dict]:

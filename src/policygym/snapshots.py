@@ -49,9 +49,9 @@ def load_image(conn: sqlite3.Connection, data: bytes) -> None:
     conn.deserialize(data)
 
 
-def open_image(data: bytes) -> sqlite3.Connection:
+def open_image(data: bytes, check_same_thread: bool = True) -> sqlite3.Connection:
     """Autocommit connection onto an in-memory copy of a database image."""
-    conn = sqlite3.connect(":memory:", isolation_level=None)
+    conn = sqlite3.connect(":memory:", isolation_level=None, check_same_thread=check_same_thread)
     if data:  # an empty image is an empty database, which deserialize rejects
         load_image(conn, data)
     return conn

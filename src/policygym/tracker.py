@@ -20,6 +20,11 @@ and the origin-minus-target multiset form a ``VerificationBase``: built once
 per package from one scan of each image, never mutated, and shared by every
 handle and thread; a handle copies a table's rows on its first write there.
 
+Installing the log costs more than a short episode's calls, so the base also
+keeps a pool of idle tracked connections. A closed handle's connection goes
+back to the origin (``StateTracker.reset``) and waits there, log and
+triggers in place, for the next handle opened on the package.
+
 The full-scan functions stay the reference, and some schemas keep them:
 
 * a schema that uses REPLACE conflict resolution, which deletes rows without
@@ -35,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import re
 import sqlite3
+import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -109,13 +115,12 @@ def _tables(schema: SchemaInfo, cfg: DiffConfig) -> tuple[_Table, ...]:
     return tuple(out)
 
 
-def _log_ddl(tables: tuple[_Table, ...]) -> tuple[list[str], list[str]]:
-    """(install, drop) statements for the TEMP log and its triggers. A log row
+def _log_ddl(tables: tuple[_Table, ...]) -> list[str]:
+    """The statements that install the TEMP log and its triggers. A log row
     is (table index, +1 for a new row or -1 for an old one, its values...)."""
     width = max((len(t.columns) for t in tables), default=0)
     install = ["CREATE TEMP TABLE IF NOT EXISTS {} (tbl, sign{})".format(
         LOG_TABLE, "".join(f", c{i}" for i in range(width)))]
-    drop = []
     for i, t in enumerate(tables):
         slots = "tbl, sign" + "".join(f", c{j}" for j in range(len(t.columns)))
 
@@ -129,8 +134,7 @@ def _log_ddl(tables: tuple[_Table, ...]) -> tuple[list[str], list[str]]:
             name = f"{LOG_TABLE}_{i}_{event}"
             install.append(f"CREATE TEMP TRIGGER {name} AFTER {event.upper()} "
                            f"ON main.{quote_ident(t.name)} BEGIN {body} END")
-            drop.append(f"DROP TRIGGER IF EXISTS temp.{name}")
-    return install, drop
+    return install
 
 
 def _refuses_log(conn: sqlite3.Connection, schema: SchemaInfo) -> bool:
@@ -147,6 +151,10 @@ class VerificationBase:
     then only read, so any number of handles and threads share it.
     ``tracked`` is False for a schema the change log cannot follow; its
     handles use the full-scan reference for digest and distance alike.
+
+    The one mutable part is the pool of idle trackers (``take`` and
+    ``give_back``, under a lock). It only ever holds trackers that handles
+    gave back, so it holds no more than were ever open at the same time.
     """
 
     def __init__(self, pkg):  # a packages.TaskPackage
@@ -158,7 +166,7 @@ class VerificationBase:
             self.schema = schema if schema.describes(conn) else read_schema(conn)
             validate_excluded_columns(self.schema, self.cfg)
             self.tables = _tables(self.schema, self.cfg)
-            self.install_sql, self.drop_sql = _log_ddl(self.tables)
+            self.install_sql = _log_ddl(self.tables)
             self.tracked = not _refuses_log(conn, self.schema) and self._installs(conn)
             if self.tracked:
                 rows, signed = self.scan(conn)
@@ -173,6 +181,8 @@ class VerificationBase:
                 self.marks = tuple(marks)
                 self.signed = None if signed is None else MappingProxyType(signed)
                 self.distance = None if signed is None else sum(map(abs, signed.values()))
+        self._idle: list[StateTracker] = []
+        self._lock = threading.Lock()
 
     def _installs(self, conn: sqlite3.Connection) -> bool:
         """Try the log on the scratch origin copy; a schema that refuses its
@@ -210,9 +220,18 @@ class VerificationBase:
         live = canonicalize_connection(conn, self.cfg, self.schema)
         return diff_canonical(live, self.target).total
 
-    def track(self, conn: sqlite3.Connection) -> "StateTracker | None":
-        """A tracker on ``conn``, which holds a fresh copy of the origin."""
-        return StateTracker(conn, self) if self.tracked else None
+    def take(self, connect) -> "StateTracker":
+        """An idle tracker from the pool, or a new one on ``connect()``, a new
+        connection holding a copy of the origin; either way at the origin."""
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return StateTracker(connect(), self)
+
+    def give_back(self, tracker: "StateTracker") -> None:
+        """Pool ``tracker``, which a closed handle has reset to the origin."""
+        with self._lock:
+            self._idle.append(tracker)
 
 
 def _hash(blocks, marks, start: int, mark: int) -> tuple[list, str]:
@@ -237,17 +256,18 @@ def _hash(blocks, marks, start: int, mark: int) -> tuple[list, str]:
 
 
 class StateTracker:
-    """The digest and d_t of one connection, kept current from its change log."""
+    """The digest and d_t of one connection, kept current from its change log.
+
+    ``conn`` must hold a fresh copy of the origin; the log is installed on it
+    here, once for the connection's life.
+    """
 
     def __init__(self, conn: sqlite3.Connection, base: VerificationBase):
-        self._conn = conn
+        self.conn = conn
         self._base = base
-        self._install()
+        for sql in base.install_sql:
+            conn.execute(sql)
         self._restore()
-
-    def _install(self) -> None:
-        for sql in self._base.install_sql:
-            self._conn.execute(sql)
 
     def _restore(self) -> None:
         """Back to the base: the origin state, nothing copied yet."""
@@ -260,15 +280,15 @@ class StateTracker:
         self._signed = None if base.signed is None else dict(base.signed)
         self._distance = base.distance
         self._stale = False
-        self._conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
-        self._seen = self._conn.total_changes
+        self.conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
+        self._seen = self.conn.total_changes
 
     # -- reads -----------------------------------------------------------------
 
     def digest(self) -> str:
-        if self._conn.in_transaction:
+        if self.conn.in_transaction:
             # the log holds changes that may still roll back
-            return state_digest(self._conn, self._base.schema)
+            return state_digest(self.conn, self._base.schema)
         self._sync()
         if self._dirty:
             start = None  # digest input bytes before the first change
@@ -287,8 +307,8 @@ class StateTracker:
         return self._digest
 
     def distance(self) -> int:
-        if self._signed is None or self._conn.in_transaction:
-            return self._base.reference_distance(self._conn)
+        if self._signed is None or self.conn.in_transaction:
+            return self._base.reference_distance(self.conn)
         self._sync()
         return self._distance
 
@@ -301,19 +321,25 @@ class StateTracker:
     def reset(self, data: bytes) -> None:
         """Load the origin image ``data`` into the connection and return to the base.
 
-        The TEMP triggers are dropped before ``deserialize`` and created again
-        after: TEMP triggers on ``main`` tables were seen to stop firing, now
-        and then, after a ``deserialize`` that left them in place."""
-        for sql in self._base.drop_sql:
-            self._conn.execute(sql)
-        load_image(self._conn, data)
-        self._install()
+        SQLite binds a TEMP trigger to its ``main`` table through main's
+        in-memory schema object, and ``deserialize`` frees that object and
+        builds a new one. Left as they are, the triggers point at the freed
+        object and fire only if the new one happens to get its address; after
+        a run of other allocations they stay silent. Bumping the TEMP schema
+        version makes SQLite re-read the TEMP schema at the next statement
+        that touches it, which binds the triggers to the new tables. That
+        statement must come before any write: here it is the log clear in
+        ``_restore``."""
+        conn = self.conn
+        load_image(conn, data)
+        (version,) = conn.execute("PRAGMA temp.schema_version").fetchone()
+        conn.execute(f"PRAGMA temp.schema_version = {version + 1}")
         self._restore()
 
     # -- folding the log -------------------------------------------------------------
 
     def _sync(self) -> None:
-        conn = self._conn
+        conn = self.conn
         if self._stale:
             self._rescan()
         elif conn.total_changes != self._seen:
@@ -358,8 +384,8 @@ class StateTracker:
                     del self._signed[entry]
 
     def _rescan(self) -> None:
-        self._conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
-        rows, signed = self._base.scan(self._conn)
+        self.conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
+        rows, signed = self._base.scan(self.conn)
         self._rows = rows
         self._dirty = dict.fromkeys(rows, 0)
         if signed is not None:

@@ -3,17 +3,26 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import itertools
 import json
+import shlex
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policygym.errors import InsufficientTrials
+from policygym.errors import InsufficientTrials, PortFailure
 from policygym.fixtures import corporate_travel
-from policygym.ports import ScriptedAgentPort, ScriptedUserPort, SubprocessAgentPort
+from policygym.ports import (
+    STDERR_TAIL,
+    ScriptedAgentPort,
+    ScriptedUserPort,
+    SubprocessAgentPort,
+    SubprocessTransport,
+)
 from policygym.rollout import (
     Trajectory,
     compute_metrics,
@@ -275,3 +284,39 @@ def test_subprocess_port_error_reply_keeps_its_message(travel_pkg, tmp_path):
         agent.close()
     assert trajectory.termination == "deviation"
     assert "agent script exhausted" in trajectory.note
+
+
+def test_a_closed_subprocess_port_leaves_no_open_file(travel_pkg, tmp_path, monkeypatch):
+    """Closing a port closes its pipes and its stderr file; nothing is left
+    for the garbage collector to warn about."""
+    gc.collect()  # garbage left by earlier tests is not this test's
+    unraisable = []  # a warning raised inside a finalizer lands here
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    script = tmp_path / "agent_script.json"
+    script.write_text(json.dumps([{"text": "Hello, how can I help?"}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        agent = SubprocessAgentPort(
+            f"{sys.executable} -m policygym.ports --role agent --script {script}", timeout=30)
+        try:
+            run_episode(travel_pkg, agent, ScriptedUserPort(["hi", "book it"]), seed=0)
+        finally:
+            agent.close()
+        del agent
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
+
+
+def test_port_failure_quotes_the_tail_of_the_port_stderr():
+    code = ("import sys; sys.stderr.write('x' * 10000 + 'config file missing'); "
+            "sys.stderr.flush(); sys.exit(3)")
+    transport = SubprocessTransport(f"{shlex.quote(sys.executable)} -c {shlex.quote(code)}",
+                                    timeout=30)
+    try:
+        with pytest.raises(PortFailure) as failure:
+            transport.request({"type": "agent_turn"})
+    finally:
+        transport.close()
+    message = str(failure.value)
+    assert message.endswith("config file missing")
+    assert STDERR_TAIL <= len(message) < STDERR_TAIL + 100

@@ -152,9 +152,11 @@ def test_whole_table_update_matches_full_scan(travel_pkg, full_scan):
 
 
 def test_reset_and_write_keep_logging_for_200_rounds(travel_pkg, full_scan):
-    """The TEMP triggers are dropped before every deserialize and created again.
-    Left in place, they were seen to stop firing after some mixes of commits,
-    rollbacks and resets; 200 seeded rounds of that mix must all log."""
+    """``deserialize`` replaces main's schema object, to which the TEMP
+    triggers are bound, so every reset makes SQLite re-read the TEMP schema.
+    Without that the triggers fire only while the new object happens to get
+    the old one's address; 200 seeded rounds of commits, rejections, system
+    writes and resets must all log."""
     rng = random.Random(7)
     writes = [
         ToolCall("transfer_to_human_agents", {"summary": "note"}),
@@ -283,6 +285,83 @@ def test_threads_sharing_a_base_match_serial_runs(travel_pkg, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert parallel == serial
+
+
+# --- the pool of idle tracked connections ------------------------------------------------
+
+def _temp_objects(conn):
+    return sorted(conn.execute("SELECT type, name FROM sqlite_temp_master"))
+
+
+def test_a_closed_handle_gives_its_connection_to_the_next_open(travel_pkg, full_scan):
+    pkg = dataclasses.replace(travel_pkg)  # a base with an empty pool
+    with open_environment(pkg) as env:
+        conn = env.connection
+        log_objects = _temp_objects(conn)
+        safe_execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "note"}))
+        conn.execute("DELETE FROM hotel_bookings")  # logged, never read
+    with open_environment(pkg) as env:
+        assert env.connection is conn
+        assert env.digest() == travel_pkg.origin_snapshot.digest()
+        assert env.distance() == travel_pkg.delta0
+        assert conn.execute("SELECT COUNT(*) FROM temp.policygym_changelog").fetchone() == (0,)
+        assert _temp_objects(conn) == log_objects
+        assert len(log_objects) == 1 + 3 * len(travel_pkg.env.schema_info.tables)
+        assert conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
+        for call in (ToolCall("transfer_to_human_agents", {"summary": "again"}),
+                     ToolCall("update_travel_requests", {"filters": {}, "set": {"current_step": 16}})):
+            safe_execute_tool(env, call)
+            full_scan.check(env)
+
+
+def test_the_pool_holds_no_more_than_were_open_at_once(travel_pkg):
+    pkg = dataclasses.replace(travel_pkg)
+    first = [open_environment(pkg) for _ in range(2)]
+    conns = {id(env.connection) for env in first}
+    for env in first:
+        env.close()
+    second = [open_environment(pkg) for _ in range(3)]
+    reused = [id(env.connection) in conns for env in second]
+    for env in second:
+        env.close()
+    assert sorted(reused) == [False, True, True]
+
+
+@pytest.mark.parametrize("misuse", ["system_write", "open_transaction"])
+def test_handles_that_may_have_left_state_behind_are_not_pooled(travel_pkg, misuse):
+    """``system_write`` runs any SQL (TEMP DDL too), and a handle closed
+    inside a transaction holds uncommitted changes: neither connection is
+    reused, and the next handle starts clean."""
+    pkg = dataclasses.replace(travel_pkg)
+    with open_environment(pkg) as env:
+        conn = env.connection
+        log_objects = _temp_objects(conn)
+        if misuse == "system_write":
+            env.system_write("CREATE TEMP TABLE escalations (summary)")
+        else:
+            conn.execute("BEGIN")
+            conn.execute("INSERT INTO escalations (summary) VALUES ('pending')")
+    with pytest.raises(sqlite3.ProgrammingError):
+        conn.execute("SELECT 1")  # closed, not pooled
+    with open_environment(pkg) as env:
+        assert env.connection is not conn
+        assert _temp_objects(env.connection) == log_objects
+        assert env.digest() == travel_pkg.origin_snapshot.digest()
+
+
+def test_a_closed_handle_cannot_reach_the_pooled_connection(travel_pkg):
+    pkg = dataclasses.replace(travel_pkg)
+    closed = open_environment(pkg)
+    closed.close()
+    with open_environment(pkg) as env:
+        safe_execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "mine"}))
+        digest = env.digest()
+        for use in (lambda: closed.connection, closed.digest, closed.distance,
+                    closed.snapshot, closed.reset,
+                    lambda: closed.system_write("DELETE FROM escalations")):
+            with pytest.raises(RuntimeError, match="closed"):
+                use()
+        assert env.digest() == digest == state_digest(env.connection, env.schema_info)
 
 
 # --- schemas that keep the full scan ---------------------------------------------------------
