@@ -107,8 +107,8 @@ def cmd_verify(args) -> dict:
             raise _Failure(f"snapshot not found: {path}", EXIT_USAGE)
     a = Snapshot.from_file(args.snapshot_a)
     b = Snapshot.from_file(args.snapshot_b)
-    check_snapshot_schema(pkg, a, args.snapshot_a)
-    check_snapshot_schema(pkg, b, args.snapshot_b)
+    check_snapshot_schema(a, pkg.env.schema_info, args.snapshot_a)
+    check_snapshot_schema(b, pkg.env.schema_info, args.snapshot_b)
     d = diff(a, b, pkg.diff_config)
     per_table = {
         table: {"added": len(delta.added), "removed": len(delta.removed)}

@@ -13,18 +13,26 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..executor import ToolCall, execute_tool, open_environment_at
+from ..executor import ToolCall, open_environment_at
 from ..packages import (
     READ_ONLY,
     READ_WRITE,
     EnvironmentBundle,
     RolloutLimits,
     TaskPackage,
-    compile_schema,
+    compile_environment,
     save_package,
 )
 from ..snapshots import Snapshot
-from ..verify import DiffConfig, diff
+from ..synthesis import (
+    StubGenerationPort,
+    apply_seed_proposals,
+    assemble_package,
+    build_redaction_list,
+    explore_episode,
+    project_user_view,
+)
+from ..verify import DiffConfig
 
 FIXTURE_NAME = "corporate-travel"
 FIXTURE_DOMAIN = "corporate business travel portal"
@@ -813,23 +821,15 @@ def canned_generation_outputs() -> dict[str, list[str]]:
 
 
 def build_bundle() -> EnvironmentBundle:
-    info = compile_schema(SCHEMA_SQL, TRIGGERS_SQL)
-    return EnvironmentBundle.from_schema(SCHEMA_SQL, TRIGGERS_SQL, info, PERMISSIONS, ERROR_HINTS)
-
-
-def empty_snapshot() -> Snapshot:
-    """Compiled schema + triggers with no rows."""
-    from ..synthesis import empty_snapshot_for
-
-    return empty_snapshot_for(build_bundle())
+    compiled = compile_environment(SCHEMA_SQL, TRIGGERS_SQL)
+    return EnvironmentBundle.from_schema(SCHEMA_SQL, TRIGGERS_SQL, compiled, PERMISSIONS,
+                                         ERROR_HINTS)
 
 
 def build_origin_snapshot(bundle: EnvironmentBundle | None = None) -> Snapshot:
     """Seed the boundary-adjacent origin state through the live engine."""
-    from ..synthesis import apply_seed_proposals, empty_snapshot_for
-
     bundle = bundle or build_bundle()
-    with open_environment_at(bundle, empty_snapshot_for(bundle)) as env:
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
         committed, rejected = apply_seed_proposals(env, SEED_PROPOSALS)
         if rejected:
             raise RuntimeError(f"fixture seed rejected: {rejected[0]}")
@@ -845,49 +845,21 @@ def oracle_tool_calls() -> list[ToolCall]:
 
 
 def build_task_package() -> TaskPackage:
-    """Assemble the full in-memory package, deriving target from the oracle run."""
-    from ..synthesis import EpisodeMessage, RawEpisode, build_redaction_list, project_user_view
-
+    """Assemble the full in-memory package through the synthesis stages; the
+    target is the explorer scripts' episode, run for real from the origin."""
     bundle = build_bundle()
     origin = build_origin_snapshot(bundle)
-
-    transcript = []
-    actions = []
-    with open_environment_at(bundle, origin) as env:
-        consultant_iter = iter(EXPLORER_CONSULTANT_SCRIPT)
-        for client_doc in EXPLORER_CLIENT_SCRIPT:
-            transcript.append(EpisodeMessage(speaker="client", text=client_doc["message"]))
-            if client_doc.get("stop"):
-                break
-            consultant_doc = next(consultant_iter)
-            for call_doc in consultant_doc["tool_calls"]:
-                call = ToolCall.from_json(call_doc)
-                result = execute_tool(env, call)
-                if result.status != "success":
-                    raise RuntimeError(f"oracle action failed: {result.error}")
-                actions.append((call, result))
-            transcript.append(EpisodeMessage(speaker="consultant", text=consultant_doc["message"]))
-        target = env.snapshot()
-
-    episode = RawEpisode(transcript=tuple(transcript), actions=tuple(actions),
-                         s_target=target, goal=EPISODE_GOAL)
+    port = StubGenerationPort(canned_generation_outputs())
+    episode = explore_episode(bundle, origin, port, port, LIMITS)
+    for call, result in episode.actions:
+        if result.status != "success":
+            raise RuntimeError(f"oracle action {call.tool_name} failed: {result.error}")
     task_md = project_user_view(
         episode, build_redaction_list(bundle, episode, REDACTION_LIST)
     )
-    delta0 = diff(origin, target, DIFF_CONFIG).total
-    return TaskPackage(
-        name=FIXTURE_NAME,
-        domain=FIXTURE_DOMAIN,
-        policy_doc=POLICY_MD,
-        task_description=task_md,
-        env=bundle,
-        origin_snapshot=origin,
-        target_snapshot=target,
-        diff_config=DIFF_CONFIG,
-        limits=LIMITS,
-        redaction_list=REDACTION_LIST,
-        delta0=delta0,
-    )
+    return assemble_package(bundle, POLICY_MD, origin, episode, task_md, name=FIXTURE_NAME,
+                            domain=FIXTURE_DOMAIN, diff_config=DIFF_CONFIG, limits=LIMITS,
+                            redaction_list=REDACTION_LIST)
 
 
 def build(path) -> TaskPackage:

@@ -80,10 +80,10 @@ class RolloutLimits:
     stop_token: str = DEFAULT_STOP_TOKEN
 
     def __post_init__(self):
-        if self.max_turns < 1:
-            raise ValueError("max_turns must be >= 1")
-        if not self.stop_token:
-            raise ValueError("stop_token must be non-empty")
+        if not isinstance(self.max_turns, int) or self.max_turns < 1:
+            raise ValueError("max_turns must be an integer >= 1")
+        if not isinstance(self.stop_token, str) or not self.stop_token:
+            raise ValueError("stop_token must be a non-empty string")
 
     def to_json(self) -> dict:
         return {"max_turns": self.max_turns, "stop_token": self.stop_token}
@@ -137,21 +137,32 @@ class EnvironmentBundle:
         return sorted(t for t, m in self.permissions.items() if m == mode)
 
     @cached_property
+    def _compiled(self) -> tuple[SchemaInfo, Snapshot]:
+        """``compile_environment`` of this bundle's DDL, run at most once per
+        bundle; raises CompileFailure."""
+        return compile_environment(self.schema, self.triggers)
+
+    @property
     def schema_info(self) -> SchemaInfo:
-        """Catalog of this bundle's DDL, compiled at most once per bundle."""
-        return compile_schema(self.schema, self.triggers)
+        """Catalog of this bundle's DDL."""
+        return self._compiled[0]
+
+    @property
+    def empty_snapshot(self) -> Snapshot:
+        """The compiled schema and triggers with no rows."""
+        return self._compiled[1]
 
     @classmethod
     def from_schema(
-        cls, schema_sql: str, triggers_sql: str, info: SchemaInfo,
+        cls, schema_sql: str, triggers_sql: str, compiled: tuple[SchemaInfo, Snapshot],
         permissions: dict[str, str], error_registry: dict[str, str],
     ) -> "EnvironmentBundle":
-        """Bundle over DDL whose catalog ``info`` is already compiled; the tool
-        catalog derives from it and the bundle keeps it."""
-        catalog = derive_tools_from_schema(info, permissions, extract_trigger_annotations(info))
+        """Bundle over DDL that ``compile_environment`` already turned into
+        ``compiled``; the bundle keeps that pair and derives its tools from it."""
+        catalog = derive_tools_from_schema(compiled[0], permissions)
         bundle = cls(schema=schema_sql, triggers=triggers_sql, permissions=dict(permissions),
                      tool_catalog=catalog, error_registry=dict(error_registry))
-        bundle.__dict__["schema_info"] = info  # the cached_property slot
+        bundle.__dict__["_compiled"] = compiled  # the cached_property slot
         return bundle
 
 
@@ -190,24 +201,14 @@ class TaskPackage:
 
 # --- compilation ------------------------------------------------------------
 
-def compile_environment(schema_sql: str, triggers_sql: str) -> sqlite3.Connection:
-    """Execute the DDL on a scratch in-memory engine; raise CompileFailure."""
-    return _compile(schema_sql, triggers_sql)[0]
+def compile_environment(schema_sql: str, triggers_sql: str) -> tuple[SchemaInfo, Snapshot]:
+    """Execute the DDL on a scratch in-memory engine: its catalog and the
+    serialized empty engine; raise CompileFailure.
 
-
-def compile_schema(schema_sql: str, triggers_sql: str) -> SchemaInfo:
-    """Catalog of the compiled DDL; raise CompileFailure."""
-    conn, info = _compile(schema_sql, triggers_sql)
-    conn.close()
-    return info
-
-
-def _compile(schema_sql: str, triggers_sql: str) -> tuple[sqlite3.Connection, SchemaInfo]:
-    """Compiled engine and its catalog; raise CompileFailure.
-
-    The escalations log table is added when the schema does not declare it.
-    Trigger bodies are force-compiled with EXPLAIN probes because SQLite
-    resolves trigger references lazily at first fire.
+    The one place package DDL runs. The escalations log table is added when
+    the schema does not declare it. Trigger bodies are force-compiled with
+    EXPLAIN probes because SQLite resolves trigger references lazily at
+    first fire.
     """
     conn = sqlite3.connect(":memory:")
     try:
@@ -224,10 +225,9 @@ def _compile(schema_sql: str, triggers_sql: str) -> tuple[sqlite3.Connection, Sc
         info = read_schema(conn)
         _force_compile_triggers(conn, info)
         conn.commit()
-    except CompileFailure:
+        return info, Snapshot(conn.serialize())
+    finally:
         conn.close()
-        raise
-    return conn, info
 
 
 def _force_compile_triggers(conn: sqlite3.Connection, schema: SchemaInfo) -> None:
@@ -246,25 +246,15 @@ def _force_compile_triggers(conn: sqlite3.Connection, schema: SchemaInfo) -> Non
             raise CompileFailure(f"trigger {trigger.name}: {exc}") from exc
 
 
-def trigger_names(conn: sqlite3.Connection) -> list[str]:
-    rows = conn.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'trigger' ORDER BY name"
-    ).fetchall()
-    return [r[0] for r in rows]
-
-
 # --- trigger annotations -------------------------------------------------------
 
-def extract_trigger_annotations(schema: SchemaInfo | sqlite3.Connection) -> dict:
+def extract_trigger_annotations(schema: SchemaInfo) -> dict:
     """Mechanical annotation extraction from compiled triggers.
 
     Each RAISE message in a BEFORE trigger becomes a precondition line of the
     matching insert/update tool; each statement in an AFTER trigger becomes a
-    side-effect line. No paraphrase, so derivation stays deterministic. A
-    connection is read into its catalog first.
+    side-effect line. No paraphrase, so derivation stays deterministic.
     """
-    if isinstance(schema, sqlite3.Connection):
-        schema = read_schema(schema)
     ann: dict[str, dict[str, dict[str, list[str]]]] = {}
     for trigger in schema.triggers:
         event = trigger.event.lower()
@@ -390,8 +380,10 @@ def _compose_description(base: str, pre: list[str], post: list[str]) -> str:
 
 
 def derive_tools_from_schema(
-    schema: SchemaInfo, permissions: dict[str, str], annotations: dict
+    schema: SchemaInfo, permissions: dict[str, str]
 ) -> tuple[ToolSpec, ...]:
+    """``derive_tools`` on a compiled catalog; its triggers annotate the tools."""
+    annotations = extract_trigger_annotations(schema)
     tools: list[ToolSpec] = []
     for table in sorted(permissions):
         if table not in schema.tables:
@@ -459,8 +451,7 @@ def derive_tools_from_schema(
 
 
 def derive_tools(
-    schema: str, permissions: dict[str, str], trigger_annotations: dict | None = None,
-    triggers: str = "",
+    schema: str, permissions: dict[str, str], triggers: str = ""
 ) -> tuple[ToolSpec, ...]:
     """Derive the atomic tool catalog from DDL text.
 
@@ -468,10 +459,7 @@ def derive_tools(
     table, plus the escalation tool. Delete is never derived; lifecycle
     changes go through status updates.
     """
-    info = compile_schema(schema, triggers)
-    if trigger_annotations is None:
-        trigger_annotations = extract_trigger_annotations(info)
-    return derive_tools_from_schema(info, permissions, trigger_annotations)
+    return derive_tools_from_schema(compile_environment(schema, triggers)[0], permissions)
 
 
 # --- spoiler check -----------------------------------------------------------------
@@ -499,7 +487,8 @@ def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
     }
 
 
-def _check_snapshot_conforms(snap: Snapshot, schema: SchemaInfo, label: str) -> None:
+def check_snapshot_schema(snap: Snapshot, schema: SchemaInfo, label: str) -> None:
+    """Raise SchemaMismatch unless ``snap`` conforms to ``schema``."""
     with snap.connect() as conn:
         have = _schema_shape(read_schema(conn))
     want = _schema_shape(schema)
@@ -513,9 +502,29 @@ def _check_snapshot_conforms(snap: Snapshot, schema: SchemaInfo, label: str) -> 
         raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
 
 
-def check_snapshot_schema(pkg: TaskPackage, snap: Snapshot, label: str = "snapshot") -> None:
-    """Raise SchemaMismatch unless ``snap`` conforms to the package schema."""
-    _check_snapshot_conforms(snap, pkg.env.schema_info, label)
+_JSON_NAMES = {str: "string", dict: "object", list: "list"}
+
+
+def _manifest_field(doc: dict, key: str, kind: type, default, prefix: str = "",
+                    of_strings: bool = False):
+    """``doc[key]``, or ``default`` when absent; InvalidManifest unless it is a
+    ``kind`` (with only string items or values when ``of_strings``)."""
+    value = doc.get(key, default)
+    if not isinstance(value, kind):
+        raise InvalidManifest(f"manifest.json: {prefix}{key} must be a JSON {_JSON_NAMES[kind]}, "
+                              f"not {type(value).__name__}")
+    items = value.values() if isinstance(value, dict) else value
+    if of_strings and not all(isinstance(item, str) for item in items):
+        raise InvalidManifest(f"manifest.json: {prefix}{key} must hold only strings")
+    return value
+
+
+def _manifest_section(cls, key: str, doc: dict):
+    """``cls.from_json(doc)``; InvalidManifest naming ``key`` when it refuses."""
+    try:
+        return cls.from_json(doc)
+    except (TypeError, ValueError) as exc:  # a wrong-typed number or an unknown mode
+        raise InvalidManifest(f"manifest.json: {key}: {exc}") from exc
 
 
 def load_package(path) -> TaskPackage:
@@ -534,17 +543,22 @@ def load_package(path) -> TaskPackage:
     if not isinstance(manifest, dict):
         raise InvalidManifest("manifest.json: top-level object expected")
 
-    try:
-        diff_config = DiffConfig.from_json(manifest.get("diff_config", {}))
-        limits = RolloutLimits.from_json(manifest.get("limits", {}))
-    except ValueError as exc:
-        raise InvalidManifest(str(exc)) from exc
-    permissions = manifest.get("permissions", {})
+    name = _manifest_field(manifest, "name", str, root.name)
+    domain = _manifest_field(manifest, "domain", str, "")
+    diff_doc = _manifest_field(manifest, "diff_config", dict, {})
+    excluded = _manifest_field(diff_doc, "excluded_columns", dict, {}, "diff_config.")
+    for table in excluded:
+        _manifest_field(excluded, table, list, None, "diff_config.excluded_columns.",
+                        of_strings=True)
+    diff_config = _manifest_section(DiffConfig, "diff_config", diff_doc)
+    limits = _manifest_section(RolloutLimits, "limits",
+                               _manifest_field(manifest, "limits", dict, {}))
+    permissions = _manifest_field(manifest, "permissions", dict, {})
     for table, mode in permissions.items():
         if mode not in (READ_ONLY, READ_WRITE):
             raise InvalidManifest(f"bad permission mode for {table}: {mode!r}")
-    redaction_list = tuple(manifest.get("redaction_list", []))
-    registry = dict(manifest.get("error_registry", {}))
+    redaction_list = tuple(_manifest_field(manifest, "redaction_list", list, [], of_strings=True))
+    registry = _manifest_field(manifest, "error_registry", dict, {}, of_strings=True)
 
     policy_doc = (root / "policy.md").read_text("utf-8")
     task_description = (root / "task.md").read_text("utf-8")
@@ -553,19 +567,20 @@ def load_package(path) -> TaskPackage:
     if not policy_doc.strip():
         raise MissingArtifact("policy.md is empty")
 
-    info = compile_schema(schema_sql, triggers_sql)
+    compiled = compile_environment(schema_sql, triggers_sql)
+    info = compiled[0]
     for table in info.tables:
         if table != ESCALATIONS_TABLE and table not in permissions:
             raise SchemaMismatch(f"no permission entry for table {table}")
     if not registry:
         registry = {code: "" for code in harvest_error_codes(triggers_sql)}
-    env = EnvironmentBundle.from_schema(schema_sql, triggers_sql, info, permissions, registry)
+    env = EnvironmentBundle.from_schema(schema_sql, triggers_sql, compiled, permissions, registry)
     validate_excluded_columns(info, diff_config)
 
     origin = Snapshot.from_file(root / "origin.db")
     target = Snapshot.from_file(root / "target.db")
-    _check_snapshot_conforms(origin, info, "origin.db")
-    _check_snapshot_conforms(target, info, "target.db")
+    check_snapshot_schema(origin, info, "origin.db")
+    check_snapshot_schema(target, info, "target.db")
 
     leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)
     if leak is not None:
@@ -573,8 +588,8 @@ def load_package(path) -> TaskPackage:
 
     delta0 = diff(origin, target, diff_config).total
     return TaskPackage(
-        name=manifest.get("name", root.name),
-        domain=manifest.get("domain", ""),
+        name=name,
+        domain=domain,
         policy_doc=policy_doc,
         task_description=task_description,
         env=env,

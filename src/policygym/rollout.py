@@ -322,18 +322,23 @@ def import_trajectory(path) -> Trajectory:
             lines = [line for line in fh.read().splitlines() if line.strip()]
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"malformed trajectory file {path}: {exc}") from exc
     if not lines:
         raise IoFailure(f"empty trajectory file: {path}")
-    header = json.loads(lines[0])
-    if header.get("record") != "trajectory":
-        raise IoFailure(f"not a trajectory export: {path}")
-    turns = tuple(Turn.from_json(json.loads(line)) for line in lines[1:])
-    return Trajectory(
-        package_id=header["package_id"],
-        turns=turns,
-        termination=header["termination"],
-        final_diff=header["final_diff"],
-        r_final=header["r_final"],
-        sum_dense=header["sum_dense"],
-        note=header.get("note", ""),
-    )
+    try:
+        records = [json.loads(line) for line in lines]
+        header = records[0]
+        if header.get("record") != "trajectory":
+            raise IoFailure(f"not a trajectory export: {path}")
+        return Trajectory(
+            package_id=header["package_id"],
+            turns=tuple(Turn.from_json(record) for record in records[1:]),
+            termination=header["termination"],
+            final_diff=header["final_diff"],
+            r_final=header["r_final"],
+            sum_dense=header["sum_dense"],
+            note=header.get("note", ""),
+        )
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IoFailure(f"malformed trajectory file {path}: {exc!r}") from exc

@@ -32,7 +32,6 @@ from .packages import (
     RolloutLimits,
     TaskPackage,
     compile_environment,
-    compile_schema,
     find_spoiler,
     harvest_error_codes,
 )
@@ -211,15 +210,16 @@ def architect_compile(
             report=last_report,
         )
 
-    schema_sql, _ = compiled_stage("tables", lambda text: compile_environment(text, "").close())
-    triggers_sql, info = compiled_stage("triggers", lambda text: compile_schema(schema_sql, text))
+    schema_sql, _ = compiled_stage("tables", lambda text: compile_environment(text, ""))
+    triggers_sql, compiled = compiled_stage(
+        "triggers", lambda text: compile_environment(schema_sql, text))
 
     permissions = parse_permission_tags(schema_sql)
-    for table in info.tables:
+    for table in compiled[0].tables:
         if table != ESCALATIONS_TABLE and table not in permissions:
             permissions[table] = READ_WRITE
     bundle = EnvironmentBundle.from_schema(
-        schema_sql, triggers_sql, info, permissions,
+        schema_sql, triggers_sql, compiled, permissions,
         {code: "" for code in harvest_error_codes(triggers_sql)},
     )
     return ArchitectResult(bundle=bundle, policy_doc=policy_doc,
@@ -307,19 +307,18 @@ def _probe_write(conn: sqlite3.Connection, sql: str, params) -> tuple[str, str]:
 def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
     """Physical-executability check of a compiled bundle.
 
-    Compiles schema and triggers on a scratch engine, confirms every declared
-    relation instantiated, then attempts one trivially-valid and one
-    trivially-invalid write per read-write table where derivable. Engine
-    rejections are expected; only broken references or failed compilation
-    flunk the check.
+    Confirms every declared relation instantiated in the bundle's compiled
+    engine, then attempts one trivially-valid and one trivially-invalid write
+    per read-write table where derivable, on a scratch copy of its empty
+    snapshot. Engine rejections are expected; only broken references or
+    failed compilation flunk the check.
     """
     warns: list[str] = []
     try:
-        conn = compile_environment(bundle.schema, bundle.triggers)
+        schema, empty = bundle.schema_info, bundle.empty_snapshot
     except CompileFailure as exc:
         return VerificationReport(stage="triggers", physical="fail", physical_message=str(exc))
-    try:
-        schema = bundle.schema_info
+    with empty.connect() as conn:
         tables = list(schema.tables)
         declared = [t for t in tables if t != ESCALATIONS_TABLE]
         if not declared:
@@ -357,21 +356,10 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
                                               physical_message=f"{table}: {message}")
                 if outcome == "accepted":
                     warns.append(f"{table}: invalid probe unexpectedly accepted")
-    finally:
-        conn.close()
     return VerificationReport(stage="triggers", physical="pass", warnings=tuple(warns))
 
 
 # --- seeding ------------------------------------------------------------------------
-
-def empty_snapshot_for(bundle: EnvironmentBundle) -> Snapshot:
-    """Compiled schema + triggers with no rows."""
-    conn = compile_environment(bundle.schema, bundle.triggers)
-    try:
-        return Snapshot(conn.serialize())
-    finally:
-        conn.close()
-
 
 def apply_seed_proposals(env: EnvHandle, proposals) -> tuple[dict[str, int], list[dict]]:
     """Insert proposed rows through the live engine, one transaction each.
@@ -424,8 +412,14 @@ def seed_initial_state(
         raise SynthesisError(f"seed_state port returned invalid JSON: {exc}") from exc
     if not isinstance(proposals, list):
         raise SynthesisError("seed_state proposals must be a JSON list")
+    for i, proposal in enumerate(proposals):
+        if not (isinstance(proposal, dict) and isinstance(proposal.get("table"), str)
+                and isinstance(proposal.get("rows", []), list)
+                and all(isinstance(row, dict) for row in proposal.get("rows", []))):
+            raise SynthesisError(f"seed_state proposal {i} must be an object with a string "
+                                 "'table' and a list of row objects under 'rows'")
 
-    with open_environment_at(bundle, empty_snapshot_for(bundle)) as env:
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
         committed, rejected = apply_seed_proposals(env, proposals)
         proposed_tables = {p["table"] for p in proposals if p.get("rows")}
         for table in strategy_cfg.get("required_tables", sorted(proposed_tables)):
@@ -568,7 +562,14 @@ def explore_episode(
             consultant_doc = _parse_port_doc(
                 consultant_port.generate("consultant", context, seed), "consultant"
             )
-            for call_doc in consultant_doc.get("tool_calls", []):
+            call_docs = consultant_doc.get("tool_calls", [])
+            if not isinstance(call_docs, list) or not all(
+                isinstance(doc, dict) and "tool_name" in doc
+                and isinstance(doc.get("arguments", {}), dict) for doc in call_docs
+            ):
+                raise SynthesisError("consultant port: tool_calls must be a list of objects "
+                                     "with a 'tool_name' and an 'arguments' object")
+            for call_doc in call_docs:
                 call = ToolCall.from_json(call_doc)
                 result = safe_execute_tool(env, call)
                 actions.append((call, result))

@@ -18,7 +18,7 @@ from policygym.advantage import group_advantages, turn_refine
 from policygym.cli import main as cli_main
 from policygym.executor import ToolCall, execute_tool, open_environment, safe_execute_tool
 from policygym.fixtures import corporate_travel as ct
-from policygym.packages import compile_environment, trigger_names
+from policygym.packages import compile_environment
 from policygym.rollout import compute_metrics, pass_at_k, pass_hat_k, run_episode
 from policygym.verify import DiffConfig, diff, proximity
 
@@ -32,11 +32,8 @@ def _report(criterion: int, elapsed: float, detail: str) -> None:
 
 def test_criterion_1_fixture_fidelity(travel_pkg):
     start = time.monotonic()
-    conn = compile_environment(travel_pkg.env.schema, travel_pkg.env.triggers)
-    try:
-        assert len(trigger_names(conn)) == 16
-    finally:
-        conn.close()
+    info, _ = compile_environment(travel_pkg.env.schema, travel_pkg.env.triggers)
+    assert len(info.triggers) == 16
 
     with open_environment(travel_pkg) as env:
         # QUOTA_EXCEEDED: request 1 already holds 3 active flights

@@ -9,8 +9,11 @@ import sys
 
 import pytest
 
+from policygym import load_package
 from policygym.cli import main
+from policygym.errors import InvalidManifest, IoFailure
 from policygym.fixtures import corporate_travel as ct
+from policygym.rollout import import_trajectory
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +243,51 @@ def test_score_mixed_packages_usage_error(fixture_dir, tmp_path, capsys):
     code, _, err = run_cli(capsys, "score", str(alien), str(fixture_dir))
     assert code == 2
     assert "other-package" in err
+
+
+@pytest.mark.parametrize("data", [
+    b"not json\n",
+    b'{"record": "trajectory", "termination": "stop"}\n',
+    b'{"record": "trajectory"}\n[1, 2]\n',
+    b'{"record": "trajectory"}\n\xff\n',
+], ids=["not-json", "no-package-id", "line-not-object", "not-utf-8"])
+def test_score_malformed_trajectory_is_io_failure(fixture_dir, tmp_path, capsys, data):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(data)
+    with pytest.raises(IoFailure, match="bad.jsonl"):
+        import_trajectory(path)
+    code, _, err = run_cli(capsys, "score", str(path), str(fixture_dir))
+    assert code == 1
+    assert "IoFailure" in err and "bad.jsonl" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("permissions", ["a"]),
+    ("limits", 5),
+    ("limits", {"max_turns": "50"}),
+    ("limits", {"stop_token": 5}),
+    ("diff_config", "drop"),
+    ("diff_config", {"excluded_columns": {"travel_requests": "id"}}),
+    ("diff_config", {"excluded_columns": ["travel_requests"]}),
+    ("diff_config", {"epsilon": "small"}),
+    ("redaction_list", 5),
+    ("redaction_list", [5]),
+    ("error_registry", 5),
+    ("error_registry", {"QUOTA_EXCEEDED": 1}),
+    ("name", 5),
+])
+def test_wrongly_typed_manifest_field_is_invalid_manifest(fixture_dir, tmp_path, capsys,
+                                                          key, value):
+    broken = tmp_path / "badmanifest"
+    shutil.copytree(fixture_dir, broken)
+    manifest = json.loads((broken / "manifest.json").read_text("utf-8"))
+    manifest[key] = value
+    (broken / "manifest.json").write_text(json.dumps(manifest), "utf-8")
+    with pytest.raises(InvalidManifest, match=key):
+        load_package(broken)
+    code, out, _ = run_cli(capsys, "validate", str(broken), "--json")
+    assert code == 1
+    assert "InvalidManifest" in out
 
 
 def test_synthesize_stub_roundtrip(tmp_path, capsys):

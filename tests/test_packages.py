@@ -25,8 +25,8 @@ from policygym.packages import (
     extract_trigger_annotations,
     find_spoiler,
     harvest_error_codes,
-    trigger_names,
 )
+from policygym.snapshots import read_schema
 from policygym.verify import diff
 
 
@@ -52,7 +52,7 @@ def test_fixture_has_ten_tables_and_sixteen_triggers(travel_pkg):
         )]
         assert len(tables) == 10
         assert "escalations" in tables
-        assert len(trigger_names(conn)) == 16
+        assert len(read_schema(conn).triggers) == 16
 
 
 def test_spoiler_leak_on_tool_name(fixture_dir, tmp_path):
@@ -115,7 +115,7 @@ def test_trigger_referencing_missing_table_fails_compile():
         "SELECT 1 FROM userz WHERE id = NEW.user_id AND active = 1",
     )
     with pytest.raises(CompileFailure, match="userz"):
-        compile_environment(corporate_travel.SCHEMA_SQL, bad).close()
+        compile_environment(corporate_travel.SCHEMA_SQL, bad)
 
 
 def test_derive_tools_zero_tables_yields_escalation_only():
@@ -139,11 +139,8 @@ def test_trigger_annotations_embed_quota_rule(travel_pkg):
 
 
 def test_logic_exposed_interface_rule_holds(travel_pkg):
-    conn = compile_environment(travel_pkg.env.schema, travel_pkg.env.triggers)
-    try:
-        annotations = extract_trigger_annotations(conn)
-    finally:
-        conn.close()
+    info, _ = compile_environment(travel_pkg.env.schema, travel_pkg.env.triggers)
+    annotations = extract_trigger_annotations(info)
     by_name = travel_pkg.env.tools_by_name()
     for table, events in annotations.items():
         if travel_pkg.env.permissions.get(table) != "read_write":

@@ -8,11 +8,14 @@ import json
 import pytest
 
 from policygym import load_package, save_package
+from policygym import packages
+from policygym import synthesis as synthesis_module
 from policygym.errors import (
     CompilationExhausted,
     ExplorationDiverged,
     RedactionIncomplete,
     SeedRejected,
+    SynthesisError,
 )
 from policygym.executor import ToolCall, execute_tool, open_environment_at
 from policygym.fixtures import corporate_travel as ct
@@ -168,7 +171,7 @@ def test_probe_boundary_adjacency_on_fixture_origin():
 
 def test_probe_empty_state_scores_zero():
     bundle = ct.build_bundle()
-    result = probe_boundary_adjacency(bundle, ct.empty_snapshot(), probe_budget=16)
+    result = probe_boundary_adjacency(bundle, ct.build_bundle().empty_snapshot, probe_budget=16)
     assert result.adjacency_score == 0.0
 
 
@@ -257,7 +260,7 @@ def test_project_user_view_strips_tools_and_key_values():
             EpisodeMessage("consultant", "done via insert_flight_bookings"),
         ),
         actions=(),
-        s_target=ct.empty_snapshot(),
+        s_target=ct.build_bundle().empty_snapshot,
         goal="book whatever fb_17 needs",
     )
     text = project_user_view(episode, ("insert_flight_bookings", "fb_17"))
@@ -271,7 +274,7 @@ def test_project_user_view_client_only_transcript():
     episode = RawEpisode(
         transcript=(EpisodeMessage("client", "just the goal, please"),),
         actions=(),
-        s_target=ct.empty_snapshot(),
+        s_target=ct.build_bundle().empty_snapshot,
         goal="a simple errand",
     )
     text = project_user_view(episode, ())
@@ -292,7 +295,7 @@ def test_project_user_view_matches_fixture_task(fixture_dir):
 def test_project_user_view_rewrite_leak_detected():
     episode = RawEpisode(
         transcript=(EpisodeMessage("client", "hello"),),
-        actions=(), s_target=ct.empty_snapshot(), goal="g",
+        actions=(), s_target=ct.build_bundle().empty_snapshot, goal="g",
     )
 
     class LeakyRewriter(StubGenerationPort):
@@ -373,3 +376,67 @@ def test_verification_gate_blocks_seeding(monkeypatch):
     with pytest.raises(CompilationExhausted, match="physical verification"):
         synthesize_package("corporate travel", port, name="x", limits=ct.LIMITS)
     assert "seed_state" not in consulted  # rejected bundles never reach seeding
+
+
+@pytest.mark.parametrize("proposals", [
+    [5],
+    [{"rows": [{"id": "c1", "name": "One"}]}],
+    [{"table": 5, "rows": []}],
+    [{"table": "companies", "rows": "x"}],
+    [{"table": "companies", "rows": [5]}],
+])
+def test_malformed_seed_proposals_are_synthesis_errors(proposals):
+    port = StubGenerationPort({"seed_state": [json.dumps(proposals)]})
+    with pytest.raises(SynthesisError, match="seed_state"):
+        seed_initial_state(ct.build_bundle(), {}, port)
+
+
+@pytest.mark.parametrize("tool_calls", [
+    "nope",
+    ["x"],
+    [{"arguments": {}}],
+    [{"tool_name": "query_users", "arguments": "x"}],
+    [{"tool_name": "query_users", "arguments": None}],
+])
+def test_malformed_consultant_tool_calls_are_synthesis_errors(tool_calls):
+    bundle = ct.build_bundle()
+    port = StubGenerationPort({
+        "client": [json.dumps({"message": "hello", "stop": False})],
+        "consultant": [json.dumps({"message": "on it", "tool_calls": tool_calls})],
+    })
+    with pytest.raises(SynthesisError, match="consultant"):
+        explore_episode(bundle, ct.build_origin_snapshot(bundle), port, port, ct.LIMITS)
+
+
+@pytest.fixture()
+def compiles(monkeypatch):
+    """Every call of ``compile_environment``, in each module that binds it."""
+    calls = []
+    real = packages.compile_environment
+
+    def counted(schema_sql, triggers_sql):
+        calls.append(schema_sql)
+        return real(schema_sql, triggers_sql)
+
+    for module in (packages, synthesis_module, ct):
+        monkeypatch.setattr(module, "compile_environment", counted)
+    return calls
+
+
+def test_stub_synthesis_compiles_its_ddl_twice(compiles):
+    synthesize_package("corporate travel", stub_port(), name="x", limits=ct.LIMITS)
+    assert len(compiles) == 2  # the tables stage, then the triggers stage
+
+
+def test_fixture_package_compiles_its_ddl_once(compiles):
+    ct.build_task_package()
+    assert len(compiles) == 1
+
+
+def test_stages_on_a_compiled_bundle_do_not_compile(compiles):
+    bundle = ct.build_bundle()
+    compiles.clear()
+    assert verify_environment(bundle).accepted
+    origin = seed_initial_state(bundle, {}, stub_port())
+    probe_boundary_adjacency(bundle, origin, probe_budget=8)
+    assert compiles == []

@@ -369,13 +369,12 @@ def test_a_closed_handle_cannot_reach_the_pooled_connection(travel_pkg):
 def _package(schema_sql: str, origin_sql: str, target_sql: str, cfg: DiffConfig) -> TaskPackage:
     permissions = {"parents": "read_write", "children": "read_write"}
 
+    _, empty = compile_environment(schema_sql, "")
+
     def image(rows_sql):
-        conn = compile_environment(schema_sql, "")
-        conn.executescript(rows_sql)
-        conn.commit()
-        data = conn.serialize()
-        conn.close()
-        return Snapshot(data)
+        with empty.connect() as conn:
+            conn.executescript(rows_sql)
+            return Snapshot(conn.serialize())
 
     origin, target = image(origin_sql), image(target_sql)
     bundle = EnvironmentBundle(schema=schema_sql, triggers="", permissions=permissions,
