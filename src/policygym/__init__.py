@@ -1,102 +1,39 @@
 """policygym: runtime, verifier and synthesis toolkit for policy-governed
-stateful tool-calling environments backed by trigger-enforced SQLite states."""
+stateful tool-calling environments backed by trigger-enforced SQLite states.
 
-from .advantage import (
-    AdvantageConfig,
-    AdvantageTable,
-    build_advantage_table,
-    group_advantages,
-    surrogate_objective,
-    turn_refine,
-)
-from .executor import (
-    EnvHandle,
-    ErrorPayload,
-    ToolCall,
-    ToolResult,
-    execute_tool,
-    open_environment,
-    open_environment_at,
-    parse_engine_error,
-    safe_execute_tool,
-)
-from .packages import (
-    EnvironmentBundle,
-    RolloutLimits,
-    TaskPackage,
-    ToolSpec,
-    derive_tools,
-    find_spoiler,
-    load_package,
-    save_package,
-)
-from .rollout import (
-    EpisodeScorer,
-    Trajectory,
-    Turn,
-    compute_metrics,
-    detect_stop,
-    export_trajectory,
-    import_trajectory,
-    pass_at_k,
-    pass_hat_k,
-    run_episode,
-)
-from .snapshots import Snapshot
-from .verify import (
-    CanonicalRelationSet,
-    DiffConfig,
-    SnapshotDiff,
-    canonicalize,
-    dense_reward,
-    diff,
-    final_reward,
-    proximity,
-)
+The public names below resolve on first use (PEP 562), so importing one
+submodule, such as the ``python -m policygym.ports`` server, does not import
+the whole runtime.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdvantageConfig",
-    "AdvantageTable",
-    "CanonicalRelationSet",
-    "DiffConfig",
-    "EnvHandle",
-    "EnvironmentBundle",
-    "EpisodeScorer",
-    "ErrorPayload",
-    "RolloutLimits",
-    "Snapshot",
-    "SnapshotDiff",
-    "TaskPackage",
-    "ToolCall",
-    "ToolResult",
-    "ToolSpec",
-    "Trajectory",
-    "Turn",
-    "build_advantage_table",
-    "canonicalize",
-    "compute_metrics",
-    "dense_reward",
-    "derive_tools",
-    "detect_stop",
-    "diff",
-    "execute_tool",
-    "export_trajectory",
-    "final_reward",
-    "find_spoiler",
-    "group_advantages",
-    "import_trajectory",
-    "load_package",
-    "open_environment",
-    "open_environment_at",
-    "parse_engine_error",
-    "pass_at_k",
-    "pass_hat_k",
-    "proximity",
-    "run_episode",
-    "safe_execute_tool",
-    "save_package",
-    "surrogate_objective",
-    "turn_refine",
-]
+_HOMES = {
+    "advantage": ("AdvantageConfig", "AdvantageTable", "build_advantage_table",
+                  "group_advantages", "surrogate_objective", "turn_refine"),
+    "executor": ("EnvHandle", "ErrorPayload", "ToolCall", "ToolResult", "execute_tool",
+                 "open_environment", "open_environment_at", "parse_engine_error",
+                 "safe_execute_tool"),
+    "packages": ("EnvironmentBundle", "RolloutLimits", "TaskPackage", "ToolSpec",
+                 "derive_tools", "find_spoiler", "load_package", "save_package"),
+    "rollout": ("EpisodeScorer", "Trajectory", "Turn", "compute_metrics", "detect_stop",
+                "export_trajectory", "import_trajectory", "pass_at_k", "pass_hat_k",
+                "run_episode"),
+    "snapshots": ("Snapshot",),
+    "verify": ("CanonicalRelationSet", "DiffConfig", "SnapshotDiff", "canonicalize", "diff",
+               "dense_reward", "final_reward", "proximity"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

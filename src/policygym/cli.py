@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import threading
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -61,7 +62,10 @@ def _load_package_arg(path: str, args) -> TaskPackage:
     if getattr(args, "lambda_err", None) is not None:
         overrides["lambda_err"] = args.lambda_err
     if overrides:
-        cfg = dataclasses.replace(pkg.diff_config, **overrides)
+        try:
+            cfg = dataclasses.replace(pkg.diff_config, **overrides)
+        except ValueError as exc:
+            raise _Failure(f"bad override: {exc}", EXIT_USAGE) from exc
         pkg = dataclasses.replace(pkg, diff_config=cfg)
     return pkg
 
@@ -124,6 +128,14 @@ def cmd_verify(args) -> dict:
     return report
 
 
+def _close_pair(pair: tuple) -> None:
+    agent, user = pair
+    try:
+        agent.close()
+    finally:
+        user.close()
+
+
 def cmd_rollout(args) -> dict:
     from .ports import SubprocessAgentPort, SubprocessUserPort
 
@@ -134,21 +146,53 @@ def cmd_rollout(args) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     limits = pkg.limits.to_json()
+    # (agent, user) port pairs between episodes; each worker holds at most
+    # one pair, so at most --parallel pairs are alive
+    idle: list[tuple] = []
+    idle_lock = threading.Lock()
+
+    def spawn_pair() -> tuple:
+        agent = SubprocessAgentPort(args.agent_cmd, timeout=args.port_timeout, limits=limits)
+        try:
+            return agent, SubprocessUserPort(args.user_cmd, timeout=args.port_timeout,
+                                             limits=limits)
+        except BaseException:
+            agent.close()
+            raise
+
+    def pair_for(i: int) -> tuple:
+        """An idle pair that re-armed for episode ``i``, else a fresh one."""
+        with idle_lock:
+            pair = idle.pop() if idle else None
+        if pair is not None:
+            if all(port.transport.start_episode(i, args.seed + i) for port in pair):
+                return pair
+            _close_pair(pair)
+        return spawn_pair()
 
     def one_episode(i: int) -> Trajectory:
-        agent = SubprocessAgentPort(args.agent_cmd, timeout=args.port_timeout, limits=limits)
-        user = SubprocessUserPort(args.user_cmd, timeout=args.port_timeout, limits=limits)
+        pair = pair_for(i)
+        reusable = False
         try:
-            return run_episode(pkg, agent, user, seed=args.seed + i)
+            trajectory = run_episode(pkg, *pair, seed=args.seed + i)
+            reusable = "port failure" not in trajectory.note
+            return trajectory
         finally:
-            agent.close()
-            user.close()
+            if reusable:
+                with idle_lock:
+                    idle.append(pair)
+            else:
+                _close_pair(pair)
 
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            trajectories = list(pool.map(one_episode, range(args.k)))
-    else:
-        trajectories = [one_episode(i) for i in range(args.k)]
+    try:
+        if args.parallel > 1:
+            with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+                trajectories = list(pool.map(one_episode, range(args.k)))
+        else:
+            trajectories = [one_episode(i) for i in range(args.k)]
+    finally:
+        for pair in idle:
+            _close_pair(pair)
 
     episodes = []
     port_failed = False

@@ -80,7 +80,8 @@ class RolloutLimits:
     stop_token: str = DEFAULT_STOP_TOKEN
 
     def __post_init__(self):
-        if not isinstance(self.max_turns, int) or self.max_turns < 1:
+        if (isinstance(self.max_turns, bool) or not isinstance(self.max_turns, int)
+                or self.max_turns < 1):
             raise ValueError("max_turns must be an integer >= 1")
         if not isinstance(self.stop_token, str) or not self.stop_token:
             raise ValueError("stop_token must be a non-empty string")

@@ -21,10 +21,10 @@ import tempfile
 import time
 
 from .errors import PortFailure
-from .executor import ToolCall
 
 DEFAULT_PORT_TIMEOUT = float(os.environ.get("POLICYGYM_PORT_TIMEOUT", "120"))
 STDERR_TAIL = 4096  # bytes of a port's stderr that a PortFailure quotes
+MAX_REPLY_BYTES = 16 << 20  # a longer reply line is a PortFailure, not a growing buffer
 
 
 class AgentPort:
@@ -48,6 +48,8 @@ class UserPort:
 # --- scripted (fully deterministic) ----------------------------------------------
 
 def _parse_agent_step(doc) -> "str | ToolCall":
+    from .executor import ToolCall
+
     if isinstance(doc, str):
         return doc
     if isinstance(doc, dict):
@@ -147,14 +149,28 @@ class SubprocessTransport:
             raise self._failure(f"port error: {response.get('message', '')}")
         return response
 
+    def start_episode(self, episode: int, seed: int) -> bool:
+        """Re-arm a worker that served an earlier episode with the optional
+        ``episode_start`` request. False unless it answers with that type; a
+        worker that errs, fails or answers otherwise is to be replaced."""
+        try:
+            reply = self.request({"type": "episode_start", "episode": episode, "seed": seed})
+        except PortFailure:
+            return False
+        return reply.get("type") == "episode_start"
+
     def _read_line(self) -> str:
         deadline = time.monotonic() + self.timeout
-        while b"\n" not in self._buffer:
+        scanned = 0  # the buffer before this offset holds no newline
+        while (end := self._buffer.find(b"\n", scanned)) < 0:
+            if len(self._buffer) > MAX_REPLY_BYTES:
+                raise self._failure(f"port reply longer than {MAX_REPLY_BYTES} bytes")
+            scanned = len(self._buffer)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise self._failure(f"port timed out after {self.timeout}s")
             if not self._selector.select(timeout=min(remaining, 0.5)):
-                if self._proc.poll() is not None and b"\n" not in self._buffer:
+                if self._proc.poll() is not None:
                     raise self._failure("port process exited mid-request")
                 continue
             chunk = self._proc.stdout.read1(65536)
@@ -162,9 +178,12 @@ class SubprocessTransport:
                 self._buffer.extend(chunk)
             elif self._proc.poll() is not None:
                 raise self._failure("port closed stdout")
-        line, _, rest = bytes(self._buffer).partition(b"\n")
-        self._buffer = bytearray(rest)
-        return line.decode("utf-8")
+        line = bytes(self._buffer[:end])
+        del self._buffer[:end + 1]
+        try:
+            return line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self._failure(f"port reply is not UTF-8: {exc}") from exc
 
     def _failure(self, message: str) -> PortFailure:
         """``message`` plus the tail of what the worker wrote to stderr. The
@@ -214,6 +233,8 @@ class SubprocessAgentPort(AgentPort):
         self.limits = limits or {}
 
     def next_action(self, policy_doc, tool_catalog, history, seed):
+        from .executor import ToolCall
+
         response = self.transport.request({
             "type": "agent_turn",
             "policy": policy_doc,
@@ -281,17 +302,27 @@ class SubprocessGenerationPort:
 # --- scripted port as a subprocess ------------------------------------------------------
 
 def _serve_script(role: str, script) -> None:
-    """Answer protocol requests from stdin with scripted responses."""
-    agent_steps = list(script) if role == "agent" else []
-    user_lines = list(script) if role == "user" else []
-    gen_outputs = dict(script) if role == "generate" else {}
+    """Answer protocol requests from stdin with scripted responses.
+
+    ``episode_start`` re-arms the script, so the next episode replays it from
+    the start. Each arming copies the script's lists, which serving drains."""
+    def arm():
+        return (list(script) if role == "agent" else [],
+                list(script) if role == "user" else [],
+                {stage: list(queue) for stage, queue in script.items()}
+                if role == "generate" else {})
+
+    agent_steps, user_lines, gen_outputs = arm()
     for raw in sys.stdin:
         raw = raw.strip()
         if not raw:
             continue
         request = json.loads(raw)
         rtype = request.get("type")
-        if rtype == "agent_turn":
+        if rtype == "episode_start":
+            agent_steps, user_lines, gen_outputs = arm()
+            response = {"type": "episode_start"}
+        elif rtype == "agent_turn":
             if not agent_steps:
                 response = {"type": "error", "message": "agent script exhausted"}
             else:

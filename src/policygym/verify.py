@@ -8,6 +8,7 @@ number of threads.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import sqlite3
 from collections import Counter
@@ -49,10 +50,13 @@ class DiffConfig:
     float_compare: str = "exact"
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.lambda_err <= 0:
-            raise ValueError("lambda_err must be > 0")
+        for name in ("epsilon", "lambda_err"):
+            value = getattr(self, name)
+            # bool is an int subclass, so a JSON true would pass as 1
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
         if self.fk_mode not in ("drop", "canonical_remap"):
             raise ValueError(f"unknown fk_mode: {self.fk_mode!r}")
         if self.float_compare != "exact" and not _ROUNDED_RE.match(self.float_compare):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import shlex
 import shutil
 import sqlite3
 import sys
@@ -275,6 +277,12 @@ def test_score_malformed_trajectory_is_io_failure(fixture_dir, tmp_path, capsys,
     ("error_registry", 5),
     ("error_registry", {"QUOTA_EXCEEDED": 1}),
     ("name", 5),
+    # booleans are ints in Python, and NaN and the infinities are floats
+    ("diff_config", {"epsilon": True}),
+    ("diff_config", {"lambda_err": True}),
+    ("diff_config", {"epsilon": float("nan")}),
+    ("diff_config", {"lambda_err": float("inf")}),
+    ("limits", {"max_turns": True}),
 ])
 def test_wrongly_typed_manifest_field_is_invalid_manifest(fixture_dir, tmp_path, capsys,
                                                           key, value):
@@ -416,3 +424,156 @@ def test_validate_warns_on_trivial_package(fixture_dir, tmp_path, capsys):
     assert "trivial" in out
     code, out, _ = run_cli(capsys, "validate", str(trivial), "--json")
     assert json.loads(out)["trivial"] is True
+
+
+# --- port pairs across episodes ------------------------------------------------------
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """The command of every port process the CLI starts, counted in-process."""
+    from policygym import ports
+
+    commands = []
+    spawn = ports.SubprocessTransport.__init__
+
+    def counting_spawn(self, cmd, *args, **kwargs):
+        commands.append(cmd)
+        spawn(self, cmd, *args, **kwargs)
+
+    monkeypatch.setattr(ports.SubprocessTransport, "__init__", counting_spawn)
+    return commands
+
+
+def _rollout(fixture_dir, tmp_path, capsys, *extra, agent=None, user=None, out="r"):
+    out_dir = tmp_path / out
+    code, out, _ = run_cli(
+        capsys, "rollout", str(fixture_dir),
+        "--agent-cmd", agent or scripted_port_cmd(fixture_dir, "agent"),
+        "--user-cmd", user or scripted_port_cmd(fixture_dir, "user"),
+        "--out-dir", str(out_dir), "--json", *extra,
+    )
+    exports = [p.read_bytes() for p in sorted(out_dir.glob("trajectory_*.jsonl"))]
+    return code, json.loads(out), exports
+
+
+def test_rollout_reuses_one_port_pair_for_all_episodes(fixture_dir, tmp_path, capsys, spawned):
+    code, doc, exports = _rollout(fixture_dir, tmp_path, capsys, "--k", "8", "--seed", "5")
+    assert code == 0
+    assert doc["successes"] == 8
+    assert len(spawned) == 2
+    assert len(set(exports)) == 1  # every episode replayed the script from its start
+
+
+def test_parallel_rollout_keeps_at_most_one_pair_per_worker(fixture_dir, tmp_path, capsys,
+                                                            spawned):
+    code, doc, _ = _rollout(fixture_dir, tmp_path, capsys, "--k", "4", "--parallel", "2")
+    assert code == 0
+    assert doc["successes"] == 4
+    assert 2 <= len(spawned) <= 4
+
+
+def test_a_pair_with_a_port_failure_is_never_reused(fixture_dir, tmp_path, capsys, spawned):
+    user_script = tmp_path / "user.json"
+    user_script.write_text(json.dumps(["do the thing"]), "utf-8")
+    code, doc, _ = _rollout(
+        fixture_dir, tmp_path, capsys, "--k", "3",
+        user=f"{sys.executable} -m policygym.ports --role user --script {user_script}",
+    )
+    assert code == 1
+    assert len(spawned) == 6
+    for episode in doc["episodes"]:
+        assert "user port failure" in episode["note"]
+        assert "user script exhausted" in episode["note"]
+
+
+LEGACY_PORT = """
+import json, sys
+
+role, script, unknown_reply = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+with open(script, encoding="utf-8") as fh:
+    steps = json.load(fh)
+for raw in sys.stdin:
+    request = json.loads(raw)
+    if request["type"] == role + "_turn":
+        reply = {"type": request["type"], "content": steps.pop(0)}
+    else:
+        reply = unknown_reply
+    print(json.dumps(reply), flush=True)
+"""
+
+
+@pytest.mark.parametrize("role, unknown_reply", [
+    ("agent", {"type": "error", "message": "unknown request type"}),
+    ("user", {"type": "ready"}),
+])
+def test_a_port_that_does_not_rearm_gets_a_fresh_pair_each_episode(
+        fixture_dir, tmp_path, capsys, spawned, role, unknown_reply):
+    _, _, scripted = _rollout(fixture_dir, tmp_path, capsys, "--k", "3", "--seed", "4",
+                              out="scripted")
+    spawned.clear()
+    legacy = tmp_path / "legacy_port.py"
+    legacy.write_text(LEGACY_PORT, "utf-8")
+    script = fixture_dir / "scripts" / f"{role}_script.json"
+    command = shlex.join([sys.executable, str(legacy), role, str(script),
+                          json.dumps(unknown_reply)])
+    code, doc, exports = _rollout(fixture_dir, tmp_path, capsys, "--k", "3", "--seed", "4",
+                                  **{role: command})
+    assert code == 0
+    assert doc["successes"] == 3
+    assert len(spawned) == 6
+    assert exports == scripted
+
+
+def test_an_unspawnable_user_port_closes_the_agent_port(fixture_dir, tmp_path, capsys):
+    """The agent port spawned before the user port failed to spawn is
+    closed; nothing is left for the garbage collector to warn about."""
+    code, out, _ = run_cli(
+        capsys, "rollout", str(fixture_dir),
+        "--agent-cmd", scripted_port_cmd(fixture_dir, "agent"),
+        "--user-cmd", "/nonexistent/port", "--out-dir", str(tmp_path / "r"), "--json",
+    )
+    gc.collect()
+    assert code == 1
+    assert "cannot spawn port command" in json.loads(out)["error"]
+
+
+# --- reward overrides ----------------------------------------------------------------
+
+@pytest.mark.parametrize("flag, value", [
+    ("--epsilon", "0"),
+    ("--epsilon", "-0.5"),
+    ("--epsilon", "nan"),
+    ("--epsilon", "inf"),
+    ("--lambda-err", "0"),
+    ("--lambda-err", "nan"),
+])
+def test_bad_numeric_override_is_usage_error(fixture_dir, capsys, flag, value):
+    code, out, err = run_cli(capsys, "validate", str(fixture_dir), flag, value, "--json")
+    assert code == 2
+    assert "internal" not in out
+    assert flag.lstrip("-").replace("-", "_") in err
+
+
+def test_every_port_pair_is_closed_when_an_episode_raises(fixture_dir, tmp_path, capsys,
+                                                          monkeypatch):
+    from policygym import cli
+
+    episodes = []
+
+    def failing_third_episode(pkg, agent, user, seed):
+        episodes.append(seed)
+        if len(episodes) == 3:
+            raise RuntimeError("episode blew up")
+        return cli_run_episode(pkg, agent, user, seed=seed)
+
+    cli_run_episode = cli.run_episode
+    monkeypatch.setattr(cli, "run_episode", failing_third_episode)
+    code, out, _ = run_cli(
+        capsys, "rollout", str(fixture_dir),
+        "--agent-cmd", scripted_port_cmd(fixture_dir, "agent"),
+        "--user-cmd", scripted_port_cmd(fixture_dir, "user"),
+        "--k", "6", "--parallel", "2", "--out-dir", str(tmp_path / "r"), "--json",
+    )
+    gc.collect()  # a port left open warns here, and the warning fails the test
+    assert code == 3
+    assert "episode blew up" in json.loads(out)["error"]
