@@ -16,7 +16,6 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import advantage as adv
 from .errors import (
     CompilationExhausted,
     ExplorationDiverged,
@@ -261,6 +260,8 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
 
 
 def cmd_score(args) -> dict:
+    from . import advantage as adv  # only this command uses it; other starts skip it
+
     pkg = _load_package_arg(args.package, args)
     paths = [args.trajectory] + list(args.group)
     for path in paths:

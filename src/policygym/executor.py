@@ -13,13 +13,13 @@ from typing import TYPE_CHECKING
 
 from .errors import MalformedArguments, ReadOnlyTable, UnknownTool
 from .packages import (
-    QUERY_OPERATORS,
     READ_ONLY,
     EnvironmentBundle,
     TaskPackage,
     ToolSpec,
 )
-from .snapshots import Snapshot, load_image, open_image, quote_ident, read_schema, state_digest
+from .snapshots import (Snapshot, insert_sql, load_image, open_image, quote_ident, read_schema,
+                        state_digest)
 
 if TYPE_CHECKING:
     from .tracker import VerificationBase
@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 UNCLASSIFIED = "UNCLASSIFIED"
 
 _BRACKET_CODE_RE = re.compile(r"^\s*\[([A-Z][A-Z0-9_]*)\]\s*(.*)$", re.DOTALL)
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # code points UTF-8 cannot encode
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,8 @@ class ToolCall:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ToolCall":
-        return cls(tool_name=doc["tool_name"], arguments=dict(doc.get("arguments", {})))
+        # arguments stay as sent, so the tool's validator judges any JSON value
+        return cls(tool_name=doc["tool_name"], arguments=doc.get("arguments", {}))
 
 
 @dataclass(frozen=True)
@@ -272,90 +272,27 @@ def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHan
     return EnvHandle(bundle, snapshot)
 
 
-# --- argument validation ---------------------------------------------------------
+# --- execution ----------------------------------------------------------------------
 
-_JSON_TYPE_CHECKS = {
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "string": lambda v: isinstance(v, str),
-}
-
-
-def _check_bindable(value, label: str) -> None:
-    """Reject what SQLite cannot bind as one parameter, before any dispatch."""
-    if value is not None and not isinstance(value, (int, float, str, bytes)):
-        raise MalformedArguments(f"{label}: expected a scalar, got {type(value).__name__}")
-    if isinstance(value, int) and not -(2**63) <= value < 2**63:
-        raise MalformedArguments(f"{label}: integer out of the 64-bit range")
-    if isinstance(value, str) and _SURROGATE_RE.search(value):
-        raise MalformedArguments(f"{label}: string is not valid unicode")
-
-
-def _check_scalar(value, json_type: str, label: str) -> None:
-    _check_bindable(value, label)
-    if value is None:
-        return  # NULLs pass through; NOT NULL enforcement belongs to the engine
-    check = _JSON_TYPE_CHECKS.get(json_type)
-    if check and not check(value):
-        raise MalformedArguments(f"{label}: expected {json_type}, got {type(value).__name__}")
-
-
-def _validate_insert_args(spec: ToolSpec, args: dict) -> None:
-    props = spec.parameter_schema["properties"]
-    required = spec.parameter_schema["required"]
-    for key in args:
-        if key not in props:
-            raise MalformedArguments(f"unknown column {key!r} for {spec.name}")
-    for key in required:
-        if key not in args:
-            raise MalformedArguments(f"missing required column {key!r} for {spec.name}")
-    for key, value in args.items():
-        _check_scalar(value, props[key].get("type", ""), f"{spec.name}.{key}")
-
-
-def _normalize_filters(raw, columns: set[str], spec_name: str):
-    """Accept [{column, op, value}] or a {column: value} equality shorthand."""
-    if raw is None:
-        return []
-    if isinstance(raw, dict):
-        raw = [{"column": c, "op": "=", "value": v} for c, v in raw.items()]
-    if not isinstance(raw, list):
-        raise MalformedArguments(f"{spec_name}: filters must be a list or object")
-    out = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise MalformedArguments(f"{spec_name}: filters[{i}] must be an object")
-        col = item.get("column")
-        op = item.get("op", "=")
-        if not isinstance(col, str) or col not in columns:
-            raise MalformedArguments(f"{spec_name}: unknown filter column {col!r}")
-        if op not in QUERY_OPERATORS:
-            raise MalformedArguments(f"{spec_name}: unsupported operator {op!r}")
-        if "value" not in item:
-            raise MalformedArguments(f"{spec_name}: filters[{i}] missing value")
-        value = item["value"]
-        _check_bindable(value, f"{spec_name}: filters[{i}].value")
-        if value is None and op not in ("=", "!="):
-            raise MalformedArguments(f"{spec_name}: NULL only supports = and !=")
-        out.append((col, op, value))
-    return out
-
-
-def _filters_to_sql(filters) -> tuple[str, list]:
+def _filters_to_sql(spec: ToolSpec, filters) -> tuple[str, list]:
+    """WHERE clause of validated ``filters``: a list of {column, op, value},
+    a {column: value} equality shorthand, or None."""
+    if isinstance(filters, dict):
+        triples = [(col, "=", value) for col, value in filters.items()]
+    else:
+        triples = [(f["column"], f.get("op", "="), f["value"]) for f in filters or ()]
     clauses, params = [], []
-    for col, op, value in filters:
-        if value is None:
-            clauses.append(
-                f"{quote_ident(col)} IS NULL" if op == "=" else f"{quote_ident(col)} IS NOT NULL"
-            )
-        else:
+    for col, op, value in triples:
+        if value is not None:
             clauses.append(f"{quote_ident(col)} {op} ?")
             params.append(value)
+        elif op in ("=", "!="):
+            clauses.append(f"{quote_ident(col)} IS {'' if op == '=' else 'NOT '}NULL")
+        else:
+            raise MalformedArguments(f"{spec.name}: NULL only supports = and !=")
     where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
     return where, params
 
-
-# --- execution ----------------------------------------------------------------------
 
 def _lookup_tool(env: EnvHandle, name: str) -> ToolSpec:
     if not isinstance(name, str):  # a port may send any JSON value
@@ -376,32 +313,20 @@ def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
 
     Engine aborts (trigger RAISEs, constraint failures) become error results
     with the state fully rolled back; UnknownTool / MalformedArguments /
-    ReadOnlyTable are raised before any engine dispatch.
+    ReadOnlyTable are raised before any engine dispatch. The arguments must
+    satisfy the tool's ``parameter_schema``; past that check only NULL
+    filters are limited to = and !=.
     """
     if env.closed:
         raise RuntimeError("environment is closed")
     spec = _lookup_tool(env, call.tool_name)
-    if not isinstance(call.arguments, dict):
-        raise MalformedArguments(f"{call.tool_name}: arguments must be an object")
-
+    spec.validate(call.arguments)
     if spec.kind == "query":
         result = _run_query(env, spec, call.arguments)
-    elif spec.kind == "insert":
-        _validate_insert_args(spec, call.arguments)
-        result = _run_write(env, spec, call.arguments, _insert_sql)
     elif spec.kind == "update":
         result = _run_write(env, spec, call.arguments, _update_sql)
-    else:  # escalation
-        summary = call.arguments.get("summary")
-        if set(call.arguments) - {"summary"}:
-            raise MalformedArguments(f"{spec.name}: only 'summary' is accepted")
-        if not isinstance(summary, str) or not summary:
-            raise MalformedArguments(f"{spec.name}: summary must be a non-empty string")
-        _check_bindable(summary, f"{spec.name}: summary")
-        result = _run_write(
-            env, spec, {"summary": summary},
-            lambda e, s, a: ("INSERT INTO escalations (summary) VALUES (?)", [a["summary"]]),
-        )
+    else:  # insert, or the escalation's insert into its log table
+        result = _run_write(env, spec, call.arguments, _insert_sql)
     env.turn_counter += 1
     return result
 
@@ -429,27 +354,16 @@ def safe_execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
 
 def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
     columns = [c.name for c in env.columns(spec.table)]
-    extra = set(args) - {"filters", "order_by", "limit"}
-    if extra:
-        raise MalformedArguments(f"{spec.name}: unknown parameter {sorted(extra)[0]!r}")
-    filters = _normalize_filters(args.get("filters"), set(columns), spec.name)
-    where, params = _filters_to_sql(filters)
+    where, params = _filters_to_sql(spec, args.get("filters"))
     sql = "SELECT {} FROM {}{}".format(
         ", ".join(quote_ident(c) for c in columns), quote_ident(spec.table), where
     )
     order = args.get("order_by")
     if order is not None:
-        if not isinstance(order, dict) or order.get("column") not in columns:
-            raise MalformedArguments(f"{spec.name}: bad order_by")
-        direction = order.get("direction", "asc")
-        if direction not in ("asc", "desc"):
-            raise MalformedArguments(f"{spec.name}: bad order_by direction")
-        sql += f" ORDER BY {quote_ident(order['column'])} {direction.upper()}"
+        direction = order.get("direction", "asc").upper()
+        sql += f" ORDER BY {quote_ident(order['column'])} {direction}"
     limit = args.get("limit")
     if limit is not None:
-        if not isinstance(limit, int) or isinstance(limit, bool) or limit < 0:
-            raise MalformedArguments(f"{spec.name}: limit must be a non-negative integer")
-        _check_bindable(limit, f"{spec.name}: limit")
         sql += " LIMIT ?"
         params.append(limit)
     rows = tuple(dict(zip(columns, row)) for row in env.connection.execute(sql, params))
@@ -457,13 +371,7 @@ def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
 
 
 def _insert_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
-    cols = list(args)
-    sql = "INSERT INTO {} ({}) VALUES ({})".format(
-        quote_ident(spec.table),
-        ", ".join(quote_ident(c) for c in cols),
-        ", ".join("?" for _ in cols),
-    )
-    return sql, [args[c] for c in cols]
+    return insert_sql(spec.table, args)
 
 
 def _update_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
@@ -473,22 +381,8 @@ def _update_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
     recorded trajectories may hold such calls, and rejecting them now would
     break their replays; the triggers still judge every row.
     """
-    columns = {c.name for c in env.columns(spec.table)}
-    extra = set(args) - {"filters", "set"}
-    if extra:
-        raise MalformedArguments(f"{spec.name}: unknown parameter {sorted(extra)[0]!r}")
-    setter = args.get("set")
-    if not isinstance(setter, dict) or not setter:
-        raise MalformedArguments(f"{spec.name}: 'set' must be a non-empty object")
-    for col, value in setter.items():
-        if col not in columns:
-            raise MalformedArguments(f"{spec.name}: unknown set column {col!r}")
-        _check_bindable(value, f"{spec.name}: set.{col}")
-    raw_filters = args.get("filters")
-    if not isinstance(raw_filters, dict):
-        raise MalformedArguments(f"{spec.name}: 'filters' must be an object (equality only)")
-    filters = _normalize_filters(raw_filters, columns, spec.name)
-    where, where_params = _filters_to_sql(filters)
+    setter = args["set"]
+    where, where_params = _filters_to_sql(spec, args["filters"])
     sql = "UPDATE {} SET {}{}".format(
         quote_ident(spec.table),
         ", ".join(f"{quote_ident(c)} = ?" for c in setter),

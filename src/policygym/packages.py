@@ -23,11 +23,13 @@ import sqlite3
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from .errors import (
     CompileFailure,
     InvalidManifest,
     IoFailure,
+    MalformedArguments,
     MissingArtifact,
     SchemaMismatch,
     SpoilerLeak,
@@ -119,6 +121,12 @@ class ToolSpec:
             "preconditions": list(self.preconditions),
             "side_effects": list(self.side_effects),
         }
+
+    @cached_property
+    def validate(self) -> Callable[[object], None]:
+        """Raise MalformedArguments unless the arguments satisfy
+        ``parameter_schema``; compiled once (see ``compile_validator``)."""
+        return compile_validator(self.parameter_schema, self.name)
 
 
 @dataclass(frozen=True)
@@ -283,6 +291,89 @@ def harvest_error_codes(triggers_sql: str) -> list[str]:
     return list(seen)
 
 
+# --- argument validation --------------------------------------------------------
+
+# JSON type name -> the exact Python types of its decoded values, so that a
+# bool (a Python int) is never an integer or a number
+_JSON_TYPES = {"null": (type(None),), "string": (str,), "integer": (int,),
+               "number": (int, float), "object": (dict,), "array": (list,)}
+_JSON_NAMES = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+               str: "string", list: "array", dict: "object"}
+# the keywords a validator checks, and its two annotations
+_SCHEMA_KEYWORDS = frozenset({"type", "properties", "required", "additionalProperties",
+                              "minProperties", "items", "enum", "minimum", "minLength",
+                              "description", "default"})
+_INT64 = range(-(2**63), 2**63)
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")  # code points UTF-8 cannot encode
+
+
+def compile_validator(schema: dict, label: str) -> Callable[[object], None]:
+    """A check that raises MalformedArguments, naming the path from
+    ``label``, for a value ``schema`` does not accept.
+
+    ``schema`` keeps to a subset of JSON Schema: ``type`` (a name or a list),
+    ``properties``, ``required``, ``additionalProperties`` (a boolean),
+    ``minProperties``, ``items``, ``enum`` (of strings), ``minimum``,
+    ``minLength``, and the annotations ``description`` and ``default``. Any
+    other keyword raises ValueError, so a schema cannot promise a check that
+    nothing runs. Every value also keeps the bind rule: an integer fits in
+    signed 64 bits, a string holds no lone surrogate, and a boolean is
+    never an integer or a number.
+    """
+    names = schema.get("type", list(_JSON_TYPES))
+    names = [names] if isinstance(names, str) else names
+    members = schema.get("enum")
+    open_ended = schema.get("additionalProperties", True)
+    if (set(schema) - _SCHEMA_KEYWORDS or not set(names) <= _JSON_TYPES.keys()
+            or not isinstance(open_ended, bool)
+            or not all(isinstance(m, str) for m in members or ())):
+        raise ValueError(f"{label}: schema outside the supported subset: {schema!r}")
+    accepted = frozenset(t for n in names for t in _JSON_TYPES[n])
+    if members is not None:
+        listed, members, accepted = ", ".join(members), frozenset(members), accepted & {str}
+    minimum = schema.get("minimum")
+    min_length = schema.get("minLength", 0)
+    min_properties = schema.get("minProperties", 0)
+    required = tuple(schema.get("required", ()))
+    props = {key: compile_validator(sub, f"{label}.{key}")
+             for key, sub in schema.get("properties", {}).items()}
+    items = compile_validator(schema["items"], f"{label}[]") if "items" in schema else None
+
+    def check(value) -> None:
+        kind = type(value)
+        if kind not in accepted:
+            raise MalformedArguments(f"{label}: expected {' or '.join(names)}, "
+                                     f"got {_JSON_NAMES.get(kind, kind.__name__)}")
+        if kind is str:
+            if not value.isascii() and _SURROGATE_RE.search(value):
+                raise MalformedArguments(f"{label}: string is not valid unicode")
+            if len(value) < min_length:
+                raise MalformedArguments(f"{label}: must have length >= {min_length}")
+            if members is not None and value not in members:
+                raise MalformedArguments(f"{label}: {value!r} is not one of {listed}")
+        elif kind is int or kind is float:
+            if kind is int and value not in _INT64:
+                raise MalformedArguments(f"{label}: integer out of the 64-bit range")
+            if minimum is not None and value < minimum:
+                raise MalformedArguments(f"{label}: must be >= {minimum}")
+        elif kind is dict:
+            for key, item in value.items():
+                if key in props:
+                    props[key](item)
+                elif not open_ended:
+                    raise MalformedArguments(f"{label}: unknown property {key!r}")
+            for key in required:
+                if key not in value:
+                    raise MalformedArguments(f"{label}: missing required property {key!r}")
+            if len(value) < min_properties:
+                raise MalformedArguments(f"{label}: needs at least {min_properties} properties")
+        elif kind is list and items is not None:
+            for item in value:
+                items(item)
+
+    return check
+
+
 # --- tool derivation ------------------------------------------------------------
 
 def _json_type(decl: str) -> str:
@@ -300,11 +391,18 @@ def _is_auto_key(col: ColumnInfo) -> bool:
     return col.primary_key and "INT" in (col.decl_type or "").upper()
 
 
+def _filter_value() -> dict:
+    """Any bindable scalar: filters compare values, and the list form of a
+    query filter cannot type its value per column."""
+    return {"type": ["string", "integer", "number", "null"]}
+
+
 def _insert_schema(cols: list[ColumnInfo]) -> dict:
     properties = {}
     required = []
     for col in cols:
-        prop: dict = {"type": _json_type(col.decl_type)}
+        # NULL is always allowed: NOT NULL belongs to the engine
+        prop: dict = {"type": [_json_type(col.decl_type), "null"]}
         notes = []
         if _is_auto_key(col):
             notes.append("auto-assigned; omit unless you must override")
@@ -315,7 +413,8 @@ def _insert_schema(cols: list[ColumnInfo]) -> dict:
         properties[col.name] = prop
         if (col.notnull or col.primary_key) and col.default is None and not _is_auto_key(col):
             required.append(col.name)
-    return {"type": "object", "properties": properties, "required": required}
+    return {"type": "object", "properties": properties, "required": required,
+            "additionalProperties": False}
 
 
 def _query_schema(cols: list[ColumnInfo]) -> dict:
@@ -324,50 +423,57 @@ def _query_schema(cols: list[ColumnInfo]) -> dict:
         "type": "object",
         "properties": {
             "filters": {
-                "type": "array",
+                "type": ["array", "object", "null"],
+                "description": "conjunctive filters: a list of {column, op, value}, or "
+                               "{column: value, ...} for equality; a null value only "
+                               "takes = (IS NULL) and != (IS NOT NULL)",
                 "items": {
                     "type": "object",
                     "properties": {
                         "column": {"type": "string", "enum": names},
-                        "op": {"type": "string", "enum": list(QUERY_OPERATORS)},
-                        "value": {},
+                        "op": {"type": "string", "enum": list(QUERY_OPERATORS), "default": "="},
+                        "value": _filter_value(),
                     },
-                    "required": ["column", "op", "value"],
+                    "required": ["column", "value"],
                 },
+                "properties": {name: _filter_value() for name in names},
+                "additionalProperties": False,
             },
             "order_by": {
-                "type": "object",
+                "type": ["object", "null"],
                 "properties": {
                     "column": {"type": "string", "enum": names},
-                    "direction": {"type": "string", "enum": ["asc", "desc"]},
+                    "direction": {"type": "string", "enum": ["asc", "desc"], "default": "asc"},
                 },
                 "required": ["column"],
             },
-            "limit": {"type": "integer"},
+            "limit": {"type": ["integer", "null"], "minimum": 0},
         },
         "required": [],
+        "additionalProperties": False,
     }
 
 
 def _update_schema(cols: list[ColumnInfo]) -> dict:
-    names = [c.name for c in cols]
-    col_props = {name: {} for name in names}
     return {
         "type": "object",
         "properties": {
             "filters": {
                 "type": "object",
-                "properties": dict(col_props),
+                "properties": {c.name: _filter_value() for c in cols},
                 "additionalProperties": False,
                 "description": "equality filters; rows matching every entry are updated",
             },
             "set": {
                 "type": "object",
-                "properties": dict(col_props),
+                "properties": {c.name: {"type": [_json_type(c.decl_type), "null"]}
+                               for c in cols},
                 "additionalProperties": False,
+                "minProperties": 1,
             },
         },
         "required": ["filters", "set"],
+        "additionalProperties": False,
     }
 
 
@@ -442,8 +548,9 @@ def derive_tools_from_schema(
             table=ESCALATIONS_TABLE,
             parameter_schema={
                 "type": "object",
-                "properties": {"summary": {"type": "string"}},
+                "properties": {"summary": {"type": "string", "minLength": 1}},
                 "required": ["summary"],
+                "additionalProperties": False,
             },
             description="Escalate to a human agent; records the summary in the escalations log.",
         )
@@ -501,9 +608,6 @@ def check_snapshot_schema(snap: Snapshot, schema: SchemaInfo, label: str) -> Non
     extra = set(have) - set(want)
     if extra:
         raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
-
-
-_JSON_NAMES = {str: "string", dict: "object", list: "list"}
 
 
 def _manifest_field(doc: dict, key: str, kind: type, default, prefix: str = "",
@@ -626,9 +730,8 @@ def save_package(pkg: TaskPackage, path) -> None:
         (root / "triggers.sql").write_text(pkg.env.triggers, "utf-8")
         pkg.origin_snapshot.write_to(root / "origin.db")
         pkg.target_snapshot.write_to(root / "target.db")
-        (root / "tools.json").write_text(
-            json.dumps([t.to_json() for t in pkg.env.tool_catalog], indent=2) + "\n",
-            "utf-8",
-        )
+        # one tool per line: an indented dump takes the pure-Python encoder
+        tools = ",\n".join(json.dumps(t.to_json()) for t in pkg.env.tool_catalog)
+        (root / "tools.json").write_text(f"[\n{tools}\n]\n", "utf-8")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

@@ -22,6 +22,13 @@ def quote_ident(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+def insert_sql(table: str, row: dict) -> tuple[str, list]:
+    """The INSERT of ``row`` (column -> value) into ``table``, and its parameters."""
+    return "INSERT INTO {} ({}) VALUES ({})".format(
+        quote_ident(table), ", ".join(quote_ident(c) for c in row), ", ".join("?" * len(row))
+    ), list(row.values())
+
+
 @dataclass(frozen=True)
 class ColumnInfo:
     name: str

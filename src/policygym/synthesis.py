@@ -35,7 +35,7 @@ from .packages import (
     find_spoiler,
     harvest_error_codes,
 )
-from .snapshots import SchemaInfo, Snapshot, quote_ident
+from .snapshots import SchemaInfo, Snapshot, insert_sql, quote_ident
 from .verify import DiffConfig, diff
 
 _PERMISSION_TAG_RE = re.compile(
@@ -228,35 +228,44 @@ def architect_compile(
 
 # --- physical verification ----------------------------------------------------------
 
-def _check_enum_values(create_sql: str) -> dict[str, list[str]]:
+def _check_enum_values(create_sql: str) -> dict[str, list]:
     """Column -> allowed literals parsed from simple CHECK(col IN (...)) clauses."""
-    out: dict[str, list[str]] = {}
+    out: dict[str, list] = {}
     for col, body in _CHECK_ENUM_RE.findall(create_sql):
-        values = [v.strip().strip("'\"") for v in body.split(",") if v.strip()]
+        values = [_sql_literal(v.strip()) for v in body.split(",") if v.strip()]
         if values:
             out[col] = values
     return out
 
 
-def derive_probe_row(conn: sqlite3.Connection, table: str, schema: SchemaInfo) -> dict | None:
-    """Best-effort trivially-valid insert arguments for ``table``.
+def _sql_literal(text: str):
+    """The value a CHECK-list literal denotes: a quoted one is a string, an
+    unquoted number an int or a float."""
+    if text[0] not in "'\"":
+        for number in (int, float):
+            try:
+                return number(text)
+            except ValueError:
+                pass
+    return text.strip("'\"")
+
+
+def derive_probe_row(conn: sqlite3.Connection, bundle: EnvironmentBundle,
+                     table: str) -> dict | None:
+    """Best-effort trivially-valid arguments for ``insert_<table>``: a value
+    for each property its published schema requires, of the schema's type.
 
     Returns None when a required foreign key has no candidate parent value;
     triggers may still reject the row, which probing treats as signal, not
-    failure. ``schema`` must describe ``conn``.
+    failure. ``bundle`` must describe ``conn``.
     """
-    info = schema.table(table)
+    info = bundle.schema_info.table(table)
+    contract = bundle.tools_by_name()[f"insert_{table}"].parameter_schema
     enums = _check_enum_values(info.sql)
     fks = {fk.column: fk for fk in info.foreign_keys}
     row: dict = {}
-    for col in info.columns:
-        if col.primary_key and "INT" in (col.decl_type or "").upper():
-            continue
-        if col.default is not None:
-            continue
-        if not col.notnull and not col.primary_key:
-            continue
-        fk = fks.get(col.name)
+    for name in contract["required"]:
+        fk = fks.get(name)
         if fk is not None:
             # first-seeded parent row: reference data is inserted in its
             # natural priority order, so rowid order beats lexicographic
@@ -274,18 +283,12 @@ def derive_probe_row(conn: sqlite3.Connection, table: str, schema: SchemaInfo) -
                 ).fetchone()
             if parent is None:
                 return None
-            row[col.name] = parent[0]
-            continue
-        if col.name in enums:
-            row[col.name] = enums[col.name][0]
-            continue
-        decl = (col.decl_type or "").upper()
-        if "INT" in decl:
-            row[col.name] = 1
-        elif any(t in decl for t in ("REAL", "FLOA", "DOUB")):
-            row[col.name] = 1.0
+            row[name] = parent[0]
+        elif name in enums:
+            row[name] = enums[name][0]
         else:
-            row[col.name] = "probe"
+            json_type = contract["properties"][name]["type"][0]
+            row[name] = {"integer": 1, "number": 1.0}.get(json_type, "probe")
     return row
 
 
@@ -329,17 +332,11 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
                     stage="triggers", physical="fail",
                     physical_message=f"declared table missing: {table}",
                 )
-            row = derive_probe_row(conn, table, schema)
+            row = derive_probe_row(conn, bundle, table)
             if row is None:
                 warns.append(f"{table}: valid probe not derivable (empty parent tables)")
             else:
-                cols = list(row)
-                sql = "INSERT INTO {} ({}) VALUES ({})".format(
-                    quote_ident(table),
-                    ", ".join(quote_ident(c) for c in cols),
-                    ", ".join("?" for _ in cols),
-                )
-                outcome, message = _probe_write(conn, sql, [row[c] for c in cols])
+                outcome, message = _probe_write(conn, *insert_sql(table, row))
                 if outcome == "broken":
                     return VerificationReport(stage="triggers", physical="fail",
                                               physical_message=f"{table}: {message}")
@@ -374,14 +371,8 @@ def apply_seed_proposals(env: EnvHandle, proposals) -> tuple[dict[str, int], lis
         table = proposal["table"]
         strategy = proposal.get("strategy", "")
         for row in proposal.get("rows", []):
-            cols = list(row)
-            sql = "INSERT INTO {} ({}) VALUES ({})".format(
-                quote_ident(table),
-                ", ".join(quote_ident(c) for c in cols),
-                ", ".join("?" for _ in cols),
-            )
             try:
-                env.system_write(sql, [row[c] for c in cols])
+                env.system_write(*insert_sql(table, row))
             except sqlite3.Error as exc:
                 rejected.append({"table": table, "strategy": strategy,
                                  "row": row, "error": str(exc)})
@@ -463,7 +454,7 @@ def probe_boundary_adjacency(
         for table in quota_bearing_tables(schema):
             if bundle.permissions.get(table) != READ_WRITE:
                 continue
-            row = derive_probe_row(conn, table, schema)
+            row = derive_probe_row(conn, bundle, table)
             if row is not None:
                 candidates.append(ToolCall(tool_name=f"insert_{table}", arguments=row))
         for table in bundle.tables(READ_WRITE):

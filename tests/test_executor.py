@@ -406,3 +406,39 @@ def test_non_string_tool_name_is_unknown_tool(travel_pkg, name, opened_at):
         assert result.status == "error"
         assert result.error.code == "UNKNOWN_TOOL"
         assert result.state_digest == before == travel_pkg.origin_snapshot.digest()
+
+
+# values a port can send (or, for bytes, an in-process caller) that bind but
+# break the published types; each of these used to commit or match
+_MISTYPED = [
+    ("update_travel_requests", {"filters": {"id": 2}, "set": {"current_step": "abc"}}),
+    ("update_travel_requests", {"filters": {"id": 2}, "set": {"trip_purpose": True}}),
+    ("update_travel_requests", {"filters": {"id": 2}, "set": {"current_step": 15.5}}),
+    ("update_travel_requests", {"filters": {"id": True}, "set": {"current_step": 15}}),
+    ("query_travel_requests", {"filters": {"id": True}}),
+    ("query_travel_requests", {"filters": [{"column": "id", "op": ">=", "value": False}]}),
+    ("update_travel_requests", {"filters": {"id": 2}, "set": {"trip_purpose": b"x"}}),
+    ("query_travel_requests", {"filters": {"trip_purpose": b"Audit"}}),
+]
+
+
+@pytest.mark.parametrize("tool_name, arguments", _MISTYPED, ids=[
+    "set-text-into-integer", "set-boolean-into-text", "set-real-into-integer",
+    "update-boolean-filter", "query-boolean-filter", "query-boolean-filter-list",
+    "set-bytes", "filter-bytes",
+])
+def test_mistyped_values_are_malformed_and_change_nothing(env, tool_name, arguments):
+    before = env.digest()
+    result = safe_execute_tool(env, ToolCall(tool_name, arguments))
+    assert result.status == "error"
+    assert result.error.code == "MALFORMED_ARGUMENTS"
+    assert result.state_digest == before == env.digest()
+
+
+@pytest.mark.parametrize("arguments", [None, [["filters", {}]], "filters", 5])
+def test_tool_call_keeps_arguments_as_sent(env, arguments):
+    call = ToolCall.from_json({"tool_name": "query_users", "arguments": arguments})
+    assert call.arguments == arguments
+    result = safe_execute_tool(env, call)
+    assert result.error.code == "MALFORMED_ARGUMENTS"
+    assert ToolCall.from_json({"tool_name": "query_users"}).arguments == {}

@@ -286,6 +286,28 @@ def test_subprocess_port_error_reply_keeps_its_message(travel_pkg, tmp_path):
     assert "agent script exhausted" in trajectory.note
 
 
+def test_subprocess_agent_call_with_null_arguments_gets_feedback(travel_pkg, tmp_path):
+    """A call whose arguments are not an object is the agent's mistake: it
+    comes back as MALFORMED_ARGUMENTS, and the episode goes on."""
+    script = tmp_path / "agent_script.json"
+    script.write_text(json.dumps([
+        {"tool_call": {"tool_name": "query_users", "arguments": None}},
+        {"text": "That call was malformed, sorry."},
+    ]))
+    agent = SubprocessAgentPort(
+        f"{sys.executable} -m policygym.ports --role agent --script {script}", timeout=30)
+    try:
+        trajectory = run_episode(travel_pkg, agent, ScriptedUserPort(["hi", "###STOP###"]),
+                                 seed=0)
+    finally:
+        agent.close()
+    assert trajectory.termination == "stop_signal", trajectory.note
+    roles = [t.role for t in trajectory.turns]
+    assert roles[1:3] == ["agent_tool", "tool_result"]
+    assert trajectory.turns[1].content.arguments is None
+    assert trajectory.turns[2].content.error.code == "MALFORMED_ARGUMENTS"
+
+
 def test_a_closed_subprocess_port_leaves_no_open_file(travel_pkg, tmp_path, monkeypatch):
     """Closing a port closes its pipes and its stderr file; nothing is left
     for the garbage collector to warn about."""

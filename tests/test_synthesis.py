@@ -26,6 +26,7 @@ from policygym.synthesis import (
     architect_compile,
     assemble_package,
     build_redaction_list,
+    derive_probe_row,
     explore_episode,
     parse_permission_tags,
     probe_boundary_adjacency,
@@ -172,6 +173,24 @@ def test_probe_boundary_adjacency_on_fixture_origin():
 def test_probe_empty_state_scores_zero():
     bundle = ct.build_bundle()
     result = probe_boundary_adjacency(bundle, ct.build_bundle().empty_snapshot, probe_budget=16)
+    assert result.adjacency_score == 0.0
+
+
+def test_integer_check_enum_probes_with_integers():
+    """CHECK(urgent IN (0,1)) lists integers: the derived probe row must bind
+    0, not '0', or the typed insert tool refuses the probe as malformed."""
+    schema_sql = ("CREATE TABLE tickets (id INTEGER PRIMARY KEY AUTOINCREMENT,\n"
+                  "    urgent INTEGER NOT NULL CHECK(urgent IN (0,1)));")
+    triggers_sql = ("CREATE TRIGGER tickets_quota BEFORE INSERT ON tickets\n"
+                    "WHEN (SELECT COUNT(*) FROM tickets) >= 3\n"
+                    "BEGIN SELECT RAISE(ABORT, '[QUOTA] at most 3 tickets'); END;")
+    compiled = packages.compile_environment(schema_sql, triggers_sql)
+    bundle = packages.EnvironmentBundle.from_schema(
+        schema_sql, triggers_sql, compiled, {"tickets": packages.READ_WRITE}, {})
+    with bundle.empty_snapshot.connect() as conn:
+        assert derive_probe_row(conn, bundle, "tickets") == {"urgent": 0}
+    result = probe_boundary_adjacency(bundle, bundle.empty_snapshot, probe_budget=4)
+    assert [(p["outcome"], p["code"]) for p in result.probes] == [("accepted", "")]
     assert result.adjacency_score == 0.0
 
 

@@ -75,6 +75,8 @@ _SYSTEM_WRITES = (
     ("DELETE FROM hotel_bookings WHERE id = (SELECT min(id) FROM hotel_bookings)", ()),
     ("UPDATE travel_requests SET current_step = current_step + 1", ()),
     ("CREATE INDEX IF NOT EXISTS hotel_cost ON hotel_bookings (cost)", ()),
+    # text in an INTEGER column: tool calls can no longer store mixed classes
+    ("UPDATE travel_requests SET current_step = 'soon' WHERE id = 2", ()),
 )
 
 
