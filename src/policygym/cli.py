@@ -3,18 +3,19 @@
 Exit codes: 0 success, 1 task failure, 2 usage error, 3 internal error.
 With --json exactly one JSON document goes to stdout; diagnostics go to
 stderr.
+
+Each command imports the runtime it needs when it runs, so ``rollout`` can
+start its first port processes before the runtime and the package load.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import threading
-import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import (
     CompilationExhausted,
@@ -24,20 +25,10 @@ from .errors import (
     PolicygymError,
     PortFailure,
 )
-from .packages import TaskPackage, check_snapshot_schema, load_package, save_package
-from .rollout import (
-    ROLE_AGENT_TOOL,
-    EpisodeScorer,
-    Trajectory,
-    Turn,
-    export_trajectory,
-    import_trajectory,
-    pass_at_k,
-    pass_hat_k,
-    run_episode,
-)
-from .snapshots import Snapshot
-from .verify import diff
+
+if TYPE_CHECKING:
+    from .packages import TaskPackage
+    from .rollout import Trajectory, Turn
 
 EXIT_OK = 0
 EXIT_TASK = 1
@@ -51,9 +42,17 @@ class _Failure(Exception):
         self.code = code
 
 
-def _load_package_arg(path: str, args) -> TaskPackage:
+def _check_package_dir(path: str) -> None:
     if not Path(path).is_dir():
         raise _Failure(f"package directory not found: {path}", EXIT_USAGE)
+
+
+def _load_package_arg(path: str, args) -> TaskPackage:
+    import dataclasses
+
+    from .packages import load_package
+
+    _check_package_dir(path)
     pkg = load_package(path)
     overrides = {}
     if getattr(args, "epsilon", None) is not None:
@@ -104,6 +103,10 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from .packages import check_snapshot_schema
+    from .snapshots import Snapshot
+    from .verify import diff
+
     pkg = _load_package_arg(args.package, args)
     for path in (args.snapshot_a, args.snapshot_b):
         if not Path(path).is_file():
@@ -135,19 +138,26 @@ def _close_pair(pair: tuple) -> None:
         user.close()
 
 
+def run_episode(pkg: TaskPackage, agent, user, seed: int) -> Trajectory:
+    """``policygym.rollout.run_episode``, imported on first use; the rollout
+    command runs each episode through this module-level name."""
+    from .rollout import run_episode
+
+    return run_episode(pkg, agent, user, seed=seed)
+
+
 def cmd_rollout(args) -> dict:
     from .ports import SubprocessAgentPort, SubprocessUserPort
 
     if args.k < 1:
         raise _Failure("--k must be >= 1", EXIT_USAGE)
-    pkg = _load_package_arg(args.package, args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _check_package_dir(args.package)
 
-    limits = pkg.limits.to_json()
+    limits: dict = {}  # shared by every port; filled in once the package loads
     # (agent, user) port pairs between episodes; each worker holds at most
     # one pair, so at most --parallel pairs are alive
-    idle: list[tuple] = []
+    fresh: list[tuple] = []  # spawned, yet to serve an episode
+    idle: list[tuple] = []  # served an episode; re-armed before the next
     idle_lock = threading.Lock()
 
     def spawn_pair() -> tuple:
@@ -160,8 +170,11 @@ def cmd_rollout(args) -> dict:
             raise
 
     def pair_for(i: int) -> tuple:
-        """An idle pair that re-armed for episode ``i``, else a fresh one."""
+        """A pair yet to serve, else an idle pair that re-armed for episode
+        ``i``, else a new one."""
         with idle_lock:
+            if fresh:
+                return fresh.pop()
             pair = idle.pop() if idle else None
         if pair is not None:
             if all(port.transport.start_episode(i, args.seed + i) for port in pair):
@@ -184,14 +197,26 @@ def cmd_rollout(args) -> dict:
                 _close_pair(pair)
 
     try:
+        # the first episodes' ports start up on another core while this
+        # process imports the runtime and loads the package
+        for _ in range(min(max(args.parallel, 1), args.k)):
+            fresh.append(spawn_pair())
+        pkg = _load_package_arg(args.package, args)
+        limits.update(pkg.limits.to_json())
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.parallel > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=args.parallel) as pool:
                 trajectories = list(pool.map(one_episode, range(args.k)))
         else:
             trajectories = [one_episode(i) for i in range(args.k)]
     finally:
-        for pair in idle:
+        for pair in fresh + idle:
             _close_pair(pair)
+
+    from .rollout import export_trajectory, pass_at_k, pass_hat_k
 
     episodes = []
     port_failed = False
@@ -238,6 +263,10 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
 
     The recorded per-turn digests must match the replay exactly; any drift
     means the trajectory does not belong to this package state."""
+    import dataclasses
+
+    from .rollout import ROLE_AGENT_TOOL, EpisodeScorer
+
     turns: list[Turn] = []
     with EpisodeScorer(pkg) as scorer:
         for turn in recorded.turns:
@@ -260,7 +289,8 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
 
 
 def cmd_score(args) -> dict:
-    from . import advantage as adv  # only this command uses it; other starts skip it
+    from . import advantage as adv
+    from .rollout import import_trajectory
 
     pkg = _load_package_arg(args.package, args)
     paths = [args.trajectory] + list(args.group)
@@ -300,6 +330,7 @@ def cmd_score(args) -> dict:
 
 def cmd_synthesize(args) -> dict:
     from .fixtures import corporate_travel
+    from .packages import save_package
     from .synthesis import StubGenerationPort, synthesize_package
 
     seed_path = Path(args.seed_domain)
@@ -470,6 +501,8 @@ def main(argv=None) -> int:
             print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
         return EXIT_TASK
     except Exception as exc:  # noqa: BLE001
+        import traceback
+
         traceback.print_exc()
         if args.json:
             print(json.dumps({"error": f"internal: {exc}"}))

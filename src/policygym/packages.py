@@ -41,7 +41,13 @@ from .snapshots import (
     quote_ident,
     read_schema,
 )
-from .verify import DiffConfig, diff, validate_excluded_columns
+from .verify import (
+    CanonicalRelationSet,
+    DiffConfig,
+    canonicalize_connection,
+    diff_canonical,
+    validate_excluded_columns,
+)
 
 READ_ONLY = "read_only"
 READ_WRITE = "read_write"
@@ -595,11 +601,14 @@ def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
     }
 
 
-def check_snapshot_schema(snap: Snapshot, schema: SchemaInfo, label: str) -> None:
-    """Raise SchemaMismatch unless ``snap`` conforms to ``schema``."""
-    with snap.connect() as conn:
-        have = _schema_shape(read_schema(conn))
-    want = _schema_shape(schema)
+def _conforming_schema(conn: sqlite3.Connection, schema: SchemaInfo, label: str) -> SchemaInfo:
+    """The catalog of ``conn``: ``schema`` itself when the same DDL created
+    it, else its own, read once; SchemaMismatch unless it has the tables and
+    column types of ``schema``."""
+    if schema.describes(conn):
+        return schema
+    info = read_schema(conn)
+    have, want = _schema_shape(info), _schema_shape(schema)
     for table, cols in want.items():
         if table not in have:
             raise SchemaMismatch(f"{label}: missing table {table}")
@@ -608,6 +617,20 @@ def check_snapshot_schema(snap: Snapshot, schema: SchemaInfo, label: str) -> Non
     extra = set(have) - set(want)
     if extra:
         raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
+    return info
+
+
+def check_snapshot_schema(snap: Snapshot, schema: SchemaInfo, label: str) -> None:
+    """Raise SchemaMismatch unless ``snap`` conforms to ``schema``."""
+    with snap.connect() as conn:
+        _conforming_schema(conn, schema, label)
+
+
+def _checked_canonical(snap: Snapshot, schema: SchemaInfo, cfg: DiffConfig,
+                       label: str) -> CanonicalRelationSet:
+    """``canonicalize(snap, cfg)`` of a snapshot that conforms to ``schema``."""
+    with snap.connect() as conn:
+        return canonicalize_connection(conn, cfg, _conforming_schema(conn, schema, label))
 
 
 def _manifest_field(doc: dict, key: str, kind: type, default, prefix: str = "",
@@ -684,14 +707,14 @@ def load_package(path) -> TaskPackage:
 
     origin = Snapshot.from_file(root / "origin.db")
     target = Snapshot.from_file(root / "target.db")
-    check_snapshot_schema(origin, info, "origin.db")
-    check_snapshot_schema(target, info, "target.db")
+    canonical_origin = _checked_canonical(origin, info, diff_config, "origin.db")
+    canonical_target = _checked_canonical(target, info, diff_config, "target.db")
 
     leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)
     if leak is not None:
         raise SpoilerLeak(f"task description mentions {leak!r}")
 
-    delta0 = diff(origin, target, diff_config).total
+    delta0 = diff_canonical(canonical_origin, canonical_target).total
     return TaskPackage(
         name=name,
         domain=domain,

@@ -47,16 +47,27 @@ class UserPort:
 
 # --- scripted (fully deterministic) ----------------------------------------------
 
-def _parse_agent_step(doc) -> "str | ToolCall":
+def _tool_call(doc) -> "ToolCall":
+    """The ToolCall an agent sent as ``doc``. A ``doc`` that is not an object
+    is a call named None with ``doc`` as its arguments, and a missing
+    ``tool_name`` is None, so a malformed call scores as UNKNOWN_TOOL
+    feedback (the executor's answer to any name that is not a string), not as
+    a port failure, and its export still replays."""
     from .executor import ToolCall
 
+    if not isinstance(doc, dict):
+        return ToolCall(tool_name=None, arguments=doc)
+    return ToolCall(tool_name=doc.get("tool_name"), arguments=doc.get("arguments", {}))
+
+
+def _parse_agent_step(doc) -> "str | ToolCall":
     if isinstance(doc, str):
         return doc
     if isinstance(doc, dict):
         if "text" in doc:
             return str(doc["text"])
         if "tool_call" in doc:
-            return ToolCall.from_json(doc["tool_call"])
+            return _tool_call(doc["tool_call"])
     raise PortFailure(f"unrecognized scripted agent step: {doc!r}")
 
 
@@ -126,13 +137,17 @@ class SubprocessTransport:
             self._stderr.close()
             raise PortFailure(f"cannot spawn port command {cmd!r}: {exc}") from exc
         self._buffer = bytearray()
+        # key -> (value, encoded item) of the last str or tuple sent under it
+        self._items: dict[str, tuple[object, str]] = {}
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._proc.stdout, selectors.EVENT_READ)
 
     def request(self, doc: dict) -> dict:
+        """Send ``doc`` as one line, byte-identical to ``json.dumps(doc,
+        sort_keys=True)``, and return the reply object."""
         if self._proc.poll() is not None:
             raise self._failure(f"port process exited with {self._proc.returncode}")
-        line = json.dumps(doc, sort_keys=True) + "\n"
+        line = self._encode(doc) + "\n"
         try:
             self._proc.stdin.write(line.encode("utf-8"))
             self._proc.stdin.flush()
@@ -148,6 +163,26 @@ class SubprocessTransport:
         if response.get("type") == "error":
             raise self._failure(f"port error: {response.get('message', '')}")
         return response
+
+    def _encode(self, doc: dict) -> str:
+        """``json.dumps(doc, sort_keys=True)``, reusing the encoded item of a
+        key whose value is the same str or tuple object as in an earlier
+        request. A tuple counts as fixed down to its items; a dict or list is
+        encoded every time, since its owner may change it between requests."""
+        if not all(isinstance(key, str) for key in doc):
+            return json.dumps(doc, sort_keys=True)
+        items = []
+        for key in sorted(doc):
+            value = doc[key]
+            cached = self._items.get(key)
+            if cached is not None and cached[0] is value:
+                items.append(cached[1])
+                continue
+            item = f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+            if isinstance(value, (str, tuple)):
+                self._items[key] = (value, item)
+            items.append(item)
+        return "{" + ", ".join(items) + "}"
 
     def start_episode(self, episode: int, seed: int) -> bool:
         """Re-arm a worker that served an earlier episode with the optional
@@ -230,15 +265,17 @@ def _history_json(history) -> list[dict]:
 class SubprocessAgentPort(AgentPort):
     def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT, limits: dict | None = None):
         self.transport = SubprocessTransport(cmd, timeout)
-        self.limits = limits or {}
+        self.limits = {} if limits is None else limits
+        self._catalog = self._tools = None  # the last catalog and its JSON tuple
 
     def next_action(self, policy_doc, tool_catalog, history, seed):
-        from .executor import ToolCall
-
+        if tool_catalog is not self._catalog:
+            # one tuple per catalog, so the transport encodes it once
+            self._catalog, self._tools = tool_catalog, tuple(t.to_json() for t in tool_catalog)
         response = self.transport.request({
             "type": "agent_turn",
             "policy": policy_doc,
-            "tools": [t.to_json() for t in tool_catalog],
+            "tools": self._tools,
             "history": _history_json(history),
             "limits": self.limits,
             "seed": seed,
@@ -247,7 +284,7 @@ class SubprocessAgentPort(AgentPort):
         if isinstance(content, str):
             return content
         if isinstance(content, dict) and "tool_call" in content:
-            return ToolCall.from_json(content["tool_call"])
+            return _tool_call(content["tool_call"])
         if isinstance(content, dict) and "text" in content:
             return str(content["text"])
         raise PortFailure(f"bad agent_turn content: {content!r}")
@@ -259,7 +296,7 @@ class SubprocessAgentPort(AgentPort):
 class SubprocessUserPort(UserPort):
     def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT, limits: dict | None = None):
         self.transport = SubprocessTransport(cmd, timeout)
-        self.limits = limits or {}
+        self.limits = {} if limits is None else limits
 
     def next_utterance(self, task_description, history, seed):
         response = self.transport.request({

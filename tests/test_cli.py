@@ -8,6 +8,7 @@ import shlex
 import shutil
 import sqlite3
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -577,3 +578,115 @@ def test_every_port_pair_is_closed_when_an_episode_raises(fixture_dir, tmp_path,
     gc.collect()  # a port left open warns here, and the warning fails the test
     assert code == 3
     assert "episode blew up" in json.loads(out)["error"]
+
+
+# --- ports start before the package loads ---------------------------------------------
+
+def _marker_port(tmp_path, role: str) -> tuple[str, Path]:
+    """A port command that creates a marker file as it starts, then serves
+    the fixture's script for ``role``; and the marker's path."""
+    marker = tmp_path / f"{role}.started"
+    code = (f"open({str(marker)!r}, 'w').close()\n"
+            "import runpy, sys\n"
+            "runpy.run_module('policygym.ports', run_name='__main__')\n")
+    return shlex.join([sys.executable, "-c", code]), marker
+
+
+@pytest.mark.parametrize("extra", [("--k", "0"), ("--seed", "1")], ids=["k-zero", "no-package"])
+def test_a_usage_error_starts_no_port(fixture_dir, tmp_path, capsys, extra):
+    agent, agent_marker = _marker_port(tmp_path, "agent")
+    user, user_marker = _marker_port(tmp_path, "user")
+    package = fixture_dir if extra[0] == "--k" else tmp_path / "no-such-package"
+    code, out, _ = run_cli(capsys, "rollout", str(package), "--agent-cmd", agent,
+                           "--user-cmd", user, "--out-dir", str(tmp_path / "r"), "--json",
+                           *extra)
+    assert code == 2
+    assert "error" in json.loads(out)
+    assert not agent_marker.exists() and not user_marker.exists()
+
+
+def test_the_marker_port_serves_a_rollout(fixture_dir, tmp_path, capsys):
+    agent, agent_marker = _marker_port(tmp_path, "agent")
+    user, user_marker = _marker_port(tmp_path, "user")
+    script = fixture_dir / "scripts"
+    code, doc, _ = _rollout(fixture_dir, tmp_path, capsys, "--k", "2",
+                            agent=f"{agent} --role agent --script {script / 'agent_script.json'}",
+                            user=f"{user} --role user --script {script / 'user_script.json'}")
+    assert code == 0
+    assert doc["successes"] == 2
+    assert agent_marker.exists() and user_marker.exists()
+
+
+@pytest.fixture
+def transports(monkeypatch):
+    """Every port transport the CLI starts, kept to check it was closed."""
+    from policygym import ports
+
+    started = []
+    spawn = ports.SubprocessTransport.__init__
+
+    def keeping_spawn(self, *args, **kwargs):
+        spawn(self, *args, **kwargs)
+        started.append(self)
+
+    monkeypatch.setattr(ports.SubprocessTransport, "__init__", keeping_spawn)
+    return started
+
+
+@pytest.mark.parametrize("breakage, expected_code", [
+    ("manifest", 1),
+    ("epsilon", 2),
+], ids=["corrupt-manifest", "bad-epsilon"])
+def test_a_package_that_fails_to_load_closes_its_spawned_pair(
+        fixture_dir, tmp_path, capsys, transports, breakage, expected_code):
+    broken = tmp_path / "broken"
+    shutil.copytree(fixture_dir, broken)
+    extra = []
+    if breakage == "manifest":
+        (broken / "manifest.json").write_text("{not json", "utf-8")
+    else:
+        extra = ["--epsilon", "-1"]
+    code, doc, _ = _rollout(broken, tmp_path, capsys, "--k", "3", *extra)
+    gc.collect()  # a port left open warns here, and the warning fails the test
+    assert code == expected_code
+    assert "error" in doc
+    assert len(transports) == 2  # the pair started before the load failed
+    assert all(t._proc.poll() is not None for t in transports)
+    assert not (tmp_path / "r").exists()
+
+
+# --- malformed tool calls --------------------------------------------------------------
+
+def test_malformed_tool_calls_are_feedback_and_keep_the_pair(fixture_dir, tmp_path, capsys,
+                                                             spawned):
+    """A tool call that is not an object, or has no string tool_name, scores
+    as UNKNOWN_TOOL; the episode goes on, the pair serves the next episode,
+    and ``score`` replays the export without drift."""
+    steps = json.loads((fixture_dir / "scripts" / "agent_script.json").read_text("utf-8"))
+    script = tmp_path / "agent_script.json"
+    script.write_text(json.dumps([{"tool_call": 5}, {"tool_call": {"arguments": {}}}] + steps),
+                      "utf-8")
+    code, doc, _ = _rollout(
+        fixture_dir, tmp_path, capsys, "--k", "2",
+        agent=f"{sys.executable} -m policygym.ports --role agent --script {script}")
+    assert code == 0
+    assert doc["successes"] == 2
+    assert len(spawned) == 2
+    exported = doc["episodes"][0]["export"]
+    turns = import_trajectory(exported).turns
+    assert [(t.content.tool_name, t.content.arguments) for t in turns[1:5:2]] == [
+        (None, 5), (None, {})]
+    assert [t.content.error.code for t in turns[2:6:2]] == ["UNKNOWN_TOOL"] * 2
+
+    code, out, err = run_cli(capsys, "score", exported, str(fixture_dir), "--json")
+    assert code == 0, err
+    assert json.loads(out)["r_final"] == [1]
+
+    lines = Path(exported).read_text("utf-8").splitlines()
+    record = json.loads(lines[2])
+    assert record["role"] == "agent_tool"
+    record["payload"] = 5  # a tool call that is not an object is no ToolCall record
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]) + "\n", "utf-8")
+    with pytest.raises(IoFailure, match="broken.jsonl"):
+        import_trajectory(broken)

@@ -263,3 +263,59 @@ def test_every_read_write_table_has_exactly_insert_query_update(travel_pkg):
         for prefix in ("insert", "query", "update"):
             assert names.count(f"{prefix}_{table}") == 1
     assert not [n for n in names if n.startswith("delete_")]
+
+
+@pytest.fixture
+def read_schema_calls(monkeypatch):
+    """Every catalog read made through ``read_schema``, counted."""
+    from policygym import packages, verify
+
+    calls = []
+
+    def counting(conn):
+        calls.append(conn)
+        return read_schema(conn)
+
+    for module in (packages, verify):
+        monkeypatch.setattr(module, "read_schema", counting)
+    return calls
+
+
+def test_load_package_reads_the_catalog_once(fixture_dir, travel_pkg, read_schema_calls):
+    """The compiled catalog serves the snapshot checks and the delta0 diff of
+    images that the package's own DDL created."""
+    pkg = load_package(fixture_dir)
+    assert len(read_schema_calls) == 1
+    assert pkg.delta0 == travel_pkg.delta0 == 4
+
+
+def _recreate_with_other_ddl(path) -> None:
+    """Rewrite the image at ``path`` with the same tables, column types and
+    rows, created by CREATE TABLE statements of other text."""
+    conn = sqlite3.connect(path)
+    tables = conn.execute("SELECT name, sql FROM sqlite_master WHERE type = 'table'"
+                          " AND name NOT LIKE 'sqlite_%' ORDER BY name").fetchall()
+    rows = {name: conn.execute(f'SELECT * FROM "{name}"').fetchall() for name, _ in tables}
+    conn.close()
+    os.unlink(path)
+    conn = sqlite3.connect(path)
+    for name, sql in tables:
+        conn.execute(sql.replace("(", "(\n    ", 1))
+        if rows[name]:
+            marks = ", ".join("?" * len(rows[name][0]))
+            conn.executemany(f'INSERT INTO "{name}" VALUES ({marks})', rows[name])
+    conn.commit()
+    conn.close()
+
+
+def test_an_image_of_the_same_shape_from_other_ddl_is_accepted(fixture_dir, travel_pkg,
+                                                                tmp_path, read_schema_calls):
+    other = tmp_path / "other_ddl"
+    shutil.copytree(fixture_dir, other)
+    _recreate_with_other_ddl(other / "target.db")
+    pkg = load_package(other)
+    with pkg.target_snapshot.connect() as conn:
+        assert not pkg.env.schema_info.describes(conn)
+    assert len(read_schema_calls) == 2  # the compile, then the target's own catalog
+    assert pkg.delta0 == diff(travel_pkg.origin_snapshot, pkg.target_snapshot,
+                              pkg.diff_config).total == 4
