@@ -84,8 +84,10 @@ def surrogate_objective(
 
     ``normalization`` is "global" (mean over all turns) or "per_trajectory"
     (mean of per-trajectory means, requires trajectory_lengths summing to the
-    turn count).
+    turn count); any other name is a ValueError.
     """
+    if normalization not in ("global", "per_trajectory"):
+        raise ValueError(f"unknown normalization: {normalization!r}")
     ratios = list(ratios)
     advantages = list(advantages)
     kl_terms = list(kl_terms)
@@ -103,10 +105,10 @@ def surrogate_objective(
         min(r * a, clip(r) * a) - beta * kl
         for r, a, kl in zip(ratios, advantages, kl_terms)
     ]
-    if normalization == "global" or trajectory_lengths is None:
+    if normalization == "global":
         return sum(terms) / len(terms)
-    if normalization != "per_trajectory":
-        raise ValueError(f"unknown normalization: {normalization!r}")
+    if trajectory_lengths is None:
+        raise LengthMismatch("per_trajectory normalization needs trajectory_lengths")
     lengths = list(trajectory_lengths)
     if sum(lengths) != len(terms) or any(n < 1 for n in lengths):
         raise LengthMismatch("trajectory_lengths must be positive and sum to the turn count")

@@ -55,9 +55,9 @@ def _load_package_arg(path: str, args) -> TaskPackage:
     _check_package_dir(path)
     pkg = load_package(path)
     overrides = {}
-    if getattr(args, "epsilon", None) is not None:
+    if args.epsilon is not None:
         overrides["epsilon"] = args.epsilon
-    if getattr(args, "lambda_err", None) is not None:
+    if args.lambda_err is not None:
         overrides["lambda_err"] = args.lambda_err
     if overrides:
         try:
@@ -265,7 +265,7 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
     means the trajectory does not belong to this package state."""
     import dataclasses
 
-    from .rollout import ROLE_AGENT_TOOL, EpisodeScorer
+    from .rollout import ROLE_AGENT_TOOL, EpisodeScorer, _outcome
 
     turns: list[Turn] = []
     with EpisodeScorer(pkg) as scorer:
@@ -280,12 +280,7 @@ def _rescore(pkg: TaskPackage, recorded: Trajectory) -> Trajectory:
                     "trajectory does not replay against this package"
                 )
             turns.append(dataclasses.replace(turn, proximity=p_t, reward=reward))
-        final_diff = scorer.final_diff()
-    sum_dense = sum(t.reward for t in turns if t.role == ROLE_AGENT_TOOL)
-    return dataclasses.replace(
-        recorded, turns=tuple(turns), final_diff=final_diff,
-        r_final=1 if final_diff == 0 else 0, sum_dense=sum_dense,
-    )
+        return dataclasses.replace(recorded, **_outcome(turns, scorer.final_diff()))
 
 
 def cmd_score(args) -> dict:
@@ -331,6 +326,7 @@ def cmd_score(args) -> dict:
 def cmd_synthesize(args) -> dict:
     from .fixtures import corporate_travel
     from .packages import save_package
+    from .ports import SubprocessGenerationPort, _encode_bytes
     from .synthesis import StubGenerationPort, synthesize_package
 
     seed_path = Path(args.seed_domain)
@@ -343,8 +339,6 @@ def cmd_synthesize(args) -> dict:
         name = corporate_travel.FIXTURE_NAME
         domain = corporate_travel.FIXTURE_DOMAIN
     else:
-        from .ports import SubprocessGenerationPort
-
         try:
             port = SubprocessGenerationPort(args.port, timeout=args.port_timeout)
         except PortFailure as exc:
@@ -368,7 +362,7 @@ def cmd_synthesize(args) -> dict:
     out_dir = Path(args.out_dir)
     save_package(pkg, out_dir)
     (out_dir / "synthesis_log.json").write_text(
-        json.dumps(log, indent=2, sort_keys=True) + "\n", "utf-8"
+        json.dumps(log, indent=2, sort_keys=True, default=_encode_bytes) + "\n", "utf-8"
     )
     report = {
         "package": str(out_dir),
@@ -408,11 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, overrides=True):
+        """--json, and for the commands that read a package, its reward
+        overrides."""
         p.add_argument("--json", action="store_true", help="emit one JSON document on stdout")
-        p.add_argument("--epsilon", type=float, default=None, help="override diff epsilon")
-        p.add_argument("--lambda-err", dest="lambda_err", type=float, default=None,
-                       help="override the violation penalty")
+        if overrides:
+            p.add_argument("--epsilon", type=float, default=None, help="override diff epsilon")
+            p.add_argument("--lambda-err", dest="lambda_err", type=float, default=None,
+                           help="override the violation penalty")
 
     p = sub.add_parser("validate", help="load and validate a package")
     p.add_argument("package")
@@ -453,12 +450,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-attempts", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--port-timeout", type=float, default=None)
-    common(p)
+    common(p, overrides=False)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("fixture", help="materialize the bundled corporate travel package")
     p.add_argument("out_dir")
-    common(p)
+    common(p, overrides=False)
     p.set_defaults(func=cmd_fixture)
 
     return parser

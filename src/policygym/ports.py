@@ -30,16 +30,12 @@ MAX_REPLY_BYTES = 16 << 20  # a longer reply line is a PortFailure, not a growin
 class AgentPort:
     """Produces the next agent action: either text for the user or a ToolCall."""
 
-    deterministic = False
-
     def next_action(self, policy_doc: str, tool_catalog, history, seed: int):
         raise NotImplementedError
 
 
 class UserPort:
     """Produces the next user utterance from the task text and the dialogue."""
-
-    deterministic = False
 
     def next_utterance(self, task_description: str, history, seed: int) -> str:
         raise NotImplementedError
@@ -60,30 +56,26 @@ def _tool_call(doc) -> "ToolCall":
     return ToolCall(tool_name=doc.get("tool_name"), arguments=doc.get("arguments", {}))
 
 
-def _parse_agent_step(doc) -> "str | ToolCall":
+def _agent_step(doc) -> "str | ToolCall":
+    """The action of a script step or of an ``agent_turn`` reply's content: a
+    string is text; an object is its ``tool_call`` if it has one, else its
+    ``text``."""
     if isinstance(doc, str):
         return doc
     if isinstance(doc, dict):
-        if "text" in doc:
-            return str(doc["text"])
         if "tool_call" in doc:
             return _tool_call(doc["tool_call"])
-    raise PortFailure(f"unrecognized scripted agent step: {doc!r}")
+        if "text" in doc:
+            return str(doc["text"])
+    raise PortFailure(f"unrecognized agent step: {doc!r}")
 
 
 class ScriptedAgentPort(AgentPort):
     """Replays a fixed action sequence, ignoring history."""
 
-    deterministic = True
-
     def __init__(self, script):
-        self._steps = [_parse_agent_step(doc) for doc in script]
+        self._steps = [_agent_step(doc) for doc in script]
         self._next = 0
-
-    @classmethod
-    def from_file(cls, path) -> "ScriptedAgentPort":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def next_action(self, policy_doc, tool_catalog, history, seed):
         if self._next >= len(self._steps):
@@ -94,16 +86,9 @@ class ScriptedAgentPort(AgentPort):
 
 
 class ScriptedUserPort(UserPort):
-    deterministic = True
-
     def __init__(self, script):
         self._lines = [str(line) for line in script]
         self._next = 0
-
-    @classmethod
-    def from_file(cls, path) -> "ScriptedUserPort":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
 
     def next_utterance(self, task_description, history, seed):
         if self._next >= len(self._lines):
@@ -111,6 +96,28 @@ class ScriptedUserPort(UserPort):
         line = self._lines[self._next]
         self._next += 1
         return line
+
+
+# --- the bytes rule ---------------------------------------------------------------------
+
+def _encode_bytes(value) -> dict:
+    """``json.dumps`` ``default=`` hook of every JSON writer that may meet
+    engine values (port requests, trajectory exports, ``synthesis_log.json``):
+    bytes, such as a BLOB cell, become ``{"__bytes__": <base64>}``."""
+    if not isinstance(value, bytes):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    import base64  # imported on first use: a port that sends no bytes never loads it
+
+    return {"__bytes__": base64.b64encode(value).decode("ascii")}
+
+
+def _decode_bytes(doc: dict):
+    """``json.loads`` ``object_hook`` that undoes ``_encode_bytes``."""
+    if len(doc) != 1 or "__bytes__" not in doc:
+        return doc
+    import base64
+
+    return base64.b64decode(doc["__bytes__"])
 
 
 # --- subprocess transport ------------------------------------------------------------
@@ -144,7 +151,8 @@ class SubprocessTransport:
 
     def request(self, doc: dict) -> dict:
         """Send ``doc`` as one line, byte-identical to ``json.dumps(doc,
-        sort_keys=True)``, and return the reply object."""
+        sort_keys=True)`` when it holds no bytes (see ``_encode_bytes``), and
+        return the reply object."""
         if self._proc.poll() is not None:
             raise self._failure(f"port process exited with {self._proc.returncode}")
         line = self._encode(doc) + "\n"
@@ -165,12 +173,13 @@ class SubprocessTransport:
         return response
 
     def _encode(self, doc: dict) -> str:
-        """``json.dumps(doc, sort_keys=True)``, reusing the encoded item of a
-        key whose value is the same str or tuple object as in an earlier
-        request. A tuple counts as fixed down to its items; a dict or list is
-        encoded every time, since its owner may change it between requests."""
+        """``json.dumps(doc, sort_keys=True, default=_encode_bytes)``, reusing
+        the encoded item of a key whose value is the same str or tuple object
+        as in an earlier request. A tuple counts as fixed down to its items; a
+        dict or list is encoded every time, since its owner may change it
+        between requests."""
         if not all(isinstance(key, str) for key in doc):
-            return json.dumps(doc, sort_keys=True)
+            return json.dumps(doc, sort_keys=True, default=_encode_bytes)
         items = []
         for key in sorted(doc):
             value = doc[key]
@@ -178,7 +187,8 @@ class SubprocessTransport:
             if cached is not None and cached[0] is value:
                 items.append(cached[1])
                 continue
-            item = f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+            encoded = json.dumps(value, sort_keys=True, default=_encode_bytes)
+            item = f"{json.dumps(key)}: {encoded}"
             if isinstance(value, (str, tuple)):
                 self._items[key] = (value, item)
             items.append(item)
@@ -249,17 +259,9 @@ class SubprocessTransport:
 
 
 def _history_json(history) -> list[dict]:
-    out = []
-    for turn in history:
-        content = turn.content
-        if isinstance(content, str):
-            payload = content
-        elif hasattr(content, "to_json"):
-            payload = content.to_json()
-        else:
-            payload = str(content)
-        out.append({"role": turn.role, "content": payload})
-    return out
+    return [{"role": turn.role,
+             "content": turn.content if isinstance(turn.content, str) else turn.content.to_json()}
+            for turn in history]
 
 
 class SubprocessAgentPort(AgentPort):
@@ -280,14 +282,7 @@ class SubprocessAgentPort(AgentPort):
             "limits": self.limits,
             "seed": seed,
         })
-        content = response.get("content")
-        if isinstance(content, str):
-            return content
-        if isinstance(content, dict) and "tool_call" in content:
-            return _tool_call(content["tool_call"])
-        if isinstance(content, dict) and "text" in content:
-            return str(content["text"])
-        raise PortFailure(f"bad agent_turn content: {content!r}")
+        return _agent_step(response.get("content"))
 
     def close(self):
         self.transport.close()
@@ -317,8 +312,6 @@ class SubprocessUserPort(UserPort):
 
 class SubprocessGenerationPort:
     """Generation-port shim mirroring the rollout protocol with type=generate."""
-
-    deterministic = False
 
     def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT):
         self.transport = SubprocessTransport(cmd, timeout)

@@ -8,7 +8,6 @@ port misbehavior: a failed port yields a partial trajectory with termination
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass
 from math import comb
@@ -16,6 +15,7 @@ from math import comb
 from .errors import InsufficientTrials, IoFailure
 from .executor import ToolCall, ToolResult, open_environment, safe_execute_tool
 from .packages import TaskPackage
+from .ports import _decode_bytes, _encode_bytes
 from .verify import dense_reward, proximity
 
 ROLE_USER = "user"
@@ -54,7 +54,7 @@ class Turn:
         return {
             "index": self.index,
             "role": self.role,
-            "payload": _encode_json(payload),
+            "payload": payload,
             "state_digest": self.state_digest,
             "proximity": self.proximity,
             "reward": self.reward,
@@ -63,7 +63,7 @@ class Turn:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Turn":
-        payload = _decode_json(doc["payload"])
+        payload = doc["payload"]
         role = doc["role"]
         if role == ROLE_AGENT_TOOL:
             content = ToolCall.from_json(payload)
@@ -150,14 +150,8 @@ class EpisodeScorer:
         self.close()
 
 
-def run_episode(
-    pkg: TaskPackage,
-    agent,
-    user,
-    seed: int = 0,
-    deviation_detector=None,
-    max_actions_per_turn: int = MAX_ACTIONS_PER_TURN,
-) -> Trajectory:
+def run_episode(pkg: TaskPackage, agent, user, seed: int = 0,
+                deviation_detector=None) -> Trajectory:
     """Run the interaction loop until stop signal, deviation or turn budget.
 
     The agent may emit any number of tool calls within one user turn; a text
@@ -166,78 +160,54 @@ def run_episode(
     package target.
     """
     turns: list[Turn] = []
-    termination = TERMINATION_BUDGET
-    note = ""
-
     with EpisodeScorer(pkg) as scorer:
-        index = 0
-        stopped = False
+        termination, note = _play(pkg, agent, user, seed, deviation_detector, scorer, turns)
+        return Trajectory(package_id=pkg.name, termination=termination, note=note,
+                          **_outcome(turns, scorer.final_diff()))
 
-        for _ in range(pkg.limits.max_turns):
+
+def _play(pkg, agent, user, seed, deviation_detector, scorer, turns) -> tuple[str, str]:
+    """Append the episode's turns to ``turns``; return its termination and note."""
+    for _ in range(pkg.limits.max_turns):
+        try:
+            utterance = user.next_utterance(pkg.task_description, _dialogue_view(turns), seed)
+        except Exception as exc:  # noqa: BLE001 - port contract: never crash the episode
+            return TERMINATION_DEVIATION, f"user port failure: {exc}"
+        turns.append(Turn(len(turns), ROLE_USER, utterance, scorer.digest))
+        if detect_stop(utterance, pkg.limits.stop_token):
+            return TERMINATION_STOP, ""
+        if deviation_detector is not None and deviation_detector(turns):
+            return TERMINATION_DEVIATION, "deviation verdict fired"
+        for _ in range(MAX_ACTIONS_PER_TURN):
             try:
-                utterance = user.next_utterance(pkg.task_description, _dialogue_view(turns), seed)
-            except Exception as exc:  # noqa: BLE001 - port contract: never crash the episode
-                termination = TERMINATION_DEVIATION
-                note = f"user port failure: {exc}"
-                stopped = True
+                action = agent.next_action(pkg.policy_doc, pkg.env.tool_catalog, list(turns), seed)
+            except Exception as exc:  # noqa: BLE001
+                return TERMINATION_DEVIATION, f"agent port failure: {exc}"
+            if isinstance(action, str):
+                turns.append(Turn(len(turns), ROLE_AGENT_TEXT, action, scorer.digest,
+                                  mask_in_loss=False))
                 break
-            turns.append(Turn(index, ROLE_USER, utterance, scorer.digest))
-            index += 1
-            if detect_stop(utterance, pkg.limits.stop_token):
-                termination = TERMINATION_STOP
-                stopped = True
-                break
-            if deviation_detector is not None and deviation_detector(turns):
-                termination = TERMINATION_DEVIATION
-                note = "deviation verdict fired"
-                stopped = True
-                break
+            if not isinstance(action, ToolCall):
+                return (TERMINATION_DEVIATION,
+                        f"agent port returned unsupported action: {type(action).__name__}")
+            result, p_t, reward = scorer.step(action)
+            turns.append(Turn(len(turns), ROLE_AGENT_TOOL, action, scorer.digest,
+                              proximity=p_t, reward=reward, mask_in_loss=False))
+            turns.append(Turn(len(turns), ROLE_TOOL_RESULT, result, scorer.digest))
+        else:
+            return TERMINATION_BUDGET, "agent action budget exhausted within one turn"
+    return TERMINATION_BUDGET, ""
 
-            ended_with_text = False
-            for _ in range(max_actions_per_turn):
-                try:
-                    action = agent.next_action(pkg.policy_doc, pkg.env.tool_catalog, list(turns), seed)
-                except Exception as exc:  # noqa: BLE001
-                    termination = TERMINATION_DEVIATION
-                    note = f"agent port failure: {exc}"
-                    stopped = True
-                    break
-                if isinstance(action, str):
-                    turns.append(Turn(index, ROLE_AGENT_TEXT, action, scorer.digest,
-                                      mask_in_loss=False))
-                    index += 1
-                    ended_with_text = True
-                    break
-                if not isinstance(action, ToolCall):
-                    termination = TERMINATION_DEVIATION
-                    note = f"agent port returned unsupported action: {type(action).__name__}"
-                    stopped = True
-                    break
-                result, p_t, reward = scorer.step(action)
-                turns.append(Turn(index, ROLE_AGENT_TOOL, action, scorer.digest,
-                                  proximity=p_t, reward=reward, mask_in_loss=False))
-                index += 1
-                turns.append(Turn(index, ROLE_TOOL_RESULT, result, scorer.digest))
-                index += 1
-            if stopped:
-                break
-            if not ended_with_text:
-                termination = TERMINATION_BUDGET
-                note = note or "agent action budget exhausted within one turn"
-                break
 
-        final_diff = scorer.final_diff()
-
-    sum_dense = sum(t.reward for t in turns if t.role == ROLE_AGENT_TOOL)
-    return Trajectory(
-        package_id=pkg.name,
-        turns=tuple(turns),
-        termination=termination,
-        final_diff=final_diff,
-        r_final=1 if final_diff == 0 else 0,
-        sum_dense=sum_dense,
-        note=note,
-    )
+def _outcome(turns, final_diff: int) -> dict:
+    """The Trajectory fields that scored ``turns`` and the final distance to
+    the target settle; ``policygym score`` rebuilds a replay from it too."""
+    return {
+        "turns": tuple(turns),
+        "final_diff": final_diff,
+        "r_final": 1 if final_diff == 0 else 0,
+        "sum_dense": sum(t.reward for t in turns if t.role == ROLE_AGENT_TOOL),
+    }
 
 
 # --- metrics -----------------------------------------------------------------------
@@ -275,28 +245,10 @@ def compute_metrics(outcomes, k: int) -> dict:
 
 # --- lossless JSONL export -----------------------------------------------------------
 
-def _encode_json(value):
-    if isinstance(value, bytes):
-        return {"__bytes__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, dict):
-        return {k: _encode_json(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_json(v) for v in value]
-    return value
-
-
-def _decode_json(value):
-    if isinstance(value, dict):
-        if set(value) == {"__bytes__"}:
-            return base64.b64decode(value["__bytes__"])
-        return {k: _decode_json(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_json(v) for v in value]
-    return value
-
-
 def export_trajectory(t: Trajectory, path) -> None:
-    """Newline-delimited records: one header line, then one line per turn."""
+    """Newline-delimited records: one header line, then one line per turn.
+    Bytes, such as a BLOB cell in a query result, follow the bytes rule of
+    ``ports._encode_bytes``."""
     header = {
         "record": "trajectory",
         "package_id": t.package_id,
@@ -308,7 +260,8 @@ def export_trajectory(t: Trajectory, path) -> None:
     }
     lines = [json.dumps(header, sort_keys=True)]
     for turn in t.turns:
-        lines.append(json.dumps({"record": "turn", **turn.to_json()}, sort_keys=True))
+        lines.append(json.dumps({"record": "turn", **turn.to_json()}, sort_keys=True,
+                                default=_encode_bytes))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -327,7 +280,7 @@ def import_trajectory(path) -> Trajectory:
     if not lines:
         raise IoFailure(f"empty trajectory file: {path}")
     try:
-        records = [json.loads(line) for line in lines]
+        records = [json.loads(line, object_hook=_decode_bytes) for line in lines]
         header = records[0]
         if header.get("record") != "trajectory":
             raise IoFailure(f"not a trajectory export: {path}")

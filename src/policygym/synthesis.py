@@ -50,10 +50,9 @@ ARCHITECT_STAGES = ("analyze", "policy", "tables", "triggers")
 # --- ports ----------------------------------------------------------------------
 
 class GenerationPort:
-    """Text generator behind the pipeline. Implementations must be
-    deterministic for a given seed or declare themselves nondeterministic."""
-
-    deterministic = False
+    """Text generator behind the pipeline. A seeded synthesis run is
+    reproducible only when its port answers the same for the same stage,
+    context and seed."""
 
     def generate(self, stage: str, context: dict, seed: int) -> str:
         raise NotImplementedError
@@ -61,8 +60,6 @@ class GenerationPort:
 
 class StubGenerationPort(GenerationPort):
     """Replays canned outputs per stage; fully deterministic."""
-
-    deterministic = True
 
     def __init__(self, outputs: dict[str, list[str]]):
         self._queues = {stage: list(texts) for stage, texts in outputs.items()}

@@ -130,6 +130,18 @@ def test_surrogate_objective_errors_and_normalization():
                             trajectory_lengths=[2, 2], normalization="per_trajectory")
 
 
+def test_surrogate_objective_refuses_an_unknown_normalization():
+    with pytest.raises(ValueError, match="bogus"):
+        surrogate_objective([1.0, 1.0], [1.0, 3.0], 0.2, [0.0, 0.0], beta=0.0,
+                            normalization="bogus")
+
+
+def test_per_trajectory_normalization_needs_the_trajectory_lengths():
+    with pytest.raises(LengthMismatch, match="trajectory_lengths"):
+        surrogate_objective([1.0, 1.0], [1.0, 3.0], 0.2, [0.0, 0.0], beta=0.0,
+                            normalization="per_trajectory")
+
+
 def _tool_turn(index: int, reward: float) -> Turn:
     from policygym.executor import ToolCall
 

@@ -555,6 +555,24 @@ def test_bad_numeric_override_is_usage_error(fixture_dir, capsys, flag, value):
     assert flag.lstrip("-").replace("-", "_") in err
 
 
+def test_fixture_takes_no_reward_override(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "fixture", str(tmp_path / "pkg"),
+                           "--epsilon", "-5", "--lambda-err", "nan")
+    assert code == 2
+    assert "--epsilon" in err
+    assert not (tmp_path / "pkg").exists()
+
+
+def test_synthesize_takes_no_reward_override(tmp_path, capsys):
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(ct.SEED_DOMAIN_TEXT, "utf-8")
+    code, _, err = run_cli(capsys, "synthesize", str(seed_file), "stub", str(tmp_path / "o"),
+                           "--epsilon", "-5")
+    assert code == 2
+    assert "--epsilon" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_every_port_pair_is_closed_when_an_episode_raises(fixture_dir, tmp_path, capsys,
                                                           monkeypatch):
     from policygym import cli
@@ -690,3 +708,86 @@ def test_malformed_tool_calls_are_feedback_and_keep_the_pair(fixture_dir, tmp_pa
     broken.write_text("\n".join(lines[:2] + [json.dumps(record)] + lines[3:]) + "\n", "utf-8")
     with pytest.raises(IoFailure, match="broken.jsonl"):
         import_trajectory(broken)
+
+
+# --- the bytes rule --------------------------------------------------------------------
+
+_BLOB_SCHEMA = "CREATE TABLE files (id INTEGER PRIMARY KEY, name TEXT NOT NULL, data BLOB);\n"
+
+
+def _blob_package(path: Path) -> None:
+    """A one-table package whose origin holds a BLOB cell, with port scripts
+    that read that cell and then insert the row the target adds."""
+    from policygym.packages import (EnvironmentBundle, RolloutLimits, TaskPackage,
+                                    compile_environment, derive_tools, save_package)
+    from policygym.snapshots import Snapshot
+    from policygym.verify import DiffConfig, diff
+
+    _, empty = compile_environment(_BLOB_SCHEMA, "")
+
+    def image(rows_sql):
+        with empty.connect() as conn:
+            conn.executescript(rows_sql)
+            return Snapshot(conn.serialize())
+
+    origin = image("INSERT INTO files (name, data) VALUES ('a', X'00FF10');")
+    target = image("INSERT INTO files (name, data) VALUES ('a', X'00FF10'), ('b', NULL);")
+    cfg = DiffConfig(excluded_columns={"files": {"id"}})
+    permissions = {"files": "read_write"}
+    bundle = EnvironmentBundle(schema=_BLOB_SCHEMA, triggers="", permissions=permissions,
+                               tool_catalog=derive_tools(_BLOB_SCHEMA, permissions))
+    save_package(TaskPackage(name="blobs", domain="test", policy_doc="p",
+                             task_description="add file b", env=bundle,
+                             origin_snapshot=origin, target_snapshot=target,
+                             diff_config=cfg, limits=RolloutLimits(),
+                             delta0=diff(origin, target, cfg).total), path)
+    (path / "scripts").mkdir()
+    (path / "scripts" / "agent_script.json").write_text(json.dumps([
+        {"tool_call": {"tool_name": "query_files", "arguments": {}}},
+        {"tool_call": {"tool_name": "insert_files", "arguments": {"name": "b"}}},
+        {"text": "Added file b."},
+    ]), "utf-8")
+    (path / "scripts" / "user_script.json").write_text(
+        json.dumps(["please add file b", "###STOP###"]), "utf-8")
+
+
+def test_a_blob_cell_crosses_ports_exports_and_score(tmp_path, capsys):
+    """A query result with a BLOB cell goes to the subprocess agent port, into
+    the export as {"__bytes__": <base64>}, back to bytes on import, and
+    ``score`` replays the export without digest drift."""
+    pkg_dir = tmp_path / "blobs"
+    _blob_package(pkg_dir)
+    code, doc, exports = _rollout(pkg_dir, tmp_path, capsys)
+    assert code == 0, doc
+    assert doc["successes"] == 1
+    assert doc["episodes"][0]["note"] == ""
+    result = json.loads(exports[0].splitlines()[3])  # header, user, agent_tool, tool_result
+    assert result["role"] == "tool_result"
+    assert result["payload"]["rows"] == [{"data": {"__bytes__": "AP8Q"}, "id": 1, "name": "a"}]
+
+    export = doc["episodes"][0]["export"]
+    rows = import_trajectory(export).turns[2].content.rows
+    assert rows == ({"data": b"\x00\xff\x10", "id": 1, "name": "a"},)
+
+    code, out, err = run_cli(capsys, "score", export, str(pkg_dir), "--json")
+    assert code == 0, err
+    assert json.loads(out)["r_final"] == [1]
+
+
+def test_synthesis_log_writes_bytes_by_the_bytes_rule(tmp_path, capsys, monkeypatch):
+    from policygym import synthesis
+
+    synthesize = synthesis.synthesize_package
+
+    def with_a_blob(*args, **kwargs):
+        pkg, log = synthesize(*args, **kwargs)
+        log["blob"] = b"\x00\xff\x10"
+        return pkg, log
+
+    monkeypatch.setattr(synthesis, "synthesize_package", with_a_blob)
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(ct.SEED_DOMAIN_TEXT, "utf-8")
+    code, _, err = run_cli(capsys, "synthesize", str(seed_file), "stub", str(tmp_path / "o"))
+    assert code == 0, err
+    log = json.loads((tmp_path / "o" / "synthesis_log.json").read_text("utf-8"))
+    assert log["blob"] == {"__bytes__": "AP8Q"}

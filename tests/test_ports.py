@@ -25,10 +25,11 @@ from policygym.ports import (
 
 
 def test_importing_ports_loads_no_runtime():
-    """A port server starts without sqlite3 or the executor: the package's
-    public names resolve lazily."""
+    """A port server starts without sqlite3, the executor or base64 (which
+    only the bytes rule needs): the package's public names resolve lazily."""
     code = ("import json, policygym.ports, sys; "
             "assert 'sqlite3' not in sys.modules; "
+            "assert 'base64' not in sys.modules; "
             "assert 'policygym.executor' not in sys.modules; "
             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('policygym'))))")
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,

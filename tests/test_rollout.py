@@ -24,6 +24,7 @@ from policygym.ports import (
     SubprocessTransport,
 )
 from policygym.rollout import (
+    MAX_ACTIONS_PER_TURN,
     Trajectory,
     compute_metrics,
     detect_stop,
@@ -104,6 +105,16 @@ def test_budget_exhausted_when_user_never_stops(travel_pkg):
     assert trajectory.termination == "budget_exhausted"
     assert sum(1 for t in trajectory.turns if t.role == "user") == 6
     assert trajectory.r_final == 0
+
+
+def test_an_agent_that_never_answers_the_user_ends_at_the_action_cap(travel_pkg):
+    call = {"tool_call": {"tool_name": "query_users", "arguments": {}}}
+    agent = ScriptedAgentPort([call] * (MAX_ACTIONS_PER_TURN + 1))
+    trajectory = run_episode(travel_pkg, agent, ScriptedUserPort(["hi", "###STOP###"]), seed=0)
+    assert trajectory.termination == "budget_exhausted"
+    assert trajectory.note == "agent action budget exhausted within one turn"
+    assert len(trajectory.tool_turns()) == MAX_ACTIONS_PER_TURN
+    assert [t.index for t in trajectory.turns] == list(range(len(trajectory.turns)))
 
 
 def test_immediate_stop_yields_zero_agent_turns(travel_pkg):
@@ -306,6 +317,31 @@ def test_subprocess_agent_call_with_null_arguments_gets_feedback(travel_pkg, tmp
     assert roles[1:3] == ["agent_tool", "tool_result"]
     assert trajectory.turns[1].content.arguments is None
     assert trajectory.turns[2].content.error.code == "MALFORMED_ARGUMENTS"
+
+
+def test_a_step_with_tool_call_and_text_is_the_same_call_in_process_and_over_the_wire(
+        travel_pkg, tmp_path):
+    """A script step holding both keys is its tool_call, whether a
+    ScriptedAgentPort replays it or ``python -m policygym.ports`` serves it."""
+    script = [{"text": "Let me look you up.",
+               "tool_call": {"tool_name": "query_users", "arguments": {}}},
+              {"text": "Found you."}]
+    path = tmp_path / "agent_script.json"
+    path.write_text(json.dumps(script), "utf-8")
+    in_process = run_episode(travel_pkg, ScriptedAgentPort(script),
+                             ScriptedUserPort(["hi", "###STOP###"]), seed=0)
+    agent = SubprocessAgentPort(
+        f"{shlex.quote(sys.executable)} -m policygym.ports --role agent "
+        f"--script {shlex.quote(str(path))}", timeout=30)
+    try:
+        over_the_wire = run_episode(travel_pkg, agent, ScriptedUserPort(["hi", "###STOP###"]),
+                                    seed=0)
+    finally:
+        agent.close()
+    assert [t.role for t in in_process.turns] == [
+        "user", "agent_tool", "tool_result", "agent_text", "user"]
+    assert in_process.turns[1].content.tool_name == "query_users"
+    assert over_the_wire == in_process
 
 
 def test_a_closed_subprocess_port_leaves_no_open_file(travel_pkg, tmp_path, monkeypatch):
