@@ -482,21 +482,17 @@ def main(argv=None) -> int:
         args.port_timeout = DEFAULT_PORT_TIMEOUT
     try:
         report = args.func(args)
-    except _Failure as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (_Failure, PolicygymError) as exc:
+        if isinstance(exc, _Failure):
+            message, code = str(exc), exc.code
+        elif isinstance(exc, (MixedPackages, InsufficientTrials)):
+            message, code = str(exc), EXIT_USAGE
+        else:
+            message, code = f"{type(exc).__name__}: {exc}", EXIT_TASK
+        print(f"error: {message}", file=sys.stderr)
         if args.json:
-            print(json.dumps({"error": str(exc)}))
-        return exc.code
-    except (MixedPackages, InsufficientTrials) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.json:
-            print(json.dumps({"error": str(exc)}))
-        return EXIT_USAGE
-    except PolicygymError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if args.json:
-            print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}))
-        return EXIT_TASK
+            print(json.dumps({"error": message}))
+        return code
     except Exception as exc:  # noqa: BLE001
         import traceback
 

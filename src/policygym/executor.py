@@ -133,6 +133,9 @@ class EnvHandle:
     there is one, and ``close()`` gives it back reset to the origin, unless
     it is inside a transaction or ran ``system_write`` (arbitrary SQL, TEMP
     DDL included). A closed handle no longer reaches its connection.
+
+    Every write keeps or undoes its changes through ``savepoint``, so a probe
+    undoes its write instead of calling ``reset()``.
     """
 
     def __init__(self, bundle: EnvironmentBundle, origin: Snapshot,
@@ -235,16 +238,11 @@ class EnvHandle:
         """
         conn = self.connection
         self._reusable = False
-        conn.execute("BEGIN IMMEDIATE")
-        try:
-            cur = conn.execute(sql, params)
-            conn.execute("COMMIT")
-            if self._tracker is not None:
-                self._tracker.invalidate()
-            return cur.rowcount
-        except BaseException:
-            _rollback(conn)
-            raise
+        with savepoint(conn):
+            rowcount = conn.execute(sql, params).rowcount
+        if self._tracker is not None:
+            self._tracker.invalidate()
+        return rowcount
 
 
 def _connect(data: bytes) -> sqlite3.Connection:
@@ -255,10 +253,30 @@ def _connect(data: bytes) -> sqlite3.Connection:
     return conn
 
 
-def _rollback(conn: sqlite3.Connection) -> None:
-    """Undo the open transaction; a failed COMMIT may already have ended it."""
-    if conn.in_transaction:
-        conn.execute("ROLLBACK")
+class savepoint:
+    """A ``with`` body inside a savepoint: ``RELEASE`` keeps its changes (and
+    commits outside a transaction) when it returns and ``keep`` holds, else
+    ``ROLLBACK TO`` + ``RELEASE`` undo them, as they do when the release
+    fails. A class, not a generator: throwing every rejected call's error
+    into a generator slows each one."""
+
+    def __init__(self, conn: sqlite3.Connection, keep: bool = True):
+        self.conn, self.keep = conn, keep
+
+    def __enter__(self):
+        self.conn.execute("SAVEPOINT policygym")
+
+    def __exit__(self, exc_type, exc, tb):
+        conn, released = self.conn, False
+        try:
+            if exc_type is None and self.keep:
+                conn.execute("RELEASE policygym")
+                released = True
+        finally:
+            # a trigger's RAISE(ROLLBACK) has already ended the whole transaction
+            if not released and conn.in_transaction:
+                conn.execute("ROLLBACK TO policygym")
+                conn.execute("RELEASE policygym")
 
 
 def open_environment(pkg: TaskPackage) -> EnvHandle:
@@ -268,7 +286,9 @@ def open_environment(pkg: TaskPackage) -> EnvHandle:
 
 
 def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHandle:
-    """Live environment starting from an arbitrary snapshot (synthesis paths)."""
+    """Live environment starting from an arbitrary snapshot (synthesis
+    paths). It has no target and digests by full scan; probes undo their
+    writes through ``savepoint``, since ``reset()`` reloads the image."""
     return EnvHandle(bundle, snapshot)
 
 
@@ -309,7 +329,7 @@ def _lookup_tool(env: EnvHandle, name: str) -> ToolSpec:
 
 
 def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
-    """Execute one tool call in its own transaction.
+    """Execute one tool call in its own savepoint (see ``savepoint``).
 
     Engine aborts (trigger RAISEs, constraint failures) become error results
     with the state fully rolled back; UnknownTool / MalformedArguments /
@@ -324,9 +344,9 @@ def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
     if spec.kind == "query":
         result = _run_query(env, spec, call.arguments)
     elif spec.kind == "update":
-        result = _run_write(env, spec, call.arguments, _update_sql)
+        result = _run_write(env, *_update_sql(spec, call.arguments))
     else:  # insert, or the escalation's insert into its log table
-        result = _run_write(env, spec, call.arguments, _insert_sql)
+        result = _run_write(env, *insert_sql(spec.table, call.arguments))
     env.turn_counter += 1
     return result
 
@@ -370,11 +390,7 @@ def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
     return ToolResult(status="success", rows=rows, affected=0, state_digest=env.digest())
 
 
-def _insert_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
-    return insert_sql(spec.table, args)
-
-
-def _update_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
+def _update_sql(spec: ToolSpec, args: dict) -> tuple[str, list]:
     """UPDATE for ``{"filters": {column: value, ...}, "set": {...}}``.
 
     Empty ``filters`` update every row of the table. That is intended:
@@ -391,19 +407,12 @@ def _update_sql(env: EnvHandle, spec: ToolSpec, args: dict) -> tuple[str, list]:
     return sql, list(setter.values()) + where_params
 
 
-def _run_write(env: EnvHandle, spec: ToolSpec, args: dict, build) -> ToolResult:
+def _run_write(env: EnvHandle, sql: str, params: list) -> ToolResult:
     conn = env.connection
-    sql, params = build(env, spec, args)
-    conn.execute("BEGIN IMMEDIATE")
     try:
-        cur = conn.execute(sql, params)
-        affected = max(cur.rowcount, 0)
-        conn.execute("COMMIT")
+        with savepoint(conn):
+            affected = max(conn.execute(sql, params).rowcount, 0)
     except sqlite3.Error as exc:
-        _rollback(conn)
         payload = parse_engine_error(str(exc), env.bundle.error_registry)
         return ToolResult(status="error", error=payload, state_digest=env.digest())
-    except BaseException:
-        _rollback(conn)
-        raise
     return ToolResult(status="success", affected=affected, state_digest=env.digest())

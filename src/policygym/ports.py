@@ -56,18 +56,21 @@ def _tool_call(doc) -> "ToolCall":
     return ToolCall(tool_name=doc.get("tool_name"), arguments=doc.get("arguments", {}))
 
 
-def _agent_step(doc) -> "str | ToolCall":
-    """The action of a script step or of an ``agent_turn`` reply's content: a
-    string is text; an object is its ``tool_call`` if it has one, else its
-    ``text``."""
+def _step_content(doc) -> dict:
+    """The ``agent_turn`` content of a script step or of a reply's content: a
+    string is its text, an object needs a ``tool_call`` or a ``text``, and any
+    other step is refused."""
     if isinstance(doc, str):
+        return {"text": doc}
+    if isinstance(doc, dict) and ("tool_call" in doc or "text" in doc):
         return doc
-    if isinstance(doc, dict):
-        if "tool_call" in doc:
-            return _tool_call(doc["tool_call"])
-        if "text" in doc:
-            return str(doc["text"])
     raise PortFailure(f"unrecognized agent step: {doc!r}")
+
+
+def _agent_step(doc) -> "str | ToolCall":
+    """The action of a script step or of an ``agent_turn`` reply's content."""
+    content = _step_content(doc)
+    return _tool_call(content["tool_call"]) if "tool_call" in content else str(content["text"])
 
 
 class ScriptedAgentPort(AgentPort):
@@ -356,9 +359,10 @@ def _serve_script(role: str, script) -> None:
             if not agent_steps:
                 response = {"type": "error", "message": "agent script exhausted"}
             else:
-                step = agent_steps.pop(0)
-                content = step if isinstance(step, dict) else {"text": str(step)}
-                response = {"type": "agent_turn", "content": content}
+                try:
+                    response = {"type": "agent_turn", "content": _step_content(agent_steps.pop(0))}
+                except PortFailure as exc:  # the step ScriptedAgentPort refuses
+                    response = {"type": "error", "message": str(exc)}
         elif rtype == "user_turn":
             if not user_lines:
                 response = {"type": "error", "message": "user script exhausted"}

@@ -24,7 +24,8 @@ from .errors import (
     SpoilerLeak,
     SynthesisError,
 )
-from .executor import EnvHandle, ToolCall, ToolResult, open_environment_at, safe_execute_tool
+from .executor import (EnvHandle, ToolCall, ToolResult, open_environment_at, safe_execute_tool,
+                       savepoint)
 from .packages import (
     ESCALATIONS_TABLE,
     READ_WRITE,
@@ -291,17 +292,14 @@ def derive_probe_row(conn: sqlite3.Connection, bundle: EnvironmentBundle,
 
 def _probe_write(conn: sqlite3.Connection, sql: str, params) -> tuple[str, str]:
     """Run a write inside a rolled-back savepoint; classify the outcome."""
-    conn.execute("SAVEPOINT probe")
     try:
-        conn.execute(sql, params)
-        return "accepted", ""
+        with savepoint(conn, keep=False):
+            conn.execute(sql, params)
     except sqlite3.OperationalError as exc:
         return "broken", str(exc)  # missing table/column inside a trigger body
     except sqlite3.Error as exc:
         return "rejected", str(exc)
-    finally:
-        conn.execute("ROLLBACK TO probe")
-        conn.execute("RELEASE probe")
+    return "accepted", ""
 
 
 def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
@@ -439,15 +437,14 @@ def probe_boundary_adjacency(
 
     Candidate single-step writes are derived mechanically: one insert per
     quota-bearing table plus status transitions on each transactional table;
-    non-numeric boundaries need explicit probe specs. Every probe runs on a
-    scratch copy and nothing persists.
+    non-numeric boundaries need explicit probe specs. All probes run on one
+    copy of ``s``, each inside a savepoint that undoes its write, so every
+    probe starts from ``s`` and nothing persists.
     """
-    candidates: list[ToolCall] = []
-    for spec in probe_specs or []:
-        candidates.append(ToolCall.from_json(spec))
-
+    candidates = [ToolCall.from_json(spec) for spec in probe_specs or []]
     schema = bundle.schema_info
-    with s.connect() as conn:
+    with open_environment_at(bundle, s) as env:
+        conn = env.connection
         for table in quota_bearing_tables(schema):
             if bundle.permissions.get(table) != READ_WRITE:
                 continue
@@ -475,21 +472,14 @@ def probe_boundary_adjacency(
                             arguments={"filters": {pk: pk_value}, "set": {"status": value}},
                         ))
 
-    candidates = candidates[: max(probe_budget, 0)]
-    records = []
-    rejected = 0
-    if candidates:
-        with open_environment_at(bundle, s) as env:
-            for call in candidates:
-                result = safe_execute_tool(env, call)
-                if result.status == "error":
-                    rejected += 1
-                    records.append({"tool_call": call.to_json(), "outcome": "rejected",
-                                    "code": result.error.code})
-                else:
-                    records.append({"tool_call": call.to_json(), "outcome": "accepted",
-                                    "code": ""})
-                env.reset()
+        records = []
+        for call in candidates[: max(probe_budget, 0)]:
+            with savepoint(conn, keep=False):
+                error = safe_execute_tool(env, call).error
+            records.append({"tool_call": call.to_json(),
+                            "outcome": "rejected" if error else "accepted",
+                            "code": error.code if error else ""})
+    rejected = sum(r["outcome"] == "rejected" for r in records)
     score = rejected / len(records) if records else 0.0
     return BoundaryProbeResult(probes=tuple(records), adjacency_score=score)
 

@@ -380,10 +380,9 @@ def test_unbindable_arguments_are_malformed_and_leave_handle_usable(env, tool_na
 
 def test_writes_roll_back_on_non_engine_exceptions(env):
     before = env.digest()
-    spec = env.bundle.tools_by_name()["transfer_to_human_agents"]
     unbindable = ("INSERT INTO escalations (summary) VALUES (?)", [2**70])
     with pytest.raises(OverflowError):
-        _run_write(env, spec, {}, lambda e, s, a: unbindable)
+        _run_write(env, *unbindable)
     assert not env.connection.in_transaction
     with pytest.raises(OverflowError):
         env.system_write(*unbindable)

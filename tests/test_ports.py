@@ -17,6 +17,7 @@ import policygym
 from policygym.errors import PortFailure
 from policygym.ports import (
     MAX_REPLY_BYTES,
+    ScriptedAgentPort,
     SubprocessAgentPort,
     SubprocessGenerationPort,
     SubprocessTransport,
@@ -48,6 +49,30 @@ def test_every_public_name_resolves():
     assert set(policygym.__all__) <= set(namespace)
     with pytest.raises(AttributeError):
         policygym.no_such_name  # noqa: B018
+
+
+def test_served_agent_script_refuses_the_step_the_scripted_port_refuses(tmp_path):
+    """``python -m policygym.ports`` answers a step that is neither an object
+    nor a string with the error ScriptedAgentPort raises for it, serves the
+    next step, and imports neither sqlite3 nor the executor meanwhile."""
+    with pytest.raises(PortFailure) as refused:
+        ScriptedAgentPort([5])
+    assert str(refused.value) == "unrecognized agent step: 5"
+    script = tmp_path / "agent.json"
+    script.write_text(json.dumps([5, "hello"]), "utf-8")
+    served = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "policygym.ports", "--role", "agent",
+         "--script", str(script)],
+        input=(json.dumps({"type": "agent_turn"}) + "\n") * 2,
+        check=True, capture_output=True, text=True, timeout=60)
+    assert [json.loads(line) for line in served.stdout.splitlines()] == [
+        {"type": "error", "message": "unrecognized agent step: 5"},
+        {"type": "agent_turn", "content": {"text": "hello"}},
+    ]
+    imported = {line.rsplit("|", 1)[1].strip() for line in served.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "policygym.errors" in imported
+    assert not {"sqlite3", "policygym.executor"} & imported
 
 
 def _generate_server(tmp_path, outputs: dict) -> SubprocessTransport:

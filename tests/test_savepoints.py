@@ -1,0 +1,159 @@
+"""The one savepoint rule: every write a handle runs, and every boundary probe,
+is kept or undone through ``executor.savepoint``, including writes that a
+trigger ends with ``RAISE(ROLLBACK)`` (the whole transaction is gone) or with
+``RAISE(FAIL)`` (the statement's earlier changes would otherwise stay)."""
+
+from __future__ import annotations
+
+import sqlite3
+
+import pytest
+
+from policygym.executor import (
+    ToolCall,
+    open_environment,
+    open_environment_at,
+    safe_execute_tool,
+    savepoint,
+)
+from policygym.fixtures import corporate_travel as ct
+from policygym.packages import (
+    READ_WRITE,
+    EnvironmentBundle,
+    RolloutLimits,
+    TaskPackage,
+    compile_environment,
+)
+from policygym.snapshots import Snapshot, state_digest
+from policygym.synthesis import probe_boundary_adjacency
+from policygym.verify import DiffConfig, diff
+
+_SCHEMA = """
+CREATE TABLE accounts (id INTEGER PRIMARY KEY,
+                       status TEXT NOT NULL CHECK(status IN ('open', 'frozen', 'closed')));
+CREATE TABLE audit (id INTEGER PRIMARY KEY AUTOINCREMENT, note TEXT NOT NULL);
+"""
+_TRIGGERS = """
+CREATE TRIGGER accounts_never_close BEFORE UPDATE OF status ON accounts
+WHEN NEW.status = 'closed'
+BEGIN SELECT RAISE(ROLLBACK, '[NO_CLOSE] accounts are never closed'); END;
+CREATE TRIGGER accounts_freeze_needs_review AFTER UPDATE OF status ON accounts
+WHEN NEW.status = 'frozen'
+BEGIN
+    INSERT INTO audit (note) VALUES ('froze ' || NEW.id);
+    SELECT RAISE(FAIL, '[NO_FREEZE] freezing needs a review');
+END;
+CREATE TRIGGER audit_holds_one BEFORE INSERT ON audit
+WHEN (SELECT COUNT(*) FROM audit) >= 1
+BEGIN SELECT RAISE(ABORT, '[AUDIT_FULL] the audit holds one note'); END;
+"""
+_CLOSE = ToolCall("update_accounts", {"filters": {"id": 1}, "set": {"status": "closed"}})
+_FREEZE = ToolCall("update_accounts", {"filters": {"id": 1}, "set": {"status": "frozen"}})
+_NOTE = ToolCall("insert_audit", {"note": "target"})
+
+
+@pytest.fixture(scope="module")
+def accounts_pkg() -> TaskPackage:
+    compiled = compile_environment(_SCHEMA, _TRIGGERS)
+    bundle = EnvironmentBundle.from_schema(
+        _SCHEMA, _TRIGGERS, compiled, {"accounts": READ_WRITE, "audit": READ_WRITE}, {})
+    with compiled[1].connect() as conn:
+        conn.execute("INSERT INTO accounts (id, status) VALUES (1, 'open'), (2, 'open')")
+        origin = Snapshot.from_connection(conn)
+        conn.execute("INSERT INTO audit (note) VALUES ('target')")
+        target = Snapshot.from_connection(conn)
+    cfg = DiffConfig()
+    return TaskPackage(name="accounts", domain="test", policy_doc="p", task_description="t",
+                       env=bundle, origin_snapshot=origin, target_snapshot=target,
+                       diff_config=cfg, limits=RolloutLimits(),
+                       delta0=diff(origin, target, cfg).total)
+
+
+@pytest.mark.parametrize("call, code", [(_CLOSE, "NO_CLOSE"), (_FREEZE, "NO_FREEZE")],
+                         ids=["raise_rollback", "raise_fail"])
+@pytest.mark.parametrize("opened_at", [False, True], ids=["tracked", "open_environment_at"])
+def test_a_rolled_back_or_failed_write_leaves_no_trace(accounts_pkg, call, code, opened_at):
+    if opened_at:
+        handle = open_environment_at(accounts_pkg.env, accounts_pkg.origin_snapshot)
+    else:
+        handle = open_environment(accounts_pkg)
+    with handle as env:
+        assert env.tracked is not opened_at
+        before = env.digest()
+        for _ in range(2):  # the second time on a handle a rejection already went through
+            result = safe_execute_tool(env, call)
+            assert result.status == "error" and result.error.code == code
+            assert result.state_digest == before == accounts_pkg.origin_snapshot.digest()
+            assert not env.connection.in_transaction
+            assert env.connection.execute("SELECT COUNT(*) FROM audit").fetchone() == (0,)
+            assert env.connection.execute(
+                "SELECT status FROM accounts WHERE id = 1").fetchone() == ("open",)
+        # the handle still keeps a write, and its digest follows the full scan
+        kept = safe_execute_tool(env, _NOTE)
+        assert kept.ok and kept.state_digest == state_digest(env.connection)
+        if env.tracked:
+            assert env.distance() == 0
+
+
+def test_probes_that_raise_rollback_or_fail_each_start_from_s(accounts_pkg):
+    """Each accepted note would fill the one-note audit if it persisted, so
+    every later note or freeze probe would then read AUDIT_FULL."""
+    specs = [c.to_json() for c in (_CLOSE, _NOTE, _FREEZE, _NOTE, _NOTE, _CLOSE, _NOTE)]
+    result = probe_boundary_adjacency(accounts_pkg.env, accounts_pkg.origin_snapshot,
+                                      probe_budget=len(specs), probe_specs=specs)
+    assert [(p["tool_call"]["tool_name"], p["outcome"], p["code"]) for p in result.probes] == [
+        ("update_accounts", "rejected", "NO_CLOSE"),
+        ("insert_audit", "accepted", ""),
+        ("update_accounts", "rejected", "NO_FREEZE"),
+        ("insert_audit", "accepted", ""),
+        ("insert_audit", "accepted", ""),
+        ("update_accounts", "rejected", "NO_CLOSE"),
+        ("insert_audit", "accepted", ""),
+    ]
+    assert result.adjacency_score == 3 / 7
+
+
+def test_savepoint_keeps_undoes_and_survives_an_ended_transaction():
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    conn.executescript(_SCHEMA + _TRIGGERS + """
+        CREATE TABLE links (id INTEGER PRIMARY KEY, account INTEGER
+                            REFERENCES accounts(id) DEFERRABLE INITIALLY DEFERRED);
+        PRAGMA foreign_keys = ON;
+        INSERT INTO accounts VALUES (1, 'open');""")
+    count = "SELECT (SELECT COUNT(*) FROM audit) + (SELECT COUNT(*) FROM links)"
+    with savepoint(conn):
+        conn.execute("INSERT INTO audit (note) VALUES ('kept')")
+    with savepoint(conn, keep=False):
+        conn.execute("DELETE FROM audit")
+    assert conn.execute(count).fetchone() == (1,)
+    # a release that commits can fail on a deferred key; the body is undone
+    with pytest.raises(sqlite3.IntegrityError), savepoint(conn):
+        conn.execute("INSERT INTO links (account) VALUES (99)")
+    assert not conn.in_transaction
+    assert conn.execute(count).fetchone() == (1,)
+    # RAISE(ROLLBACK) inside nested savepoints ends the transaction they share
+    with savepoint(conn, keep=False):
+        conn.execute("DELETE FROM audit")
+        with pytest.raises(sqlite3.IntegrityError, match="NO_CLOSE"), savepoint(conn):
+            conn.execute("UPDATE accounts SET status = 'closed'")
+    assert not conn.in_transaction
+    assert conn.execute(count).fetchone() == (1,)
+    conn.close()
+
+
+def test_fixture_origin_probes_are_pinned():
+    bundle = ct.build_bundle()
+    result = probe_boundary_adjacency(bundle, ct.build_origin_snapshot(bundle), probe_budget=32)
+    flights = [("update_flight_bookings", "accepted", ""),
+               ("update_flight_bookings", "accepted", ""),
+               ("update_flight_bookings", "rejected", "PROVENANCE_REQUIRED")]
+    requests = [("update_travel_requests", "accepted", "")] * 3
+    assert [(p["tool_call"]["tool_name"], p["outcome"], p["code"]) for p in result.probes] == [
+        ("insert_flight_bookings", "rejected", "QUOTA_EXCEEDED"),
+        ("insert_hotel_bookings", "accepted", ""),
+        *flights * 3,
+        ("update_hotel_bookings", "accepted", ""),
+        ("update_hotel_bookings", "rejected", "PROVENANCE_REQUIRED"),
+        *requests * 2,
+    ]
+    assert result.adjacency_score == 5 / 19
