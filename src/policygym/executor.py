@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .errors import MalformedArguments, ReadOnlyTable, UnknownTool
@@ -17,9 +17,9 @@ from .packages import (
     EnvironmentBundle,
     TaskPackage,
     ToolSpec,
+    catalog_of,
 )
-from .snapshots import (Snapshot, insert_sql, load_image, open_image, quote_ident, read_schema,
-                        state_digest)
+from .snapshots import Snapshot, insert_sql, load_image, open_image, quote_ident, state_digest
 
 if TYPE_CHECKING:
     from .tracker import VerificationBase
@@ -142,7 +142,6 @@ class EnvHandle:
                  base: VerificationBase | None = None):
         self.bundle = bundle
         self.origin = origin
-        self.turn_counter = 0
         self.closed = False
         self._tools = bundle.tools_by_name()
         self._base = base
@@ -153,13 +152,8 @@ class EnvHandle:
         else:
             self._tracker = None
             self._conn = _connect(origin.data)
-        if base is not None:
-            self.schema_info = base.schema
-        else:
-            # the bundle's catalog, unless this image was built from other DDL
-            self.schema_info = bundle.schema_info
-            if not self.schema_info.describes(self._conn):
-                self.schema_info = read_schema(self._conn)
+        self.schema_info = (base.schema if base is not None
+                            else catalog_of(self._conn, bundle.schema_info))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -191,7 +185,6 @@ class EnvHandle:
             self._tracker.reset(self.origin.data)
         else:
             load_image(self.connection, self.origin.data)
-        self.turn_counter = 0
 
     # -- introspection ------------------------------------------------------
 
@@ -287,8 +280,8 @@ def open_environment(pkg: TaskPackage) -> EnvHandle:
 
 def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHandle:
     """Live environment starting from an arbitrary snapshot (synthesis
-    paths). It has no target and digests by full scan; probes undo their
-    writes through ``savepoint``, since ``reset()`` reloads the image."""
+    paths). It has no target and digests by full scan, once per call;
+    boundary probes take none and undo their writes through ``savepoint``."""
     return EnvHandle(bundle, snapshot)
 
 
@@ -329,7 +322,8 @@ def _lookup_tool(env: EnvHandle, name: str) -> ToolSpec:
 
 
 def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
-    """Execute one tool call in its own savepoint (see ``savepoint``).
+    """Execute one tool call in its own savepoint (see ``savepoint``). Here
+    and in safe_execute_tool the result gets the post-call digest, read once.
 
     Engine aborts (trigger RAISEs, constraint failures) become error results
     with the state fully rolled back; UnknownTool / MalformedArguments /
@@ -337,18 +331,7 @@ def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
     satisfy the tool's ``parameter_schema``; past that check only NULL
     filters are limited to = and !=.
     """
-    if env.closed:
-        raise RuntimeError("environment is closed")
-    spec = _lookup_tool(env, call.tool_name)
-    spec.validate(call.arguments)
-    if spec.kind == "query":
-        result = _run_query(env, spec, call.arguments)
-    elif spec.kind == "update":
-        result = _run_write(env, *_update_sql(spec, call.arguments))
-    else:  # insert, or the escalation's insert into its log table
-        result = _run_write(env, *insert_sql(spec.table, call.arguments))
-    env.turn_counter += 1
-    return result
+    return replace(_dispatch(env, call), state_digest=env.digest())
 
 
 def safe_execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
@@ -357,8 +340,24 @@ def safe_execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
     Rollout loops use this so an agent's malformed call becomes feedback
     instead of a crash; the state is untouched in every error case.
     """
+    return replace(_dispatch_folded(env, call), state_digest=env.digest())
+
+
+def _dispatch(env: EnvHandle, call: ToolCall) -> ToolResult:
+    if env.closed:
+        raise RuntimeError("environment is closed")
+    spec = _lookup_tool(env, call.tool_name)
+    spec.validate(call.arguments)
+    if spec.kind == "query":
+        return _run_query(env, spec, call.arguments)
+    if spec.kind == "update":
+        return _run_write(env, *_update_sql(spec, call.arguments))
+    return _run_write(env, *insert_sql(spec.table, call.arguments))  # inserts and escalations
+
+
+def _dispatch_folded(env: EnvHandle, call: ToolCall) -> ToolResult:
     try:
-        return execute_tool(env, call)
+        return _dispatch(env, call)
     except UnknownTool as exc:
         payload = ErrorPayload(code="UNKNOWN_TOOL", message=f"unknown tool: {exc}",
                                hint="use a tool from the provided catalog")
@@ -368,8 +367,7 @@ def safe_execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
     except MalformedArguments as exc:
         payload = ErrorPayload(code="MALFORMED_ARGUMENTS", message=str(exc),
                                hint="check the tool parameter schema")
-    env.turn_counter += 1
-    return ToolResult(status="error", error=payload, state_digest=env.digest())
+    return ToolResult(status="error", error=payload)
 
 
 def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
@@ -387,7 +385,7 @@ def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
         sql += " LIMIT ?"
         params.append(limit)
     rows = tuple(dict(zip(columns, row)) for row in env.connection.execute(sql, params))
-    return ToolResult(status="success", rows=rows, affected=0, state_digest=env.digest())
+    return ToolResult(status="success", rows=rows)
 
 
 def _update_sql(spec: ToolSpec, args: dict) -> tuple[str, list]:
@@ -414,5 +412,5 @@ def _run_write(env: EnvHandle, sql: str, params: list) -> ToolResult:
             affected = max(conn.execute(sql, params).rowcount, 0)
     except sqlite3.Error as exc:
         payload = parse_engine_error(str(exc), env.bundle.error_registry)
-        return ToolResult(status="error", error=payload, state_digest=env.digest())
-    return ToolResult(status="success", affected=affected, state_digest=env.digest())
+        return ToolResult(status="error", error=payload)
+    return ToolResult(status="success", affected=affected)

@@ -578,16 +578,16 @@ def derive_tools(
 
 # --- spoiler check -----------------------------------------------------------------
 
-def find_spoiler(task_text: str, tool_names, redaction_list) -> str | None:
-    """First forbidden token appearing in the task text, or None.
+def token_pattern(token: str) -> re.Pattern:
+    """``token`` as a whole word, in any case: one rule for spoilers and redaction."""
+    return re.compile(rf"(?<!\w){re.escape(token)}(?!\w)", re.IGNORECASE)
 
-    Pure function of its inputs; matching is case-insensitive on word
-    boundaries so natural words are not flagged inside larger words.
-    """
+
+def find_spoiler(task_text: str, tool_names, redaction_list) -> str | None:
+    """First forbidden token occurring in the task text (``token_pattern``),
+    or None. Pure function of its inputs."""
     for token in list(tool_names) + list(redaction_list):
-        if not token:
-            continue
-        if re.search(rf"(?<!\w){re.escape(token)}(?!\w)", task_text, re.IGNORECASE):
+        if token and token_pattern(token).search(task_text):
             return token
     return None
 
@@ -601,13 +601,17 @@ def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
     }
 
 
+def catalog_of(conn: sqlite3.Connection, schema: SchemaInfo) -> SchemaInfo:
+    """``schema`` if the same DDL made the tables of ``conn``, else their own catalog."""
+    return schema if schema.describes(conn) else read_schema(conn)
+
+
 def _conforming_schema(conn: sqlite3.Connection, schema: SchemaInfo, label: str) -> SchemaInfo:
-    """The catalog of ``conn``: ``schema`` itself when the same DDL created
-    it, else its own, read once; SchemaMismatch unless it has the tables and
-    column types of ``schema``."""
-    if schema.describes(conn):
+    """``catalog_of(conn, schema)``; SchemaMismatch unless a catalog it had
+    to read has the tables and column types of ``schema``."""
+    info = catalog_of(conn, schema)
+    if info is schema:
         return schema
-    info = read_schema(conn)
     have, want = _schema_shape(info), _schema_shape(schema)
     for table, cols in want.items():
         if table not in have:

@@ -114,13 +114,35 @@ def _encode_bytes(value) -> dict:
     return {"__bytes__": base64.b64encode(value).decode("ascii")}
 
 
+def _is_tag(key) -> bool:
+    """``__bytes__`` behind any number of extra underscores."""
+    return isinstance(key, str) and key.endswith("__bytes__") and not key[:-9].strip("_")
+
+
+def _escape_tags(value):
+    """``value`` with one more underscore on the key of every one-key object
+    keyed by a tag (``_is_tag``), so that an export holding such an object
+    as data re-imports equal; ``_decode_bytes`` takes the underscore off.
+    Values without such objects dump to the same bytes."""
+    if isinstance(value, dict):
+        if len(value) == 1 and _is_tag(key := next(iter(value))):
+            return {"_" + key: _escape_tags(value[key])}
+        return {k: _escape_tags(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_escape_tags(v) for v in value]
+    return value
+
+
 def _decode_bytes(doc: dict):
-    """``json.loads`` ``object_hook`` that undoes ``_encode_bytes``."""
-    if len(doc) != 1 or "__bytes__" not in doc:
+    """``json.loads`` ``object_hook`` that undoes ``_encode_bytes`` and
+    ``_escape_tags``."""
+    if len(doc) != 1 or not _is_tag(key := next(iter(doc))):
         return doc
+    if key != "__bytes__":
+        return {key[1:]: doc[key]}
     import base64
 
-    return base64.b64decode(doc["__bytes__"])
+    return base64.b64decode(doc[key])
 
 
 # --- subprocess transport ------------------------------------------------------------

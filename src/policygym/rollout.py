@@ -15,7 +15,7 @@ from math import comb
 from .errors import InsufficientTrials, IoFailure
 from .executor import ToolCall, ToolResult, open_environment, safe_execute_tool
 from .packages import TaskPackage
-from .ports import _decode_bytes, _encode_bytes
+from .ports import _decode_bytes, _encode_bytes, _escape_tags
 from .verify import dense_reward, proximity
 
 ROLE_USER = "user"
@@ -248,7 +248,8 @@ def compute_metrics(outcomes, k: int) -> dict:
 def export_trajectory(t: Trajectory, path) -> None:
     """Newline-delimited records: one header line, then one line per turn.
     Bytes, such as a BLOB cell in a query result, follow the bytes rule of
-    ``ports._encode_bytes``."""
+    ``ports._encode_bytes``; an object that looks like encoded bytes is
+    escaped (``ports._escape_tags``), so the import gives back what was sent."""
     header = {
         "record": "trajectory",
         "package_id": t.package_id,
@@ -260,8 +261,8 @@ def export_trajectory(t: Trajectory, path) -> None:
     }
     lines = [json.dumps(header, sort_keys=True)]
     for turn in t.turns:
-        lines.append(json.dumps({"record": "turn", **turn.to_json()}, sort_keys=True,
-                                default=_encode_bytes))
+        lines.append(json.dumps(_escape_tags({"record": "turn", **turn.to_json()}),
+                                sort_keys=True, default=_encode_bytes))
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -24,8 +24,8 @@ from .errors import (
     SpoilerLeak,
     SynthesisError,
 )
-from .executor import (EnvHandle, ToolCall, ToolResult, open_environment_at, safe_execute_tool,
-                       savepoint)
+from .executor import (EnvHandle, ToolCall, ToolResult, _dispatch_folded, open_environment_at,
+                       safe_execute_tool, savepoint)
 from .packages import (
     ESCALATIONS_TABLE,
     READ_WRITE,
@@ -35,6 +35,7 @@ from .packages import (
     compile_environment,
     find_spoiler,
     harvest_error_codes,
+    token_pattern,
 )
 from .snapshots import SchemaInfo, Snapshot, insert_sql, quote_ident
 from .verify import DiffConfig, diff
@@ -475,7 +476,7 @@ def probe_boundary_adjacency(
         records = []
         for call in candidates[: max(probe_budget, 0)]:
             with savepoint(conn, keep=False):
-                error = safe_execute_tool(env, call).error
+                error = _dispatch_folded(env, call).error  # undone, so no digest
             records.append({"tool_call": call.to_json(),
                             "outcome": "rejected" if error else "accepted",
                             "code": error.code if error else ""})
@@ -612,10 +613,8 @@ def build_redaction_list(
 
 def _redact(text: str, tokens: tuple[str, ...]) -> str:
     for token in sorted(tokens, key=len, reverse=True):
-        if not token:
-            continue
-        text = re.sub(rf"(?<!\w){re.escape(token)}(?!\w)", "[redacted]", text,
-                      flags=re.IGNORECASE)
+        if token:
+            text = token_pattern(token).sub("[redacted]", text)
     return text
 
 

@@ -48,13 +48,13 @@ from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
 
+from .packages import catalog_of
 from .snapshots import (
     SchemaInfo,
     Snapshot,
     load_image,
     normalize_value,
     quote_ident,
-    read_schema,
     row_sort_key,
     state_digest,
 )
@@ -161,9 +161,7 @@ class VerificationBase:
         self.cfg: DiffConfig = pkg.diff_config
         self._target: Snapshot = pkg.target_snapshot
         with pkg.origin_snapshot.connect() as conn:
-            # the bundle's catalog, unless this image was built from other DDL
-            schema = pkg.env.schema_info
-            self.schema = schema if schema.describes(conn) else read_schema(conn)
+            self.schema = catalog_of(conn, pkg.env.schema_info)
             validate_excluded_columns(self.schema, self.cfg)
             self.tables = _tables(self.schema, self.cfg)
             self.install_sql = _log_ddl(self.tables)

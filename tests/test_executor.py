@@ -271,7 +271,6 @@ def test_snapshot_isolation_and_reset(env, travel_pkg):
         canonicalize(second, travel_pkg.diff_config),
     ).total == 1
     env.reset()
-    assert env.turn_counter == 0
     assert _diff_to_origin(env, travel_pkg) == 0
 
 

@@ -176,6 +176,21 @@ def test_export_import_round_trip(travel_pkg, tmp_path):
     assert again == trajectory
 
 
+def test_objects_shaped_like_encoded_bytes_re_import_as_sent(travel_pkg, tmp_path):
+    """Arguments that literally hold ``{"__bytes__": ...}`` (or that key with
+    more underscores) come back as sent, not as bytes or another object."""
+    sent = [{"summary": {"__bytes__": "AP8Q"}},
+            {"summary": [{"___bytes__": {"__bytes__": "x"}}], "note": {"__bytes__": 5}}]
+    agent = ScriptedAgentPort([
+        *({"tool_call": {"tool_name": "transfer_to_human_agents", "arguments": a}} for a in sent),
+        {"text": "done"}])
+    trajectory = run_episode(travel_pkg, agent, ScriptedUserPort(["hi", "###STOP###"]), seed=0)
+    assert [t.content.arguments for t in trajectory.tool_turns()] == sent
+    path = tmp_path / "episode.jsonl"
+    export_trajectory(trajectory, path)
+    assert import_trajectory(path) == trajectory
+
+
 def test_export_replay_is_byte_identical(travel_pkg, tmp_path):
     paths = []
     for i in range(2):

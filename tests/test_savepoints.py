@@ -11,6 +11,7 @@ import pytest
 
 from policygym.executor import (
     ToolCall,
+    execute_tool,
     open_environment,
     open_environment_at,
     safe_execute_tool,
@@ -18,6 +19,7 @@ from policygym.executor import (
 )
 from policygym.fixtures import corporate_travel as ct
 from policygym.packages import (
+    READ_ONLY,
     READ_WRITE,
     EnvironmentBundle,
     RolloutLimits,
@@ -32,6 +34,7 @@ _SCHEMA = """
 CREATE TABLE accounts (id INTEGER PRIMARY KEY,
                        status TEXT NOT NULL CHECK(status IN ('open', 'frozen', 'closed')));
 CREATE TABLE audit (id INTEGER PRIMARY KEY AUTOINCREMENT, note TEXT NOT NULL);
+CREATE TABLE branches (id INTEGER PRIMARY KEY);
 """
 _TRIGGERS = """
 CREATE TRIGGER accounts_never_close BEFORE UPDATE OF status ON accounts
@@ -50,13 +53,16 @@ BEGIN SELECT RAISE(ABORT, '[AUDIT_FULL] the audit holds one note'); END;
 _CLOSE = ToolCall("update_accounts", {"filters": {"id": 1}, "set": {"status": "closed"}})
 _FREEZE = ToolCall("update_accounts", {"filters": {"id": 1}, "set": {"status": "frozen"}})
 _NOTE = ToolCall("insert_audit", {"note": "target"})
+_READ = ToolCall("query_accounts", {})
+_REOPEN = ToolCall("update_accounts", {"filters": {"id": 2}, "set": {"status": "open"}})
 
 
 @pytest.fixture(scope="module")
 def accounts_pkg() -> TaskPackage:
     compiled = compile_environment(_SCHEMA, _TRIGGERS)
     bundle = EnvironmentBundle.from_schema(
-        _SCHEMA, _TRIGGERS, compiled, {"accounts": READ_WRITE, "audit": READ_WRITE}, {})
+        _SCHEMA, _TRIGGERS, compiled,
+        {"accounts": READ_WRITE, "audit": READ_WRITE, "branches": READ_ONLY}, {})
     with compiled[1].connect() as conn:
         conn.execute("INSERT INTO accounts (id, status) VALUES (1, 'open'), (2, 'open')")
         origin = Snapshot.from_connection(conn)
@@ -69,8 +75,13 @@ def accounts_pkg() -> TaskPackage:
                        delta0=diff(origin, target, cfg).total)
 
 
-@pytest.mark.parametrize("call, code", [(_CLOSE, "NO_CLOSE"), (_FREEZE, "NO_FREEZE")],
-                         ids=["raise_rollback", "raise_fail"])
+@pytest.mark.parametrize("call, code", [
+    (_CLOSE, "NO_CLOSE"), (_FREEZE, "NO_FREEZE"),
+    (ToolCall("delete_accounts", {"filters": {"id": 1}}), "UNKNOWN_TOOL"),
+    (ToolCall("insert_branches", {"id": 3}), "READ_ONLY_TABLE"),
+    (ToolCall("update_accounts", {"filters": {"id": 1}, "set": {"status": 5}}),
+     "MALFORMED_ARGUMENTS"),
+], ids=["raise_rollback", "raise_fail", "unknown_tool", "read_only_table", "malformed_arguments"])
 @pytest.mark.parametrize("opened_at", [False, True], ids=["tracked", "open_environment_at"])
 def test_a_rolled_back_or_failed_write_leaves_no_trace(accounts_pkg, call, code, opened_at):
     if opened_at:
@@ -91,6 +102,9 @@ def test_a_rolled_back_or_failed_write_leaves_no_trace(accounts_pkg, call, code,
         # the handle still keeps a write, and its digest follows the full scan
         kept = safe_execute_tool(env, _NOTE)
         assert kept.ok and kept.state_digest == state_digest(env.connection)
+        # execute_tool stamps it too: on a query, a write and an engine error
+        for other in (_READ, _REOPEN, _CLOSE):
+            assert execute_tool(env, other).state_digest == state_digest(env.connection)
         if env.tracked:
             assert env.distance() == 0
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from policygym import load_package, save_package
-from policygym import packages
+from policygym import executor, packages, snapshots, tracker
 from policygym import synthesis as synthesis_module
 from policygym.errors import (
     CompilationExhausted,
@@ -192,6 +192,33 @@ def test_integer_check_enum_probes_with_integers():
     result = probe_boundary_adjacency(bundle, bundle.empty_snapshot, probe_budget=4)
     assert [(p["outcome"], p["code"]) for p in result.probes] == [("accepted", "")]
     assert result.adjacency_score == 0.0
+
+
+@pytest.fixture
+def digest_calls(monkeypatch):
+    """Every full-scan ``state_digest`` call, counted."""
+    calls, state_digest = [], snapshots.state_digest
+
+    def counting(conn, schema=None):
+        calls.append(conn)
+        return state_digest(conn, schema)
+
+    for module in (executor, snapshots, tracker):
+        monkeypatch.setattr(module, "state_digest", counting)
+    return calls
+
+
+def test_only_recorded_explorer_actions_take_a_digest(digest_calls):
+    """A synthesis round digests once per explorer action, the digest its log
+    records; boundary probes are undone and take none."""
+    _, log = synthesize_package("corporate travel portal", stub_port(),
+                                name="travel-synth", limits=ct.LIMITS)
+    assert len(digest_calls) == len(log["actions"]) == 5
+    digest_calls.clear()
+    bundle = ct.build_bundle()
+    origin = ct.build_origin_snapshot(bundle)
+    assert len(probe_boundary_adjacency(bundle, origin, probe_budget=32).probes) == 19
+    assert digest_calls == []
 
 
 def test_probe_pair_demonstrates_adjacency_at_n_minus_one():
