@@ -103,9 +103,9 @@ def cmd_validate(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    from .packages import check_snapshot_schema
+    from .packages import checked_canonical
     from .snapshots import Snapshot
-    from .verify import diff
+    from .verify import diff_canonical
 
     pkg = _load_package_arg(args.package, args)
     for path in (args.snapshot_a, args.snapshot_b):
@@ -113,9 +113,9 @@ def cmd_verify(args) -> dict:
             raise _Failure(f"snapshot not found: {path}", EXIT_USAGE)
     a = Snapshot.from_file(args.snapshot_a)
     b = Snapshot.from_file(args.snapshot_b)
-    check_snapshot_schema(a, pkg.env.schema_info, args.snapshot_a)
-    check_snapshot_schema(b, pkg.env.schema_info, args.snapshot_b)
-    d = diff(a, b, pkg.diff_config)
+    d = diff_canonical(
+        checked_canonical(a, pkg.env.schema_info, pkg.diff_config, args.snapshot_a),
+        checked_canonical(b, pkg.env.schema_info, pkg.diff_config, args.snapshot_b))
     per_table = {
         table: {"added": len(delta.added), "removed": len(delta.removed)}
         for table, delta in sorted(d.per_table.items())

@@ -17,9 +17,9 @@ from .packages import (
     EnvironmentBundle,
     TaskPackage,
     ToolSpec,
-    catalog_of,
 )
-from .snapshots import Snapshot, insert_sql, load_image, open_image, quote_ident, state_digest
+from .snapshots import (Snapshot, catalog_of, insert_sql, load_image, open_handle, quote_ident,
+                        select_sql, state_digest)
 
 if TYPE_CHECKING:
     from .tracker import VerificationBase
@@ -147,11 +147,11 @@ class EnvHandle:
         self._base = base
         self._reusable = True  # the connection may go back to the pool
         if base is not None and base.tracked:
-            self._tracker = base.take(lambda: _connect(origin.data))
+            self._tracker = base.take()
             self._conn = self._tracker.conn
         else:
             self._tracker = None
-            self._conn = _connect(origin.data)
+            self._conn = open_handle(origin.data)
         self.schema_info = (base.schema if base is not None
                             else catalog_of(self._conn, bundle.schema_info))
 
@@ -236,14 +236,6 @@ class EnvHandle:
         if self._tracker is not None:
             self._tracker.invalidate()
         return rowcount
-
-
-def _connect(data: bytes) -> sqlite3.Connection:
-    """A handle's connection onto a copy of the image ``data``. A pooled one
-    serves handles on any thread, one handle at a time."""
-    conn = open_image(data, check_same_thread=False)
-    conn.execute("PRAGMA foreign_keys = ON")
-    return conn
 
 
 class savepoint:
@@ -373,9 +365,7 @@ def _dispatch_folded(env: EnvHandle, call: ToolCall) -> ToolResult:
 def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
     columns = [c.name for c in env.columns(spec.table)]
     where, params = _filters_to_sql(spec, args.get("filters"))
-    sql = "SELECT {} FROM {}{}".format(
-        ", ".join(quote_ident(c) for c in columns), quote_ident(spec.table), where
-    )
+    sql = select_sql(spec.table, columns) + where
     order = args.get("order_by")
     if order is not None:
         direction = order.get("direction", "asc").upper()

@@ -38,6 +38,7 @@ from .snapshots import (
     ColumnInfo,
     SchemaInfo,
     Snapshot,
+    catalog_of,
     quote_ident,
     read_schema,
 )
@@ -601,40 +602,23 @@ def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
     }
 
 
-def catalog_of(conn: sqlite3.Connection, schema: SchemaInfo) -> SchemaInfo:
-    """``schema`` if the same DDL made the tables of ``conn``, else their own catalog."""
-    return schema if schema.describes(conn) else read_schema(conn)
-
-
-def _conforming_schema(conn: sqlite3.Connection, schema: SchemaInfo, label: str) -> SchemaInfo:
-    """``catalog_of(conn, schema)``; SchemaMismatch unless a catalog it had
-    to read has the tables and column types of ``schema``."""
-    info = catalog_of(conn, schema)
-    if info is schema:
-        return schema
-    have, want = _schema_shape(info), _schema_shape(schema)
-    for table, cols in want.items():
-        if table not in have:
-            raise SchemaMismatch(f"{label}: missing table {table}")
-        if have[table] != cols:
-            raise SchemaMismatch(f"{label}: column mismatch in table {table}")
-    extra = set(have) - set(want)
-    if extra:
-        raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
-    return info
-
-
-def check_snapshot_schema(snap: Snapshot, schema: SchemaInfo, label: str) -> None:
-    """Raise SchemaMismatch unless ``snap`` conforms to ``schema``."""
+def checked_canonical(snap: Snapshot, schema: SchemaInfo, cfg: DiffConfig,
+                      label: str) -> CanonicalRelationSet:
+    """``canonicalize(snap, cfg)`` under the catalog of ``snap``; SchemaMismatch unless
+    the same DDL made its tables or that catalog has the tables and column types of ``schema``."""
     with snap.connect() as conn:
-        _conforming_schema(conn, schema, label)
-
-
-def _checked_canonical(snap: Snapshot, schema: SchemaInfo, cfg: DiffConfig,
-                       label: str) -> CanonicalRelationSet:
-    """``canonicalize(snap, cfg)`` of a snapshot that conforms to ``schema``."""
-    with snap.connect() as conn:
-        return canonicalize_connection(conn, cfg, _conforming_schema(conn, schema, label))
+        info = catalog_of(conn, schema)
+        if info is not schema:
+            have, want = _schema_shape(info), _schema_shape(schema)
+            for table, cols in want.items():
+                if table not in have:
+                    raise SchemaMismatch(f"{label}: missing table {table}")
+                if have[table] != cols:
+                    raise SchemaMismatch(f"{label}: column mismatch in table {table}")
+            extra = set(have) - set(want)
+            if extra:
+                raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
+        return canonicalize_connection(conn, cfg, info)
 
 
 def _manifest_field(doc: dict, key: str, kind: type, default, prefix: str = "",
@@ -711,8 +695,8 @@ def load_package(path) -> TaskPackage:
 
     origin = Snapshot.from_file(root / "origin.db")
     target = Snapshot.from_file(root / "target.db")
-    canonical_origin = _checked_canonical(origin, info, diff_config, "origin.db")
-    canonical_target = _checked_canonical(target, info, diff_config, "target.db")
+    canonical_origin = checked_canonical(origin, info, diff_config, "origin.db")
+    canonical_target = checked_canonical(target, info, diff_config, "target.db")
 
     leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)
     if leak is not None:

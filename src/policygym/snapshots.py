@@ -29,6 +29,13 @@ def insert_sql(table: str, row: dict) -> tuple[str, list]:
     ), list(row.values())
 
 
+def select_sql(table: str, columns) -> str:
+    """The SELECT of ``columns``, in order, from every row of ``table``; of
+    ``NULL`` when ``columns`` is empty, so that every row is still read."""
+    return "SELECT {} FROM {}".format(
+        ", ".join(map(quote_ident, columns)) or "NULL", quote_ident(table))
+
+
 @dataclass(frozen=True)
 class ColumnInfo:
     name: str
@@ -61,6 +68,14 @@ def open_image(data: bytes, check_same_thread: bool = True) -> sqlite3.Connectio
     conn = sqlite3.connect(":memory:", isolation_level=None, check_same_thread=check_same_thread)
     if data:  # an empty image is an empty database, which deserialize rejects
         load_image(conn, data)
+    return conn
+
+
+def open_handle(data: bytes) -> sqlite3.Connection:
+    """An environment handle's connection onto a copy of the image ``data``: foreign
+    keys on, and a pooled one serves handles on any thread, one handle at a time."""
+    conn = open_image(data, check_same_thread=False)
+    conn.execute("PRAGMA foreign_keys = ON")
     return conn
 
 
@@ -182,6 +197,11 @@ class SchemaInfo:
         return have == [(t.name, t.sql) for t in self.tables.values()]
 
 
+def catalog_of(conn: sqlite3.Connection, schema: SchemaInfo) -> SchemaInfo:
+    """``schema`` if the same DDL made the tables of ``conn``, else their own catalog."""
+    return schema if schema.describes(conn) else read_schema(conn)
+
+
 def read_schema(conn: sqlite3.Connection) -> SchemaInfo:
     """Catalog of the database behind ``conn``.
 
@@ -270,6 +290,17 @@ def row_sort_key(row: tuple) -> bytes:
 
 # --- content digest ---------------------------------------------------------------
 
+def table_record(table: str, columns) -> bytes:
+    """A table's header in the digest input: its name and its column names."""
+    return b"T" + table.encode() + b"\x00" + ",".join(columns).encode() + b"\x00"
+
+
+def row_record(row) -> bytes:
+    """A row's record in the digest input: its sort key, framed. Framing keeps
+    the order of the keys, because every record ends in the same zero byte."""
+    return b"R" + row_sort_key(tuple(normalize_value(v) for v in row)) + b"\x00"
+
+
 def state_digest(conn: sqlite3.Connection, schema: SchemaInfo | None = None) -> str:
     """256-bit content hash of the full database state.
 
@@ -282,13 +313,7 @@ def state_digest(conn: sqlite3.Connection, schema: SchemaInfo | None = None) -> 
         schema = read_schema(conn)
     h = hashlib.sha256()
     for table, info in schema.tables.items():
-        cols = info.column_names
-        h.update(b"T" + table.encode() + b"\x00" + ",".join(cols).encode() + b"\x00")
-        select = "SELECT {} FROM {}".format(
-            ", ".join(quote_ident(c) for c in cols), quote_ident(table)
-        )
-        keys = sorted(row_sort_key(tuple(normalize_value(v) for v in row))
-                      for row in conn.execute(select))
-        for key in keys:
-            h.update(b"R" + key + b"\x00")
+        h.update(table_record(table, info.column_names))
+        for record in sorted(map(row_record, conn.execute(select_sql(table, info.column_names)))):
+            h.update(record)
     return h.hexdigest()

@@ -32,13 +32,14 @@ from .packages import (
     EnvironmentBundle,
     RolloutLimits,
     TaskPackage,
+    checked_canonical,
     compile_environment,
     find_spoiler,
     harvest_error_codes,
     token_pattern,
 )
 from .snapshots import SchemaInfo, Snapshot, insert_sql, quote_ident
-from .verify import DiffConfig, diff
+from .verify import DiffConfig, diff_canonical
 
 _PERMISSION_TAG_RE = re.compile(
     r"--\s*(L0_REFERENCE|L1_ENTITY|L2_TRANSACTION)\s+Table:\s*(\w+)", re.IGNORECASE
@@ -671,14 +672,17 @@ def assemble_package(
 ) -> TaskPackage:
     """Final package assembly with the two-view separation kept structural:
     the task text never references target-state internals, and the target is
-    exactly the episode's executed final snapshot."""
+    exactly the episode's executed final snapshot. SchemaMismatch unless both
+    images conform to the bundle's schema, as ``load_package`` requires."""
     if not policy_doc.strip():
         raise SynthesisError("policy_doc must be non-empty")
     cfg = diff_config or default_diff_config(bundle)
     leak = find_spoiler(task_text, [t.name for t in bundle.tool_catalog], redaction_list)
     if leak is not None:
         raise SpoilerLeak(f"task text mentions {leak!r}")
-    delta0 = diff(s_origin, ep.s_target, cfg).total
+    delta0 = diff_canonical(
+        checked_canonical(s_origin, bundle.schema_info, cfg, "origin.db"),
+        checked_canonical(ep.s_target, bundle.schema_info, cfg, "target.db")).total
     if delta0 == 0:
         warnings.warn(f"package {name!r} is trivial: origin already equals target")
     return TaskPackage(

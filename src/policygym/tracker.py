@@ -20,9 +20,10 @@ and the origin-minus-target multiset form a ``VerificationBase``: built once
 per package from one scan of each image, never mutated, and shared by every
 handle and thread; a handle copies a table's rows on its first write there.
 
-Installing the log costs more than a short episode's calls, so the base also
-keeps a pool of idle tracked connections. A closed handle's connection goes
-back to the origin (``StateTracker.reset``) and waits there, log and
+Installing the log costs more than a short episode's calls, so each
+connection installs it once and the base pools idle tracked connections,
+starting with the one it scanned the origin on. A closed handle's connection
+goes back to the origin (``StateTracker.reset``) and waits there, log and
 triggers in place, for the next handle opened on the package.
 
 The full-scan functions stay the reference, and some schemas keep them:
@@ -48,20 +49,23 @@ from functools import cached_property
 from itertools import islice
 from types import MappingProxyType
 
-from .packages import catalog_of
 from .snapshots import (
     SchemaInfo,
     Snapshot,
+    catalog_of,
     load_image,
     normalize_value,
+    open_handle,
     quote_ident,
-    row_sort_key,
+    row_record,
+    select_sql,
     state_digest,
+    table_record,
 )
 from .verify import (
     CanonicalRelationSet,
     DiffConfig,
-    _keys_to_excluded,
+    canonical_columns,
     canonicalize,
     canonicalize_connection,
     diff_canonical,
@@ -80,23 +84,10 @@ class _Table:
 
     name: str
     columns: tuple[str, ...]
+    header: bytes  # snapshots.table_record
+    select: str
     kept: tuple[int, ...]  # positions of the canonical columns
     decimals: int | None
-
-    @property
-    def header(self) -> bytes:
-        """The table's record in the digest, as state_digest writes it."""
-        return b"T" + self.name.encode() + b"\x00" + ",".join(self.columns).encode() + b"\x00"
-
-    @property
-    def select(self) -> str:
-        return "SELECT {} FROM {}".format(
-            ", ".join(quote_ident(c) for c in self.columns), quote_ident(self.name))
-
-    def key(self, row) -> bytes:
-        """The row's record in the digest: its sort key, framed. Framing keeps
-        the order, because every record ends in the same zero byte."""
-        return b"R" + row_sort_key(tuple(normalize_value(v) for v in row)) + b"\x00"
 
     def canonical(self, row) -> tuple:
         return tuple(normalize_value(row[i], self.decimals) for i in self.kept)
@@ -105,12 +96,11 @@ class _Table:
 def _tables(schema: SchemaInfo, cfg: DiffConfig) -> tuple[_Table, ...]:
     out = []
     for name, info in schema.tables.items():
-        excluded = cfg.excluded_columns.get(name, frozenset())
-        dropped = {fk.column for fk in _keys_to_excluded(info, cfg)}
         cols = info.column_names
         out.append(_Table(
-            name=name, columns=cols, decimals=cfg.float_decimals,
-            kept=tuple(i for i, c in enumerate(cols) if c not in excluded and c not in dropped),
+            name=name, columns=cols, header=table_record(name, cols),
+            select=select_sql(name, cols), decimals=cfg.float_decimals,
+            kept=tuple(map(cols.index, canonical_columns(info, cfg))),
         ))
     return tuple(out)
 
@@ -137,11 +127,18 @@ def _log_ddl(tables: tuple[_Table, ...]) -> list[str]:
     return install
 
 
-def _refuses_log(conn: sqlite3.Connection, schema: SchemaInfo) -> bool:
-    """True when a change log on this schema could miss a change."""
-    if any(name.lower() == LOG_TABLE for name in schema.tables):
-        return True
-    return any(_REPLACE_RE.search(sql) for (sql,) in conn.execute(_DDL_SQL))
+def _install_log(conn: sqlite3.Connection, schema: SchemaInfo, install_sql: list[str]) -> bool:
+    """Install the log on ``conn``; False, and no log, where it could miss a
+    change or where the schema refuses its triggers (a virtual table, say)."""
+    if (any(name.lower() == LOG_TABLE for name in schema.tables)
+            or any(_REPLACE_RE.search(sql) for (sql,) in conn.execute(_DDL_SQL))):
+        return False
+    try:
+        for sql in install_sql:
+            conn.execute(sql)
+    except sqlite3.Error:
+        return False
+    return True
 
 
 class VerificationBase:
@@ -153,19 +150,24 @@ class VerificationBase:
     handles use the full-scan reference for digest and distance alike.
 
     The one mutable part is the pool of idle trackers (``take`` and
-    ``give_back``, under a lock). It only ever holds trackers that handles
-    gave back, so it holds no more than were ever open at the same time.
+    ``give_back``, under a lock). It starts with the tracker on the scan's
+    connection and gains only trackers that handles gave back, so it holds
+    no more than one, or than were ever open at the same time.
     """
 
     def __init__(self, pkg):  # a packages.TaskPackage
         self.cfg: DiffConfig = pkg.diff_config
+        self._origin: Snapshot = pkg.origin_snapshot
         self._target: Snapshot = pkg.target_snapshot
-        with pkg.origin_snapshot.connect() as conn:
+        self._idle: list[StateTracker] = []
+        self._lock = threading.Lock()
+        conn = open_handle(self._origin.data)
+        try:
             self.schema = catalog_of(conn, pkg.env.schema_info)
             validate_excluded_columns(self.schema, self.cfg)
             self.tables = _tables(self.schema, self.cfg)
             self.install_sql = _log_ddl(self.tables)
-            self.tracked = not _refuses_log(conn, self.schema) and self._installs(conn)
+            self.tracked = _install_log(conn, self.schema, self.install_sql)
             if self.tracked:
                 rows, signed = self.scan(conn)
                 # a handle's first write to a table copies the table's tuple
@@ -179,18 +181,10 @@ class VerificationBase:
                 self.marks = tuple(marks)
                 self.signed = None if signed is None else MappingProxyType(signed)
                 self.distance = None if signed is None else sum(map(abs, signed.values()))
-        self._idle: list[StateTracker] = []
-        self._lock = threading.Lock()
-
-    def _installs(self, conn: sqlite3.Connection) -> bool:
-        """Try the log on the scratch origin copy; a schema that refuses its
-        triggers (a virtual table, say) keeps the full scan."""
-        try:
-            for sql in self.install_sql:
-                conn.execute(sql)
-        except sqlite3.Error:
-            return False
-        return True
+                self._idle.append(StateTracker(conn, self))
+        finally:
+            if not self._idle:  # untracked, or the build raised
+                conn.close()
 
     def scan(self, live: sqlite3.Connection):
         """(sorted digest records per table, live-minus-target canonical counts)
@@ -201,7 +195,7 @@ class VerificationBase:
             counted = self.cfg.fk_mode == "drop" and self.schema.describes(target)
             for t in self.tables:
                 live_rows = live.execute(t.select).fetchall()
-                rows[t.name] = sorted(map(t.key, live_rows))
+                rows[t.name] = sorted(map(row_record, live_rows))
                 if counted:
                     counts = Counter(map(t.canonical, live_rows))
                     counts.subtract(map(t.canonical, target.execute(t.select)))
@@ -218,13 +212,20 @@ class VerificationBase:
         live = canonicalize_connection(conn, self.cfg, self.schema)
         return diff_canonical(live, self.target).total
 
-    def take(self, connect) -> "StateTracker":
-        """An idle tracker from the pool, or a new one on ``connect()``, a new
-        connection holding a copy of the origin; either way at the origin."""
+    def take(self) -> "StateTracker":
+        """An idle tracker from the pool, or a new one on a new handle
+        connection onto the origin, the log installed; either way at the origin."""
         with self._lock:
             if self._idle:
                 return self._idle.pop()
-        return StateTracker(connect(), self)
+        conn = open_handle(self._origin.data)
+        try:
+            for sql in self.install_sql:
+                conn.execute(sql)
+        except sqlite3.Error:
+            conn.close()
+            raise
+        return StateTracker(conn, self)
 
     def give_back(self, tracker: "StateTracker") -> None:
         """Pool ``tracker``, which a closed handle has reset to the origin."""
@@ -256,15 +257,13 @@ def _hash(blocks, marks, start: int, mark: int) -> tuple[list, str]:
 class StateTracker:
     """The digest and d_t of one connection, kept current from its change log.
 
-    ``conn`` must hold a fresh copy of the origin; the log is installed on it
-    here, once for the connection's life.
+    ``conn`` must hold a fresh copy of the origin with the base's log
+    installed, once for the connection's life.
     """
 
     def __init__(self, conn: sqlite3.Connection, base: VerificationBase):
         self.conn = conn
         self._base = base
-        for sql in base.install_sql:
-            conn.execute(sql)
         self._restore()
 
     def _restore(self) -> None:
@@ -360,7 +359,7 @@ class StateTracker:
             keys = self._rows.get(t.name)
             if keys is None:
                 keys = self._rows[t.name] = list(self._base.rows[t.name])
-            key = t.key(row)
+            key = row_record(row)
             i = bisect_left(keys, key)
             if n > 0:
                 keys[i:i] = [key] * n

@@ -24,6 +24,7 @@ from .snapshots import (
     quote_ident,
     read_schema,
     row_sort_key,
+    select_sql,
 )
 
 DEFAULT_EPSILON = 1e-9
@@ -153,6 +154,15 @@ def _keys_to_excluded(info: TableInfo, cfg: DiffConfig) -> list[ForeignKey]:
             if fk.ref_column in cfg.excluded_columns.get(fk.ref_table, frozenset())]
 
 
+def canonical_columns(info: TableInfo, cfg: DiffConfig) -> tuple[str, ...]:
+    """The columns of ``info`` that canonical rows keep, in schema order: not
+    excluded and, under ``fk_mode="drop"``, no key into an excluded parent column."""
+    excluded = cfg.excluded_columns.get(info.name, frozenset())
+    if cfg.fk_mode == "drop":
+        excluded = excluded | {fk.column for fk in _keys_to_excluded(info, cfg)}
+    return tuple(c for c in info.column_names if c not in excluded)
+
+
 def _remap_digest(row: tuple) -> str:
     return hashlib.sha256(row_sort_key(row)).hexdigest()[:16]
 
@@ -195,38 +205,26 @@ def canonicalize_connection(
             remap[(ref_table, ref_column)] = mapping
 
     for table, info in schema.tables.items():
-        excluded = cfg.excluded_columns.get(table, frozenset())
         fk_by_column = {fk.column: fk for fk in info.foreign_keys}
-        drop = cfg.fk_mode == "drop"
-        dropped = {fk.column for fk in _keys_to_excluded(info, cfg)} if drop else set()
-        kept = [c for c in info.column_names if c not in excluded and c not in dropped]
-        columns[table] = tuple(kept)
+        kept = columns[table] = canonical_columns(info, cfg)
         counter: Counter = Counter()
-        if kept:
-            select = "SELECT {} FROM {}".format(
-                ", ".join(quote_ident(c) for c in kept), quote_ident(table)
-            )
-            for raw in conn.execute(select):
-                values = []
-                for name, value in zip(kept, raw):
-                    value = normalize_value(value, decimals)
-                    fk = fk_by_column.get(name)
-                    if (
-                        cfg.fk_mode == "canonical_remap"
-                        and fk is not None
-                        and (fk.ref_table, fk.ref_column) in remap
-                    ):
-                        if value is not None:
-                            value = remap[(fk.ref_table, fk.ref_column)].get(
-                                value, f"unresolved:{value!r}"
-                            )
-                    values.append(value)
-                counter[tuple(values)] += 1
-        else:
-            # all columns excluded: rows collapse to empty tuples, count kept
-            n = conn.execute(f"SELECT COUNT(*) FROM {quote_ident(table)}").fetchone()[0]
-            if n:
-                counter[()] = n
+        # with every column excluded, each row is the empty tuple
+        for raw in conn.execute(select_sql(table, kept)):
+            values = []
+            for name, value in zip(kept, raw):
+                value = normalize_value(value, decimals)
+                fk = fk_by_column.get(name)
+                if (
+                    cfg.fk_mode == "canonical_remap"
+                    and fk is not None
+                    and (fk.ref_table, fk.ref_column) in remap
+                ):
+                    if value is not None:
+                        value = remap[(fk.ref_table, fk.ref_column)].get(
+                            value, f"unresolved:{value!r}"
+                        )
+                values.append(value)
+            counter[tuple(values)] += 1
         tables[table] = counter
     return CanonicalRelationSet(tables=tables, columns=columns)
 

@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from policygym import load_package
+from policygym import load_package, tracker
 from policygym.fixtures import corporate_travel
 from policygym.snapshots import Snapshot
 
@@ -21,6 +21,15 @@ def fixture_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def travel_pkg(fixture_dir):
     return load_package(fixture_dir)
+
+
+@pytest.fixture
+def rescans(monkeypatch):
+    """The trackers that rescanned their connection in full, one entry a rescan."""
+    calls, rescan = [], tracker.StateTracker._rescan
+    monkeypatch.setattr(tracker.StateTracker, "_rescan",
+                        lambda self: (calls.append(self), rescan(self)))
+    return calls
 
 
 def snapshot_from_sql(statements) -> Snapshot:

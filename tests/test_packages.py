@@ -268,7 +268,7 @@ def test_every_read_write_table_has_exactly_insert_query_update(travel_pkg):
 @pytest.fixture
 def read_schema_calls(monkeypatch):
     """Every catalog read made through ``read_schema``, counted."""
-    from policygym import packages, verify
+    from policygym import packages, snapshots, verify
 
     calls = []
 
@@ -276,7 +276,7 @@ def read_schema_calls(monkeypatch):
         calls.append(conn)
         return read_schema(conn)
 
-    for module in (packages, verify):
+    for module in (packages, snapshots, verify):
         monkeypatch.setattr(module, "read_schema", counting)
     return calls
 

@@ -11,6 +11,7 @@ import pytest
 
 from policygym.executor import (
     ToolCall,
+    _dispatch_folded,
     execute_tool,
     open_environment,
     open_environment_at,
@@ -171,3 +172,22 @@ def test_fixture_origin_probes_are_pinned():
         *requests * 2,
     ]
     assert result.adjacency_score == 5 / 19
+
+
+def test_undone_probes_leave_a_tracked_handle_at_the_origin(travel_pkg, rescans):
+    """Each oracle call, undone by ``savepoint(keep=False)`` around
+    ``_dispatch_folded`` as ``probe_boundary_adjacency`` runs its probes,
+    leaves a tracked handle at the origin digest with no rescan; a call that
+    is kept then matches the full scan."""
+    calls = [ToolCall.from_json(step["tool_call"])
+             for step in ct.ORACLE_AGENT_SCRIPT if "tool_call" in step]
+    origin = travel_pkg.origin_snapshot.digest()
+    with open_environment(travel_pkg) as env:
+        assert env.tracked
+        for call in calls:
+            with savepoint(env.connection, keep=False):
+                assert _dispatch_folded(env, call).ok
+            assert env.digest() == origin == state_digest(env.connection)
+        kept = safe_execute_tool(env, calls[-1])
+        assert kept.ok and kept.state_digest == state_digest(env.connection) != origin
+    assert len(calls) == 5 and rescans == []

@@ -14,6 +14,7 @@ from policygym.errors import (
     CompilationExhausted,
     ExplorationDiverged,
     RedactionIncomplete,
+    SchemaMismatch,
     SeedRejected,
     SynthesisError,
 )
@@ -115,6 +116,27 @@ def test_verify_environment_empty_schema_vacuous_pass():
     report = verify_environment(bundle)
     assert report.physical == "pass"
     assert any("vacuous" in w for w in report.warnings)
+
+
+def test_verify_environment_warns_on_the_probes_that_surprise_it():
+    """``notes`` drops a NULL body (ON CONFLICT IGNORE) instead of refusing
+    it, and a trigger on ``tags`` refuses the derived valid row."""
+    schema_sql = ("CREATE TABLE notes (id INTEGER PRIMARY KEY,\n"
+                  "    body TEXT NOT NULL ON CONFLICT IGNORE);\n"
+                  "CREATE TABLE tags (id INTEGER PRIMARY KEY, label TEXT NOT NULL);")
+    triggers_sql = ("CREATE TRIGGER tags_no_probe BEFORE INSERT ON tags\n"
+                    "WHEN NEW.label = 'probe'\n"
+                    "BEGIN SELECT RAISE(ABORT, '[NO_PROBE] probe labels are refused'); END;")
+    compiled = packages.compile_environment(schema_sql, triggers_sql)
+    bundle = packages.EnvironmentBundle.from_schema(
+        schema_sql, triggers_sql, compiled,
+        {"notes": packages.READ_WRITE, "tags": packages.READ_WRITE}, {})
+    report = verify_environment(bundle)
+    assert report.physical == "pass"
+    assert report.warnings == (
+        "notes: invalid probe unexpectedly accepted",
+        "tags: valid probe rejected: [NO_PROBE] probe labels are refused",
+    )
 
 
 def test_seed_initial_state_replays_fixture_origin():
@@ -372,6 +394,21 @@ def test_assemble_package_round_trips_and_flags_trivial(tmp_path):
         trivial = assemble_package(bundle, ct.POLICY_MD, origin, lazy, "GOAL: noop\n",
                                    name="noop")
     assert trivial.trivial
+
+
+def test_assemble_package_refuses_an_image_that_does_not_conform():
+    """A target whose table has the bundle's column names but not its column
+    types fails the check that ``load_package`` makes, before any diff."""
+    bundle = ct.build_bundle()
+    origin = ct.build_origin_snapshot(bundle)
+    with origin.connect() as conn:
+        conn.executescript("DROP TABLE escalations; CREATE TABLE escalations "
+                           "(id INTEGER PRIMARY KEY AUTOINCREMENT, summary BLOB NOT NULL);")
+        other = snapshots.Snapshot.from_connection(conn)
+    episode = RawEpisode(transcript=(EpisodeMessage("client", "nothing"),), actions=(),
+                         s_target=other, goal="noop")
+    with pytest.raises(SchemaMismatch, match="target.db: column mismatch in table escalations"):
+        assemble_package(bundle, ct.POLICY_MD, origin, episode, "GOAL: noop\n")
 
 
 def test_synthesize_package_end_to_end_ground_truth_non_drift(tmp_path):

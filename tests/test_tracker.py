@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import sqlite3
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -223,13 +224,14 @@ def test_reads_inside_an_open_transaction_scan_in_full(travel_pkg, full_scan):
         full_scan.check(env)
 
 
-def test_a_change_the_log_missed_triggers_a_rescan(travel_pkg, full_scan):
-    note = ToolCall("transfer_to_human_agents", {"summary": "first"})
+def test_a_change_the_log_missed_triggers_a_rescan(travel_pkg, full_scan, rescans):
     with open_environment(travel_pkg) as env:
-        safe_execute_tool(env, note)
-        env.connection.execute("DELETE FROM temp.policygym_changelog")  # lose the insert
+        # no read folds the insert before its log row is lost
+        env.connection.execute("INSERT INTO escalations (summary) VALUES ('first')")
+        env.connection.execute("DELETE FROM temp.policygym_changelog")
         env.connection.execute("UPDATE escalations SET summary = 'second'")
         full_scan.check(env)
+    assert len(rescans) == 1
 
 
 def test_rejected_call_reuses_the_digest(travel_pkg):
@@ -449,3 +451,30 @@ def test_drop_mode_small_schema_is_tracked():
                    DiffConfig(excluded_columns={"parents": {"id"}, "children": {"id"}}))
     assert _drive(pkg, [ToolCall("insert_children", {"parent_id": 2, "label": "c"}),
                         ToolCall("update_children", {"filters": {}, "set": {"label": "z"}})])
+
+
+def test_importing_the_tracker_loads_no_package_model():
+    """The tracker calls the rules of the full-scan reference (snapshots.py,
+    verify.py); none of them lives in packages.py."""
+    code = "import policygym.tracker, sys; assert 'policygym.packages' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_the_first_handle_installs_the_log_once(travel_pkg, monkeypatch):
+    """The base installs the log on the connection it scans the origin on and
+    pools it, so the first handle on a package runs the log's DDL (one TEMP
+    table, three TEMP triggers per user table) once, on that connection."""
+    statements = []
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    pkg = dataclasses.replace(travel_pkg)  # a package with no base yet
+    with open_environment(pkg) as env:
+        assert env.tracked
+    installs = [s for s in statements if s.startswith("CREATE TEMP")]
+    assert len(installs) == 1 + 3 * len(pkg.env.schema_info.tables)

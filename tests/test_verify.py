@@ -190,6 +190,15 @@ def test_null_is_first_class_and_distinct():
     assert diff(a, b, cfg).total == 2
 
 
+def test_a_table_with_every_column_excluded_still_counts_its_rows():
+    schema = "CREATE TABLE ticks (id INTEGER PRIMARY KEY AUTOINCREMENT, at TEXT);"
+    a = snapshot_from_sql([schema, "INSERT INTO ticks (at) VALUES ('x'), ('y')"])
+    b = snapshot_from_sql([schema, "INSERT INTO ticks (at) VALUES ('z'), ('z'), ('z')"])
+    cfg = DiffConfig(excluded_columns={"ticks": frozenset({"id", "at"})})
+    assert canonicalize(a, cfg).tables["ticks"] == {(): 2}
+    assert diff(a, b, cfg).total == brute_force_diff_total(a, b, cfg) == 1
+
+
 def test_unknown_excluded_column_rejected():
     a, _, _ = _demo_pair()
     with pytest.raises(UnknownExcludedColumn):
