@@ -6,7 +6,6 @@ One EnvHandle is single-writer; distinct handles are fully independent.
 
 from __future__ import annotations
 
-import re
 import sqlite3
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -17,6 +16,7 @@ from .packages import (
     EnvironmentBundle,
     TaskPackage,
     ToolSpec,
+    split_error_code,
 )
 from .snapshots import (Snapshot, catalog_of, insert_sql, load_image, open_handle, quote_ident,
                         select_sql, state_digest)
@@ -25,8 +25,6 @@ if TYPE_CHECKING:
     from .tracker import VerificationBase
 
 UNCLASSIFIED = "UNCLASSIFIED"
-
-_BRACKET_CODE_RE = re.compile(r"^\s*\[([A-Z][A-Z0-9_]*)\]\s*(.*)$", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -104,19 +102,11 @@ class ToolResult:
 def parse_engine_error(raw: str, registry: dict[str, str]) -> ErrorPayload:
     """Translate a raw engine message into the structured error payload.
 
-    Messages following the '[CODE] rule text' convention keep their code and
-    rule; everything else becomes UNCLASSIFIED with the message verbatim.
+    Messages following the '[CODE] rule text' convention (``split_error_code``) keep their
+    code and rule; everything else becomes UNCLASSIFIED with the message verbatim.
     """
-    m = _BRACKET_CODE_RE.match(raw)
-    if m:
-        code, rule = m.group(1), m.group(2).strip()
-        return ErrorPayload(
-            code=code, message=raw, violated_rule=rule, hint=registry.get(code, "")
-        )
-    return ErrorPayload(
-        code=UNCLASSIFIED, message=raw, violated_rule="",
-        hint=registry.get(UNCLASSIFIED, ""),
-    )
+    code, rule = split_error_code(raw) or (UNCLASSIFIED, "")
+    return ErrorPayload(code=code, message=raw, violated_rule=rule, hint=registry.get(code, ""))
 
 
 class EnvHandle:
@@ -306,10 +296,9 @@ def _lookup_tool(env: EnvHandle, name: str) -> ToolSpec:
     if spec is not None:
         return spec
     # distinguish "write to a read-only table" from a plain unknown name
-    m = re.match(r"(insert|update)_(\w+)$", name)
-    if m and m.group(2) in env.bundle.permissions:
-        if env.bundle.permissions[m.group(2)] == READ_ONLY:
-            raise ReadOnlyTable(f"table {m.group(2)} is read-only; {name} is not available")
+    kind, _, table = name.partition("_")
+    if kind in ("insert", "update") and env.bundle.permissions.get(table) == READ_ONLY:
+        raise ReadOnlyTable(f"table {table} is read-only; {name} is not available")
     raise UnknownTool(name)
 
 

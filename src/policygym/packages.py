@@ -41,6 +41,7 @@ from .snapshots import (
     catalog_of,
     quote_ident,
     read_schema,
+    read_triggers,
 )
 from .verify import (
     CanonicalRelationSet,
@@ -77,10 +78,9 @@ REQUIRED_FILES = (
     "target.db",
 )
 
-_RAISE_RE = re.compile(r"RAISE\s*\(\s*(?:ABORT|FAIL|ROLLBACK)\s*,\s*'((?:[^']|'')*)'", re.IGNORECASE)
 _EFFECT_UPDATE_RE = re.compile(r"\bUPDATE\s+[\"'`]?(\w+)[\"'`]?\s+SET\s+[\"'`]?(\w+)", re.IGNORECASE)
 _EFFECT_INSERT_RE = re.compile(r"\bINSERT\s+INTO\s+[\"'`]?(\w+)", re.IGNORECASE)
-_ERROR_CODE_RE = re.compile(r"\[([A-Z][A-Z0-9_]*)\]")
+_ERROR_CODE_RE = re.compile(r"\s*\[([A-Z][A-Z0-9_]*)\]\s*(.*)", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -264,38 +264,39 @@ def _force_compile_triggers(conn: sqlite3.Connection, schema: SchemaInfo) -> Non
 
 # --- trigger annotations -------------------------------------------------------
 
-def extract_trigger_annotations(schema: SchemaInfo) -> dict:
-    """Mechanical annotation extraction from compiled triggers.
+def trigger_annotations(schema: SchemaInfo, table: str,
+                        event: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The preconditions and side effects that the triggers of ``schema`` give
+    an ``event`` (INSERT or UPDATE) on ``table``, extracted mechanically.
 
-    Each RAISE message in a BEFORE trigger becomes a precondition line of the
-    matching insert/update tool; each statement in an AFTER trigger becomes a
-    side-effect line. No paraphrase, so derivation stays deterministic.
+    Each RAISE message of a BEFORE trigger is a precondition line; each
+    statement of an AFTER trigger is a side-effect line. No paraphrase, so
+    derivation stays deterministic.
     """
-    ann: dict[str, dict[str, dict[str, list[str]]]] = {}
+    pre, post = [], []
     for trigger in schema.triggers:
-        event = trigger.event.lower()
-        if event not in ("insert", "update"):
+        if trigger.event != event or trigger.table.lower() != table.lower():
             continue
-        slot = ann.setdefault(trigger.table, {}).setdefault(
-            event, {"preconditions": [], "side_effects": []}
-        )
         if trigger.timing == "BEFORE":
-            for msg in _RAISE_RE.findall(trigger.body):
-                slot["preconditions"].append(msg.replace("''", "'"))
+            pre += (message for _, message in trigger.raises)
         elif trigger.timing == "AFTER":
-            for target, col in _EFFECT_UPDATE_RE.findall(trigger.body):
-                slot["side_effects"].append(f"updates {target}.{col}")
-            for target in _EFFECT_INSERT_RE.findall(trigger.body):
-                slot["side_effects"].append(f"may insert into {target}")
-    return ann
+            post += (f"updates {t}.{c}" for t, c in _EFFECT_UPDATE_RE.findall(trigger.body))
+            post += (f"may insert into {t}" for t in _EFFECT_INSERT_RE.findall(trigger.body))
+    return tuple(pre), tuple(post)
 
 
-def harvest_error_codes(triggers_sql: str) -> list[str]:
-    """All distinct bracketed error codes appearing in trigger text."""
-    seen: dict[str, None] = {}
-    for code in _ERROR_CODE_RE.findall(triggers_sql):
-        seen.setdefault(code, None)
-    return list(seen)
+def split_error_code(message: str) -> tuple[str, str] | None:
+    """``(code, rule text)`` of an engine message that opens with ``[CODE]``,
+    else None: the one code rule of the error registry and of runtime payloads."""
+    m = _ERROR_CODE_RE.fullmatch(message)
+    return (m.group(1), m.group(2).strip()) if m else None
+
+
+def harvest_error_codes(schema: SchemaInfo) -> list[str]:
+    """The distinct codes of the RAISE messages of ``schema``'s triggers, in
+    order of first appearance (``split_error_code``)."""
+    split = (split_error_code(message) for t in schema.triggers for _, message in t.raises)
+    return list(dict.fromkeys(code for code, _ in filter(None, split)))
 
 
 # --- argument validation --------------------------------------------------------
@@ -484,7 +485,7 @@ def _update_schema(cols: list[ColumnInfo]) -> dict:
     }
 
 
-def _compose_description(base: str, pre: list[str], post: list[str]) -> str:
+def _compose_description(base: str, pre: tuple[str, ...], post: tuple[str, ...]) -> str:
     parts = [base]
     if pre:
         parts.append("Preconditions: " + " | ".join(pre))
@@ -497,57 +498,26 @@ def derive_tools_from_schema(
     schema: SchemaInfo, permissions: dict[str, str]
 ) -> tuple[ToolSpec, ...]:
     """``derive_tools`` on a compiled catalog; its triggers annotate the tools."""
-    annotations = extract_trigger_annotations(schema)
     tools: list[ToolSpec] = []
     for table in sorted(permissions):
         if table not in schema.tables:
             raise SchemaMismatch(f"permission entry for unknown table: {table}")
-
-    for table in sorted(permissions):
-        cols = schema.tables[table].columns
-        tools.append(
-            ToolSpec(
-                name=f"query_{table}",
-                kind="query",
-                table=table,
-                parameter_schema=_query_schema(cols),
-                description=f"Read rows from the {table} table with conjunctive filters.",
-            )
-        )
+        tools.append(ToolSpec(
+            name=f"query_{table}", kind="query", table=table,
+            parameter_schema=_query_schema(schema.tables[table].columns),
+            description=f"Read rows from the {table} table with conjunctive filters."))
     for table in sorted(t for t, m in permissions.items() if m == READ_WRITE):
         cols = schema.tables[table].columns
-        ins = annotations.get(table, {}).get("insert", {})
-        upd = annotations.get(table, {}).get("update", {})
-        tools.append(
-            ToolSpec(
-                name=f"insert_{table}",
-                kind="insert",
-                table=table,
-                parameter_schema=_insert_schema(cols),
-                description=_compose_description(
-                    f"Insert one row into the {table} table.",
-                    ins.get("preconditions", []),
-                    ins.get("side_effects", []),
-                ),
-                preconditions=tuple(ins.get("preconditions", [])),
-                side_effects=tuple(ins.get("side_effects", [])),
-            )
-        )
-        tools.append(
-            ToolSpec(
-                name=f"update_{table}",
-                kind="update",
-                table=table,
-                parameter_schema=_update_schema(cols),
-                description=_compose_description(
-                    f"Update rows of the {table} table matching equality filters.",
-                    upd.get("preconditions", []),
-                    upd.get("side_effects", []),
-                ),
-                preconditions=tuple(upd.get("preconditions", [])),
-                side_effects=tuple(upd.get("side_effects", [])),
-            )
-        )
+        for kind, parameters, base in (
+            ("insert", _insert_schema, f"Insert one row into the {table} table."),
+            ("update", _update_schema,
+             f"Update rows of the {table} table matching equality filters."),
+        ):
+            pre, post = trigger_annotations(schema, table, kind.upper())
+            tools.append(ToolSpec(name=f"{kind}_{table}", kind=kind, table=table,
+                                  parameter_schema=parameters(cols),
+                                  description=_compose_description(base, pre, post),
+                                  preconditions=pre, side_effects=post))
     tools.append(
         ToolSpec(
             name=ESCALATION_TOOL,
@@ -603,9 +573,11 @@ def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
 
 
 def checked_canonical(snap: Snapshot, schema: SchemaInfo, cfg: DiffConfig,
-                      label: str) -> CanonicalRelationSet:
+                      label: str, run: bool = False) -> CanonicalRelationSet:
     """``canonicalize(snap, cfg)`` under the catalog of ``snap``; SchemaMismatch unless
-    the same DDL made its tables or that catalog has the tables and column types of ``schema``."""
+    the same DDL made its tables or that catalog has the tables and column types of ``schema``.
+    An image that handles ``run`` (an origin) must also carry exactly the triggers of
+    ``schema``, in order; an image that is only compared needs the tables alone."""
     with snap.connect() as conn:
         info = catalog_of(conn, schema)
         if info is not schema:
@@ -618,6 +590,8 @@ def checked_canonical(snap: Snapshot, schema: SchemaInfo, cfg: DiffConfig,
             extra = set(have) - set(want)
             if extra:
                 raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
+        if run and read_triggers(conn) != schema.triggers:
+            raise SchemaMismatch(f"{label}: its triggers are not those of triggers.sql")
         return canonicalize_connection(conn, cfg, info)
 
 
@@ -689,13 +663,13 @@ def load_package(path) -> TaskPackage:
         if table != ESCALATIONS_TABLE and table not in permissions:
             raise SchemaMismatch(f"no permission entry for table {table}")
     if not registry:
-        registry = {code: "" for code in harvest_error_codes(triggers_sql)}
+        registry = {code: "" for code in harvest_error_codes(info)}
     env = EnvironmentBundle.from_schema(schema_sql, triggers_sql, compiled, permissions, registry)
     validate_excluded_columns(info, diff_config)
 
     origin = Snapshot.from_file(root / "origin.db")
     target = Snapshot.from_file(root / "target.db")
-    canonical_origin = checked_canonical(origin, info, diff_config, "origin.db")
+    canonical_origin = checked_canonical(origin, info, diff_config, "origin.db", run=True)
     canonical_target = checked_canonical(target, info, diff_config, "target.db")
 
     leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)

@@ -132,6 +132,44 @@ class TableInfo:
         return next((c.name for c in self.columns if c.primary_key), None)
 
 
+# The trigger grammar's tokens: one character of a bare SQLite identifier (a
+# letter, digit, _ or $, or any non-ASCII character; the class lists the ASCII
+# characters it leaves out, because a class with a wide range compiles slowly),
+# the whitespace and comments between two tokens (possessive: no token starts
+# with either), and one identifier, bare or quoted by "", ``, [] or '' (a
+# doubled quote stands for itself)
+_ID_CHAR = r"[^\x00-#%-/:-@\[-^`{-\x7f]"
+_GAP = r"(?:\s|--[^\n]*|/\*.*?\*/)*+"
+_NAME = rf"""(?:"(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\]|'(?:[^']|'')*'|{_ID_CHAR}+)"""
+
+
+def _words(*words: str) -> str:
+    """Each of ``words`` as a whole keyword, followed by a gap."""
+    return "".join(rf"{w}(?!{_ID_CHAR}){_GAP}" for w in words)
+
+
+_QUALIFIED = rf"(?:{_NAME}{_GAP}\.{_GAP})?({_NAME})"  # a schema prefix is dropped
+_TRIGGER_HEADER_RE = re.compile(
+    _GAP + _words("CREATE") + rf"(?:{_words('TEMP(?:ORARY)?')})?" + _words("TRIGGER")
+    + rf"(?:{_words('IF', 'NOT', 'EXISTS')})?{_QUALIFIED}{_GAP}"
+    + rf"(?:(BEFORE|AFTER|INSTEAD(?!{_ID_CHAR}){_GAP}OF)(?!{_ID_CHAR}){_GAP})?"
+    + _words("(INSERT|UPDATE|DELETE)")
+    + rf"(?:{_words('OF')}({_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP})?{_words('ON')}{_QUALIFIED}",
+    re.IGNORECASE | re.DOTALL | re.ASCII,
+)
+_COLUMN_RE = re.compile(rf"{_GAP},?{_GAP}({_NAME})", re.DOTALL | re.ASCII)
+_RAISE_RE = re.compile(rf"RAISE{_GAP}\({_GAP}(ABORT|FAIL|ROLLBACK){_GAP},{_GAP}({_NAME})",
+                       re.IGNORECASE | re.DOTALL | re.ASCII)
+_TIMINGS = {"B": "BEFORE", "A": "AFTER", "I": "INSTEAD OF"}
+
+
+def _unquote(name: str) -> str:
+    """The identifier that the SQL token ``name`` spells."""
+    if name[0] in "\"`'":
+        return name[1:-1].replace(name[0] * 2, name[0])
+    return name[1:-1] if name[0] == "[" else name
+
+
 class TriggerInfo(NamedTuple):
     name: str
     timing: str  # BEFORE | AFTER | INSTEAD OF
@@ -140,28 +178,26 @@ class TriggerInfo(NamedTuple):
     table: str
     body: str  # everything after the ON <table> clause
 
-
-_TRIGGER_HEADER_RE = re.compile(
-    r"CREATE\s+TRIGGER\s+(?:IF\s+NOT\s+EXISTS\s+)?[\"'`]?(\w+)[\"'`]?\s+"
-    r"(BEFORE|AFTER|INSTEAD\s+OF)\s+(INSERT|UPDATE|DELETE)"
-    r"(?:\s+OF\s+([\w\s,\"'`]+?))?\s+ON\s+[\"'`]?(\w+)[\"'`]?",
-    re.IGNORECASE,
-)
+    @property
+    def raises(self) -> tuple[tuple[str, str], ...]:
+        """``(ABORT|FAIL|ROLLBACK, message)`` of each RAISE in the body, in order;
+        the message is the one the engine reports."""
+        return tuple((kind.upper(), _unquote(message))
+                     for kind, message in _RAISE_RE.findall(self.body))
 
 
 def parse_trigger(sql: str) -> TriggerInfo | None:
-    """Header fields of a CREATE TRIGGER statement, or None if unrecognized."""
-    m = _TRIGGER_HEADER_RE.search(sql)
+    """Header fields of a CREATE TRIGGER statement, or None for other SQL."""
+    m = _TRIGGER_HEADER_RE.match(sql)
     if m is None:
         return None
     name, timing, event, of_columns, table = m.groups()
-    columns = (c.strip().strip("\"'`") for c in (of_columns or "").split(","))
     return TriggerInfo(
-        name=name,
-        timing=" ".join(timing.upper().split()),
+        name=_unquote(name),
+        timing=_TIMINGS[(timing or "B")[0].upper()],  # SQLite's default is BEFORE
         event=event.upper(),
-        of_columns=tuple(c for c in columns if c),
-        table=table,
+        of_columns=tuple(map(_unquote, _COLUMN_RE.findall(of_columns or ""))),
+        table=_unquote(table),
         body=sql[m.end():],
     )
 
@@ -175,7 +211,7 @@ _TABLES_SQL = (
 @dataclass(frozen=True)
 class SchemaInfo:
     """Immutable catalog of one schema: user tables in name order and the
-    parsed triggers in creation order (unrecognized headers are skipped)."""
+    parsed triggers in creation order."""
 
     tables: Mapping[str, TableInfo]
     triggers: tuple[TriggerInfo, ...]
@@ -231,14 +267,13 @@ def read_schema(conn: sqlite3.Connection) -> SchemaInfo:
             fks.append(ForeignKey(column=r[3], ref_table=r[2], ref_column=ref_col))
         tables[name] = TableInfo(name=name, columns=columns[name], foreign_keys=tuple(fks),
                                  autoincrement="AUTOINCREMENT" in sql.upper(), sql=sql)
-    triggers = (
-        parse_trigger(sql or "")
-        for (sql,) in conn.execute(
-            "SELECT sql FROM sqlite_master WHERE type = 'trigger' ORDER BY rowid"
-        )
-    )
-    return SchemaInfo(tables=MappingProxyType(tables),
-                      triggers=tuple(t for t in triggers if t is not None))
+    return SchemaInfo(tables=MappingProxyType(tables), triggers=read_triggers(conn))
+
+
+def read_triggers(conn: sqlite3.Connection) -> tuple[TriggerInfo, ...]:
+    """The triggers of the database behind ``conn``, parsed, in creation order."""
+    return tuple(parse_trigger(sql) for (sql,) in conn.execute(
+        "SELECT sql FROM sqlite_master WHERE type = 'trigger' ORDER BY rowid"))
 
 
 # --- value normalization -------------------------------------------------------

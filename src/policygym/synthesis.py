@@ -220,7 +220,7 @@ def architect_compile(
             permissions[table] = READ_WRITE
     bundle = EnvironmentBundle.from_schema(
         schema_sql, triggers_sql, compiled, permissions,
-        {code: "" for code in harvest_error_codes(triggers_sql)},
+        {code: "" for code in harvest_error_codes(compiled[0])},
     )
     return ArchitectResult(bundle=bundle, policy_doc=policy_doc,
                            reports=tuple(reports), blueprint=blueprint)

@@ -22,9 +22,9 @@ from policygym.fixtures import corporate_travel
 from policygym.packages import (
     compile_environment,
     derive_tools,
-    extract_trigger_annotations,
     find_spoiler,
     harvest_error_codes,
+    trigger_annotations,
 )
 from policygym.snapshots import read_schema
 from policygym.verify import diff
@@ -84,6 +84,22 @@ def test_schema_mismatch_names_missing_table(fixture_dir, tmp_path):
         load_package(broken)
 
 
+@pytest.mark.parametrize("dropped", [None, "validate_travel_request_update"])
+def test_an_origin_without_the_package_triggers_is_refused(fixture_dir, tmp_path, dropped):
+    """Handles run the origin image, so it must carry every compiled trigger
+    (``None`` drops all of them)."""
+    broken = tmp_path / "unguarded"
+    shutil.copytree(fixture_dir, broken)
+    conn = sqlite3.connect(broken / "origin.db")
+    names = [r[0] for r in conn.execute("SELECT name FROM sqlite_master WHERE type = 'trigger'")]
+    for name in names if dropped is None else [dropped]:
+        conn.execute(f'DROP TRIGGER "{name}"')
+    conn.commit()
+    conn.close()
+    with pytest.raises(SchemaMismatch, match="origin.db"):
+        load_package(broken)
+
+
 def test_missing_artifact_names_file(fixture_dir, tmp_path):
     broken = tmp_path / "missing"
     shutil.copytree(fixture_dir, broken)
@@ -140,17 +156,12 @@ def test_trigger_annotations_embed_quota_rule(travel_pkg):
 
 def test_logic_exposed_interface_rule_holds(travel_pkg):
     info, _ = compile_environment(travel_pkg.env.schema, travel_pkg.env.triggers)
-    annotations = extract_trigger_annotations(info)
     by_name = travel_pkg.env.tools_by_name()
-    for table, events in annotations.items():
-        if travel_pkg.env.permissions.get(table) != "read_write":
-            continue
-        for event, slot in events.items():
-            tool = by_name[f"{event}_{table}"]
-            if slot["preconditions"]:
-                assert tool.preconditions
-            if slot["side_effects"]:
-                assert tool.side_effects
+    for table in travel_pkg.env.tables("read_write"):
+        for kind in ("insert", "update"):
+            tool = by_name[f"{kind}_{table}"]
+            assert (tool.preconditions, tool.side_effects) == trigger_annotations(
+                info, table, kind.upper())
 
 
 def test_query_tools_for_read_only_tables_only(travel_pkg):
@@ -240,11 +251,12 @@ def test_find_spoiler_is_wordwise_and_case_insensitive():
 
 
 def test_harvest_error_codes_order_deterministic():
-    codes = harvest_error_codes(corporate_travel.TRIGGERS_SQL)
+    info, _ = compile_environment(corporate_travel.SCHEMA_SQL, corporate_travel.TRIGGERS_SQL)
+    codes = harvest_error_codes(info)
     assert codes[0] == "PREREQ_FAIL"
     assert "QUOTA_EXCEEDED" in codes
     assert "CALCULATION_ERROR" in codes
-    assert codes == harvest_error_codes(corporate_travel.TRIGGERS_SQL)
+    assert codes == harvest_error_codes(info)
 
 
 def test_manifest_fields_round_trip(fixture_dir):

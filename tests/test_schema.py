@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
-import pytest
+import re
+import sqlite3
 
-from policygym.snapshots import TriggerInfo, parse_trigger, read_schema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from policygym.errors import CompileFailure
+from policygym.packages import compile_environment, derive_tools
+from policygym.snapshots import TriggerInfo, parse_trigger, quote_ident, read_schema
 
 from conftest import snapshot_from_sql
+from test_savepoints import _SCHEMA as ACCOUNTS_SCHEMA, _TRIGGERS as ACCOUNTS_TRIGGERS
 from test_verify import PAIR_SCHEMA
 
 
@@ -96,6 +104,22 @@ _TRIGGER_CASES = [
     ("CREATE TRIGGER t7 AFTER UPDATE ON items BEGIN SELECT 1; END",
      TriggerInfo("t7", "AFTER", "UPDATE", (), "items", " BEGIN SELECT 1; END")),
     ("CREATE INDEX idx ON items (a)", None),
+    # no timing: SQLite's default is BEFORE
+    ("CREATE TRIGGER t8 INSERT ON items BEGIN SELECT 1; END",
+     TriggerInfo("t8", "BEFORE", "INSERT", (), "items", " BEGIN SELECT 1; END")),
+    ('CREATE TRIGGER "my t9" AFTER DELETE ON "order items" BEGIN SELECT 1; END',
+     TriggerInfo("my t9", "AFTER", "DELETE", (), "order items", " BEGIN SELECT 1; END")),
+    ("CREATE TRIGGER main.t10 BEFORE UPDATE ON main.items BEGIN SELECT 1; END",
+     TriggerInfo("t10", "BEFORE", "UPDATE", (), "items", " BEGIN SELECT 1; END")),
+    ("CREATE TRIGGER t11 AFTER UPDATE OF [unit price], [b] ON [order items] BEGIN SELECT 1; END",
+     TriggerInfo("t11", "AFTER", "UPDATE", ("unit price", "b"), "order items",
+                 " BEGIN SELECT 1; END")),
+    ("CREATE TRIGGER 't''12' /* a note */ UPDATE OF `b` -- a line note\n ON`order items`WHEN 1\n"
+     "BEGIN SELECT 1; END",
+     TriggerInfo("t'12", "BEFORE", "UPDATE", ("b",), "order items", "WHEN 1\nBEGIN SELECT 1; END")),
+    # a keyword only as a whole word: this name does not hold IF NOT EXISTS
+    ("CREATE TRIGGER ifnotexists_t13 AFTER INSERT ON items BEGIN SELECT 1; END",
+     TriggerInfo("ifnotexists_t13", "AFTER", "INSERT", (), "items", " BEGIN SELECT 1; END")),
 ]
 
 
@@ -105,7 +129,8 @@ def test_parse_trigger(sql, expected):
 
 
 def test_trigger_cases_compile_and_the_catalog_keeps_creation_order():
-    statements = ["CREATE TABLE items (a, b)", "CREATE VIEW v AS SELECT * FROM items"]
+    statements = ["CREATE TABLE items (a, b)", "CREATE VIEW v AS SELECT * FROM items",
+                  'CREATE TABLE "order items" ("unit price", b)']
     snap = snapshot_from_sql(statements + [sql for sql, want in _TRIGGER_CASES if want])
     with snap.connect() as conn:
         triggers = read_schema(conn).triggers
@@ -120,3 +145,118 @@ def test_all_fixture_triggers_parse(travel_pkg):
             "SELECT name FROM sqlite_master WHERE type = 'trigger' ORDER BY rowid")]
     assert [t.name for t in triggers] == stored
     assert all(t.table in travel_pkg.env.schema_info.tables for t in triggers)
+
+
+def test_a_trigger_that_names_no_timing_is_force_compiled_and_annotates_its_tool():
+    triggers = ("CREATE TRIGGER g INSERT ON t "
+                "BEGIN SELECT RAISE(ABORT, '[NO_A] a is required') WHERE NEW.a IS NULL; END;")
+    tools = {tool.name: tool for tool in derive_tools("CREATE TABLE t (a);", {"t": "read_write"},
+                                                      triggers)}
+    assert tools["insert_t"].preconditions == ("[NO_A] a is required",)
+    broken = "CREATE TRIGGER g INSERT ON t BEGIN INSERT INTO missing VALUES (1); END;"
+    with pytest.raises(CompileFailure, match="trigger g: no such table"):
+        compile_environment("CREATE TABLE t (a);", broken)
+
+
+def test_a_trigger_on_a_quoted_table_with_a_space_compiles():
+    info, _ = compile_environment(
+        'CREATE TABLE "order items" (a);',
+        'CREATE TRIGGER g AFTER INSERT ON "order items" BEGIN SELECT 1; END;')
+    assert [t[:5] for t in info.triggers] == [("g", "AFTER", "INSERT", (), "order items")]
+
+
+def test_raises_reads_each_kind_and_the_message_the_engine_reports():
+    info, _ = compile_environment(ACCOUNTS_SCHEMA, ACCOUNTS_TRIGGERS)
+    assert [t.raises for t in info.triggers] == [
+        (("ROLLBACK", "[NO_CLOSE] accounts are never closed"),),
+        (("FAIL", "[NO_FREEZE] freezing needs a review"),),
+        (("ABORT", "[AUDIT_FULL] the audit holds one note"),),
+    ]
+
+
+@pytest.mark.parametrize("message", ["'it''s closed'", '"a ""quoted"" rule"', "[a bracketed rule]",
+                                     "`a ``ticked`` rule`", "bare_rule"])
+def test_raises_unquotes_the_message_as_the_engine_does(message):
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.execute("CREATE TABLE t (a)")
+        conn.execute("CREATE TRIGGER g BEFORE INSERT ON t"
+                     f" BEGIN SELECT RAISE ( abort , {message} ); END")
+        (trigger,) = read_schema(conn).triggers
+        with pytest.raises(sqlite3.IntegrityError) as caught:
+            conn.execute("INSERT INTO t VALUES (1)")
+    finally:
+        conn.close()
+    assert trigger.raises == (("ABORT", str(caught.value)),)
+
+
+# the pieces of a generated CREATE TRIGGER: identifier text, the ways to write
+# one identifier, and the gaps and keyword spellings SQLite reads alike
+_IDENT_TEXT = st.one_of(st.from_regex(r"[ab_é][ab_$é]{0,4}", fullmatch=True),  # bare-able
+                        st.text(st.sampled_from("ab_$é \"'`.-"), min_size=1, max_size=5))
+_STYLES = st.sampled_from(["bare", '""', "[]", "''", "``"])
+_GAPS = st.sampled_from([" ", "\n", "\t ", " /* a note */ ", " -- a note\n"])
+_SPELLINGS = st.sampled_from([str.upper, str.lower, str.title])
+
+
+def _spell(text: str, style: str) -> str:
+    if style == "bare" and re.fullmatch(r"[A-Za-z_é][\w$é]*", text):
+        return text
+    if style == "[]" and "]" not in text:
+        return f"[{text}]"
+    if style in ("''", "``"):
+        return style[0] + text.replace(style[0], style) + style[0]
+    return quote_ident(text)
+
+
+@st.composite
+def _trigger_statements(draw):
+    """A schema of one or two tables and CREATE TRIGGER statements on them,
+    each with the header fields it should read as."""
+    tables = draw(st.lists(_IDENT_TEXT, min_size=1, max_size=2, unique_by=str.lower))
+    schema = [f"CREATE TABLE {quote_ident(t)} (a, {quote_ident(t + ' col')})" for t in tables]
+
+    def words(*words: str) -> list[str]:
+        return [part for word in words for part in (draw(_SPELLINGS)(word), draw(_GAPS))]
+
+    def ident(text: str) -> list[str]:
+        prefix = ["main", draw(_GAPS), ".", draw(_GAPS)] if draw(st.booleans()) else []
+        return prefix + [_spell(text, draw(_STYLES)), draw(_GAPS)]
+
+    statements = []
+    for i in range(draw(st.integers(1, 4))):
+        name, table = draw(_IDENT_TEXT) + str(i), draw(st.sampled_from(tables))
+        timing = draw(st.sampled_from(["", "BEFORE", "AFTER"]))
+        event = draw(st.sampled_from(["INSERT", "DELETE", "UPDATE"]))
+        of_columns = draw(st.lists(st.sampled_from(["a", table + " col"]), max_size=2,
+                                   unique=True)) if event == "UPDATE" else []
+        parts = words("CREATE", "TRIGGER") + (words("IF", "NOT", "EXISTS") if draw(st.booleans())
+                                              else [])
+        parts += ident(name) + (words(timing) if timing else []) + words(event)
+        if of_columns:
+            parts += words("OF") + [",".join(_spell(c, draw(_STYLES)) + draw(_GAPS)
+                                             for c in of_columns)]
+        parts += words("ON") + ident(table) + ["BEGIN SELECT RAISE(ROLLBACK, 'no'); END"]
+        statements.append(("".join(parts),
+                           (name, timing or "BEFORE", event, tuple(of_columns), table)))
+    return schema, statements
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_trigger_statements())
+def test_every_trigger_sqlite_accepts_reads_as_sqlite_stores_it(case):
+    schema, statements = case
+    conn = sqlite3.connect(":memory:")
+    try:
+        for sql in schema:
+            conn.execute(sql)
+        for sql, header in statements:
+            conn.execute(sql)
+            assert parse_trigger(sql)[:5] == header, sql
+        stored = conn.execute("SELECT name, tbl_name FROM sqlite_master"
+                              " WHERE type = 'trigger' ORDER BY rowid").fetchall()
+        triggers = read_schema(conn).triggers
+    finally:
+        conn.close()
+    assert [(t.name, t.table) for t in triggers] == stored
+    assert all(t.raises == (("ROLLBACK", "no"),) for t in triggers)
