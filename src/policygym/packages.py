@@ -78,8 +78,6 @@ REQUIRED_FILES = (
     "target.db",
 )
 
-_EFFECT_UPDATE_RE = re.compile(r"\bUPDATE\s+[\"'`]?(\w+)[\"'`]?\s+SET\s+[\"'`]?(\w+)", re.IGNORECASE)
-_EFFECT_INSERT_RE = re.compile(r"\bINSERT\s+INTO\s+[\"'`]?(\w+)", re.IGNORECASE)
 _ERROR_CODE_RE = re.compile(r"\s*\[([A-Z][A-Z0-9_]*)\]\s*(.*)", re.DOTALL)
 
 
@@ -253,7 +251,8 @@ def _force_compile_triggers(conn: sqlite3.Connection, schema: SchemaInfo) -> Non
             if trigger.event == "INSERT":
                 conn.execute(f"EXPLAIN INSERT INTO {qt} DEFAULT VALUES")
             elif trigger.event == "UPDATE":
-                cols = trigger.of_columns or (schema.columns(trigger.table)[0].name,)
+                # the engine's first column: the catalog holds no view's columns
+                cols = trigger.of_columns or [conn.execute(f"SELECT * FROM {qt}").description[0][0]]
                 sets = ", ".join(f"{quote_ident(c)} = {quote_ident(c)}" for c in cols)
                 conn.execute(f"EXPLAIN UPDATE {qt} SET {sets}")
             else:
@@ -280,8 +279,9 @@ def trigger_annotations(schema: SchemaInfo, table: str,
         if trigger.timing == "BEFORE":
             pre += (message for _, message in trigger.raises)
         elif trigger.timing == "AFTER":
-            post += (f"updates {t}.{c}" for t, c in _EFFECT_UPDATE_RE.findall(trigger.body))
-            post += (f"may insert into {t}" for t in _EFFECT_INSERT_RE.findall(trigger.body))
+            effects = trigger.effects  # UPDATE lines first, then INSERT lines
+            post += (f"updates {t}.{c}" for event, t, c in effects if event == "UPDATE")
+            post += (f"may insert into {t}" for event, t, _ in effects if event == "INSERT")
     return tuple(pre), tuple(post)
 
 

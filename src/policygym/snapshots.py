@@ -14,6 +14,7 @@ import math
 import re
 import sqlite3
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -119,7 +120,7 @@ class TableInfo:
     name: str
     columns: tuple[ColumnInfo, ...]
     foreign_keys: tuple[ForeignKey, ...]
-    autoincrement: bool
+    autoincrement: bool  # the DDL holds the keyword AUTOINCREMENT
     sql: str  # the CREATE TABLE statement as stored in sqlite_master
 
     @property
@@ -131,16 +132,27 @@ class TableInfo:
         """First primary-key column in schema order."""
         return next((c.name for c in self.columns if c.primary_key), None)
 
+    @cached_property
+    def check_enums(self) -> dict[str, tuple]:
+        """Column -> the literal values of its ``CHECK(<column> IN (...))``, in order."""
+        return {_unquote(column): tuple(_literal(text) for text in
+                                        re.findall(_LITERALS, values, _FLAGS) if text)
+                for column, values in re.findall(_CHECK_ENUM, self.sql, _FLAGS) if column}
 
-# The trigger grammar's tokens: one character of a bare SQLite identifier (a
-# letter, digit, _ or $, or any non-ASCII character; the class lists the ASCII
-# characters it leaves out, because a class with a wide range compiles slowly),
-# the whitespace and comments between two tokens (possessive: no token starts
-# with either), and one identifier, bare or quoted by "", ``, [] or '' (a
-# doubled quote stands for itself)
+
+# SQL's tokens: one character of a bare identifier (a letter, digit, _, $ or any
+# non-ASCII character; the class lists the ASCII characters it leaves out, as a
+# wide-range class compiles slowly), a comment, the gap between two tokens
+# (possessive: no token starts with a space or a comment), a token quoted by "",
+# ``, [] or '' (a doubled quote stands for itself), an identifier, and a literal
 _ID_CHAR = r"[^\x00-#%-/:-@\[-^`{-\x7f]"
-_GAP = r"(?:\s|--[^\n]*|/\*.*?\*/)*+"
-_NAME = rf"""(?:"(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\]|'(?:[^']|'')*'|{_ID_CHAR}+)"""
+_COMMENT = r"--[^\n]*|/\*.*?\*/"
+_GAP = rf"(?:\s|{_COMMENT})*+"
+_QUOTED = r""""(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\]|'(?:[^']|'')*'"""
+_NAME = rf"(?:{_QUOTED}|{_ID_CHAR}++)"
+_LITERAL = (r"""'(?:[^']|'')*'|"(?:[^"]|"")*"|"""
+            r"[-+]?(?:0x[\da-f]+|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)")
+_FLAGS = re.IGNORECASE | re.DOTALL | re.ASCII
 
 
 def _words(*words: str) -> str:
@@ -148,19 +160,36 @@ def _words(*words: str) -> str:
     return "".join(rf"{w}(?!{_ID_CHAR}){_GAP}" for w in words)
 
 
+def _reader(pattern: str) -> str:
+    """``pattern`` at a token's start; a comment or quoted token matches whole, no group.
+    re's cache compiles it on first use: a process pays only for the readers it runs."""
+    return rf"{_COMMENT}|{_QUOTED}|(?<!{_ID_CHAR})(?:{pattern})"
+
+
 _QUALIFIED = rf"(?:{_NAME}{_GAP}\.{_GAP})?({_NAME})"  # a schema prefix is dropped
+_CONFLICT = rf"(?:{_words('OR')}{_ID_CHAR}+{_GAP})?"  # OR ROLLBACK, OR IGNORE, ...
 _TRIGGER_HEADER_RE = re.compile(
     _GAP + _words("CREATE") + rf"(?:{_words('TEMP(?:ORARY)?')})?" + _words("TRIGGER")
     + rf"(?:{_words('IF', 'NOT', 'EXISTS')})?{_QUALIFIED}{_GAP}"
     + rf"(?:(BEFORE|AFTER|INSTEAD(?!{_ID_CHAR}){_GAP}OF)(?!{_ID_CHAR}){_GAP})?"
     + _words("(INSERT|UPDATE|DELETE)")
     + rf"(?:{_words('OF')}({_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP})?{_words('ON')}{_QUALIFIED}",
-    re.IGNORECASE | re.DOTALL | re.ASCII,
+    _FLAGS,
 )
-_COLUMN_RE = re.compile(rf"{_GAP},?{_GAP}({_NAME})", re.DOTALL | re.ASCII)
+_COLUMN_RE = re.compile(rf"{_GAP},?{_GAP}({_NAME})", _FLAGS)
 _RAISE_RE = re.compile(rf"RAISE{_GAP}\({_GAP}(ABORT|FAIL|ROLLBACK){_GAP},{_GAP}({_NAME})",
-                       re.IGNORECASE | re.DOTALL | re.ASCII)
+                       _FLAGS)
 _TIMINGS = {"B": "BEFORE", "A": "AFTER", "I": "INSTEAD OF"}
+# UPDATE (group 1) with its target and first SET column, or an INSERT's target
+_EFFECT = _reader(
+    _words("(?:(UPDATE)|INSERT|REPLACE)") + rf"{_CONFLICT}(?(1)|{_words('INTO')}){_QUALIFIED}"
+    + rf"(?(1){_GAP}{_words('SET')}(?:\({_GAP})?({_NAME}))")
+_AUTOINCREMENT = _reader(f"({_words('AUTOINCREMENT')})")
+_CHECK_ENUM = _reader(
+    _words("CHECK") + rf"\({_GAP}({_NAME}){_GAP}{_words('IN')}\("
+    + rf"({_GAP}(?:{_LITERAL})(?:{_GAP},{_GAP}(?:{_LITERAL}))*){_GAP}\){_GAP}\)")
+_LITERALS = rf"{_COMMENT}|({_LITERAL})"
+_TABLE_TAG = rf"--\s*(\w+)\s+Table:\s*({_NAME})"
 
 
 def _unquote(name: str) -> str:
@@ -168,6 +197,20 @@ def _unquote(name: str) -> str:
     if name[0] in "\"`'":
         return name[1:-1].replace(name[0] * 2, name[0])
     return name[1:-1] if name[0] == "[" else name
+
+
+def _literal(text: str):
+    """The value of the SQL string or number literal ``text``."""
+    if text[0] in "'\"":
+        return _unquote(text)
+    if "x" in text.lower():
+        return int(text, 16)
+    return float(text) if any(c in text for c in ".eE") else int(text)
+
+
+def table_tags(sql: str) -> list[tuple[str, str]]:
+    """``(tag, table)`` of each ``-- <tag> Table: <table>`` comment in ``sql``."""
+    return [(tag, _unquote(name)) for tag, name in re.findall(_TABLE_TAG, sql, _FLAGS)]
 
 
 class TriggerInfo(NamedTuple):
@@ -184,6 +227,14 @@ class TriggerInfo(NamedTuple):
         the message is the one the engine reports."""
         return tuple((kind.upper(), _unquote(message))
                      for kind, message in _RAISE_RE.findall(self.body))
+
+    @property
+    def effects(self) -> tuple[tuple[str, str, str], ...]:
+        """``("UPDATE", table, first SET column)`` of each UPDATE in the body and
+        ``("INSERT", table, "")`` of each INSERT or REPLACE, in order."""
+        return tuple(("UPDATE" if update else "INSERT", _unquote(table),
+                      column and _unquote(column))
+                     for update, table, column in re.findall(_EFFECT, self.body, _FLAGS) if table)
 
 
 def parse_trigger(sql: str) -> TriggerInfo | None:
@@ -265,8 +316,10 @@ def read_schema(conn: sqlite3.Connection) -> SchemaInfo:
                 parent = by_folded_name.get(r[2].lower(), ())
                 ref_col = next((c.name for c in parent if c.primary_key), "rowid")
             fks.append(ForeignKey(column=r[3], ref_table=r[2], ref_column=ref_col))
+        autoincrement = ("AUTOINCREMENT" in sql.upper()  # the reader scans only candidates
+                         and any(re.findall(_AUTOINCREMENT, sql, _FLAGS)))
         tables[name] = TableInfo(name=name, columns=columns[name], foreign_keys=tuple(fks),
-                                 autoincrement="AUTOINCREMENT" in sql.upper(), sql=sql)
+                                 autoincrement=autoincrement, sql=sql)
     return SchemaInfo(tables=MappingProxyType(tables), triggers=read_triggers(conn))
 
 

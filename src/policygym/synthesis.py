@@ -28,6 +28,7 @@ from .executor import (EnvHandle, ToolCall, ToolResult, _dispatch_folded, open_e
                        safe_execute_tool, savepoint)
 from .packages import (
     ESCALATIONS_TABLE,
+    READ_ONLY,
     READ_WRITE,
     EnvironmentBundle,
     RolloutLimits,
@@ -38,14 +39,10 @@ from .packages import (
     harvest_error_codes,
     token_pattern,
 )
-from .snapshots import SchemaInfo, Snapshot, insert_sql, quote_ident
+from .snapshots import SchemaInfo, Snapshot, insert_sql, quote_ident, table_tags
 from .verify import DiffConfig, diff_canonical
 
-_PERMISSION_TAG_RE = re.compile(
-    r"--\s*(L0_REFERENCE|L1_ENTITY|L2_TRANSACTION)\s+Table:\s*(\w+)", re.IGNORECASE
-)
 _QUOTA_CMP_RE = re.compile(r">=\s*\d+")
-_CHECK_ENUM_RE = re.compile(r"CHECK\s*\(\s*[\"'`]?(\w+)[\"'`]?\s+IN\s*\(([^)]*)\)\s*\)", re.IGNORECASE)
 
 ARCHITECT_STAGES = ("analyze", "policy", "tables", "triggers")
 
@@ -141,11 +138,9 @@ def parse_permission_tags(schema_sql: str) -> dict[str, str]:
     L0_REFERENCE and L1_ENTITY tables are read-only, L2_TRANSACTION tables
     are read-write. Untagged tables default to read-write.
     """
-    out = {}
-    for tag, table in _PERMISSION_TAG_RE.findall(schema_sql):
-        mode = "read_only" if tag.upper() in ("L0_REFERENCE", "L1_ENTITY") else READ_WRITE
-        out[table] = mode
-    return out
+    modes = {"L0_REFERENCE": READ_ONLY, "L1_ENTITY": READ_ONLY, "L2_TRANSACTION": READ_WRITE}
+    return {table: modes[tag.upper()] for tag, table in table_tags(schema_sql)
+            if tag.upper() in modes}
 
 
 def _semantic_check(port: GenerationPort | None, stage: str, artifact: str, seed: int):
@@ -228,28 +223,6 @@ def architect_compile(
 
 # --- physical verification ----------------------------------------------------------
 
-def _check_enum_values(create_sql: str) -> dict[str, list]:
-    """Column -> allowed literals parsed from simple CHECK(col IN (...)) clauses."""
-    out: dict[str, list] = {}
-    for col, body in _CHECK_ENUM_RE.findall(create_sql):
-        values = [_sql_literal(v.strip()) for v in body.split(",") if v.strip()]
-        if values:
-            out[col] = values
-    return out
-
-
-def _sql_literal(text: str):
-    """The value a CHECK-list literal denotes: a quoted one is a string, an
-    unquoted number an int or a float."""
-    if text[0] not in "'\"":
-        for number in (int, float):
-            try:
-                return number(text)
-            except ValueError:
-                pass
-    return text.strip("'\"")
-
-
 def derive_probe_row(conn: sqlite3.Connection, bundle: EnvironmentBundle,
                      table: str) -> dict | None:
     """Best-effort trivially-valid arguments for ``insert_<table>``: a value
@@ -261,7 +234,7 @@ def derive_probe_row(conn: sqlite3.Connection, bundle: EnvironmentBundle,
     """
     info = bundle.schema_info.table(table)
     contract = bundle.tools_by_name()[f"insert_{table}"].parameter_schema
-    enums = _check_enum_values(info.sql)
+    enums = info.check_enums
     fks = {fk.column: fk for fk in info.foreign_keys}
     row: dict = {}
     for name in contract["required"]:
@@ -269,18 +242,11 @@ def derive_probe_row(conn: sqlite3.Connection, bundle: EnvironmentBundle,
         if fk is not None:
             # first-seeded parent row: reference data is inserted in its
             # natural priority order, so rowid order beats lexicographic
+            c, t = quote_ident(fk.ref_column), quote_ident(fk.ref_table)
             try:
-                parent = conn.execute(
-                    "SELECT {c} FROM {t} ORDER BY rowid LIMIT 1".format(
-                        c=quote_ident(fk.ref_column), t=quote_ident(fk.ref_table)
-                    )
-                ).fetchone()
-            except sqlite3.OperationalError:
-                parent = conn.execute(
-                    "SELECT {c} FROM {t} ORDER BY {c} LIMIT 1".format(
-                        c=quote_ident(fk.ref_column), t=quote_ident(fk.ref_table)
-                    )
-                ).fetchone()
+                parent = conn.execute(f"SELECT {c} FROM {t} ORDER BY rowid LIMIT 1").fetchone()
+            except sqlite3.OperationalError:  # a WITHOUT ROWID parent
+                parent = conn.execute(f"SELECT {c} FROM {t} ORDER BY {c} LIMIT 1").fetchone()
             if parent is None:
                 return None
             row[name] = parent[0]
@@ -421,12 +387,9 @@ def seed_initial_state(
 
 def quota_bearing_tables(schema: SchemaInfo) -> list[str]:
     """Tables whose BEFORE INSERT triggers compare a count against a threshold."""
-    out = []
-    for trigger in sorted(schema.triggers, key=lambda t: t.name):
-        if trigger.timing == "BEFORE" and trigger.event == "INSERT":
-            if _QUOTA_CMP_RE.search(trigger.body) and trigger.table not in out:
-                out.append(trigger.table)
-    return out
+    return list(dict.fromkeys(
+        t.table for t in sorted(schema.triggers, key=lambda t: t.name)
+        if t.timing == "BEFORE" and t.event == "INSERT" and _QUOTA_CMP_RE.search(t.body)))
 
 
 def probe_boundary_adjacency(
@@ -447,32 +410,19 @@ def probe_boundary_adjacency(
     schema = bundle.schema_info
     with open_environment_at(bundle, s) as env:
         conn = env.connection
-        for table in quota_bearing_tables(schema):
-            if bundle.permissions.get(table) != READ_WRITE:
-                continue
-            row = derive_probe_row(conn, bundle, table)
-            if row is not None:
-                candidates.append(ToolCall(tool_name=f"insert_{table}", arguments=row))
+        inserts = ((t, derive_probe_row(conn, bundle, t)) for t in quota_bearing_tables(schema)
+                   if bundle.permissions.get(t) == READ_WRITE)
+        candidates += [ToolCall(f"insert_{t}", row) for t, row in inserts if row is not None]
         for table in bundle.tables(READ_WRITE):
             info = schema.table(table)
-            if info is None or "status" not in info.column_names:
+            if info is None or "status" not in info.column_names or info.primary_key is None:
                 continue
-            pk = info.primary_key
-            if pk is None:
-                continue
-            enums = _check_enum_values(info.sql).get("status", [])
-            rows = conn.execute(
-                "SELECT {pk}, status FROM {t} ORDER BY {pk} LIMIT 3".format(
-                    pk=quote_ident(pk), t=quote_ident(table)
-                )
-            ).fetchall()
-            for pk_value, current in rows:
-                for value in enums:
-                    if value != current:
-                        candidates.append(ToolCall(
-                            tool_name=f"update_{table}",
-                            arguments={"filters": {pk: pk_value}, "set": {"status": value}},
-                        ))
+            pk, enums = info.primary_key, info.check_enums.get("status", ())
+            rows = conn.execute(f"SELECT {quote_ident(pk)}, status FROM {quote_ident(table)}"
+                                f" ORDER BY {quote_ident(pk)} LIMIT 3").fetchall()
+            candidates += [ToolCall(f"update_{table}",
+                                    {"filters": {pk: pk_value}, "set": {"status": value}})
+                           for pk_value, current in rows for value in enums if value != current]
 
         records = []
         for call in candidates[: max(probe_budget, 0)]:
@@ -650,12 +600,9 @@ def project_user_view(
 def default_diff_config(bundle: EnvironmentBundle) -> DiffConfig:
     """Exclude every auto-increment key column; technical keys carry no
     business meaning."""
-    excluded = {
-        table: frozenset({info.primary_key})
-        for table, info in bundle.schema_info.tables.items()
-        if info.autoincrement and info.primary_key
-    }
-    return DiffConfig(excluded_columns=excluded)
+    return DiffConfig(excluded_columns={
+        table: frozenset({info.primary_key}) for table, info in bundle.schema_info.tables.items()
+        if info.autoincrement and info.primary_key})
 
 
 def assemble_package(

@@ -190,6 +190,75 @@ def test_raises_unquotes_the_message_as_the_engine_does(message):
     assert trigger.raises == (("ABORT", str(caught.value)),)
 
 
+_EFFECT_CASES = [
+    ('INSERT INTO "order items" VALUES (1, 2);', (("INSERT", "order items", ""),)),
+    ('UPDATE [order items] SET "unit price" = 1;', (("UPDATE", "order items", "unit price"),)),
+    # SQLite refuses a schema prefix inside a trigger body; the reader drops it
+    ("UPDATE main.t SET a = 1;", (("UPDATE", "t", "a"),)),
+    ("INSERT OR IGNORE INTO t VALUES (1);", (("INSERT", "t", ""),)),
+    ("UPDATE OR ABORT `t` SET `a` = 1;", (("UPDATE", "t", "a"),)),
+    ("REPLACE INTO t VALUES (1); update\nt set (a, b) = (1, 2);",
+     (("INSERT", "t", ""), ("UPDATE", "t", "a"))),
+    # a keyword only as a whole word, outside strings and comments
+    ("UPDATE last_update SET insert_into = 'UPDATE x SET y'; /* INSERT INTO z */"
+     " -- UPDATE x SET y\nSELECT RAISE(ABORT, 'cannot insert into x');",
+     (("UPDATE", "last_update", "insert_into"),)),
+]
+
+
+@pytest.mark.parametrize("body, effects", _EFFECT_CASES)
+def test_effects_read_each_write_of_the_body(body, effects):
+    trigger = parse_trigger(f"CREATE TRIGGER g AFTER INSERT ON t BEGIN {body} END")
+    assert trigger.effects == effects
+
+
+def test_a_trigger_writing_to_a_quoted_table_annotates_its_tool_in_order():
+    schema = 'CREATE TABLE t (a); CREATE TABLE "order items" ("unit price", b);'
+    triggers = ('CREATE TRIGGER g AFTER INSERT ON t BEGIN INSERT INTO "order items" VALUES (1, 2);'
+                ' UPDATE [order items] SET "unit price" = 1; END;')
+    tools = {tool.name: tool for tool in derive_tools(schema, {"t": "read_write"}, triggers)}
+    assert tools["insert_t"].side_effects == ("updates order items.unit price",
+                                              "may insert into order items")
+
+
+_ENUM_CASES = [
+    ("kind TEXT CHECK(kind IN ('a', 'b, c'))", {"kind": ("a", "b, c")}),
+    ("kind TEXT CHECK(kind IN ('it''s', 'a)b'))", {"kind": ("it's", "a)b")}),
+    ("[kind] TEXT CHECK ( [kind] IN ( 'x' /* , 'y' */ , \"z\" ) )", {"kind": ("x", "z")}),
+    ("n INTEGER CHECK(n IN (-1, 0x10, +2))", {"n": (-1, 16, 2)}),
+    ("n REAL CHECK (n IN (2.5, /* half */ .5, 1E2))", {"n": (2.5, 0.5, 100.0)}),
+    ("kind TEXT CHECK(kind NOT IN ('a')), note TEXT DEFAULT 'CHECK(kind IN (1))'", {}),
+]
+
+
+@pytest.mark.parametrize("column, enums", _ENUM_CASES)
+def test_check_enums_read_the_literals_sqlite_reads(column, enums):
+    info, _ = compile_environment(f"CREATE TABLE t (id INTEGER PRIMARY KEY, {column});", "")
+    assert info.tables["t"].check_enums == enums
+
+
+@pytest.mark.parametrize("columns, autoincrement", [
+    ("id INTEGER PRIMARY KEY AUTOINCREMENT", True),
+    ("id integer primary key autoincrement, note TEXT", True),
+    ("id INTEGER PRIMARY KEY, autoincrement_note TEXT", False),
+    ('id INTEGER PRIMARY KEY, "autoincrement" TEXT DEFAULT \'AUTOINCREMENT\'', False),
+    ("id INTEGER PRIMARY KEY /* AUTOINCREMENT */", False),
+])
+def test_autoincrement_is_read_as_a_whole_keyword(columns, autoincrement):
+    info, _ = compile_environment(f"CREATE TABLE t ({columns});", "")
+    assert info.tables["t"].autoincrement is autoincrement
+
+
+def test_an_instead_of_update_trigger_on_a_view_compiles():
+    schema = "CREATE TABLE t (a); CREATE VIEW v AS SELECT a FROM t;"
+    info, _ = compile_environment(
+        schema, "CREATE TRIGGER x INSTEAD OF UPDATE ON v BEGIN UPDATE t SET a = NEW.a; END")
+    assert [t[:5] for t in info.triggers] == [("x", "INSTEAD OF", "UPDATE", (), "v")]
+    with pytest.raises(CompileFailure, match="trigger x: no such column"):
+        compile_environment(
+            schema, "CREATE TRIGGER x INSTEAD OF UPDATE ON v BEGIN UPDATE t SET a = NEW.b; END")
+
+
 # the pieces of a generated CREATE TRIGGER: identifier text, the ways to write
 # one identifier, and the gaps and keyword spellings SQLite reads alike
 _IDENT_TEXT = st.one_of(st.from_regex(r"[ab_é][ab_$é]{0,4}", fullmatch=True),  # bare-able
@@ -197,6 +266,8 @@ _IDENT_TEXT = st.one_of(st.from_regex(r"[ab_é][ab_$é]{0,4}", fullmatch=True), 
 _STYLES = st.sampled_from(["bare", '""', "[]", "''", "``"])
 _GAPS = st.sampled_from([" ", "\n", "\t ", " /* a note */ ", " -- a note\n"])
 _SPELLINGS = st.sampled_from([str.upper, str.lower, str.title])
+_UPDATES = st.sampled_from([("UPDATE",), ("UPDATE", "OR", "IGNORE")])
+_INSERTS = st.sampled_from([("INSERT",), ("INSERT", "OR", "ABORT"), ("REPLACE",)])
 
 
 def _spell(text: str, style: str) -> str:
@@ -212,16 +283,19 @@ def _spell(text: str, style: str) -> str:
 @st.composite
 def _trigger_statements(draw):
     """A schema of one or two tables and CREATE TRIGGER statements on them,
-    each with the header fields it should read as."""
+    each with the header fields and the effects it should read as."""
     tables = draw(st.lists(_IDENT_TEXT, min_size=1, max_size=2, unique_by=str.lower))
     schema = [f"CREATE TABLE {quote_ident(t)} (a, {quote_ident(t + ' col')})" for t in tables]
 
     def words(*words: str) -> list[str]:
         return [part for word in words for part in (draw(_SPELLINGS)(word), draw(_GAPS))]
 
+    def plain(text: str) -> list[str]:
+        return [_spell(text, draw(_STYLES)), draw(_GAPS)]
+
     def ident(text: str) -> list[str]:
         prefix = ["main", draw(_GAPS), ".", draw(_GAPS)] if draw(st.booleans()) else []
-        return prefix + [_spell(text, draw(_STYLES)), draw(_GAPS)]
+        return prefix + plain(text)
 
     statements = []
     for i in range(draw(st.integers(1, 4))):
@@ -236,9 +310,17 @@ def _trigger_statements(draw):
         if of_columns:
             parts += words("OF") + [",".join(_spell(c, draw(_STYLES)) + draw(_GAPS)
                                              for c in of_columns)]
-        parts += words("ON") + ident(table) + ["BEGIN SELECT RAISE(ROLLBACK, 'no'); END"]
+        parts += words("ON") + ident(table) + words("BEGIN") + ["SELECT RAISE(ROLLBACK, 'no');"]
+        # a write to each of two tables, which effects reads back
+        updated, inserted = draw(st.sampled_from(tables)), draw(st.sampled_from(tables))
+        column = draw(st.sampled_from(["a", updated + " col"]))
+        parts += [draw(_GAPS)] + words(*draw(_UPDATES)) + plain(updated)
+        parts += words("SET") + plain(column) + ["= 1;", draw(_GAPS)]
+        parts += words(*draw(_INSERTS), "INTO") + plain(inserted)
+        parts += words("VALUES") + ["(1, 2);", draw(_GAPS)] + words("END")
+        effects = (("UPDATE", updated, column), ("INSERT", inserted, ""))
         statements.append(("".join(parts),
-                           (name, timing or "BEFORE", event, tuple(of_columns), table)))
+                           (name, timing or "BEFORE", event, tuple(of_columns), table), effects))
     return schema, statements
 
 
@@ -250,9 +332,10 @@ def test_every_trigger_sqlite_accepts_reads_as_sqlite_stores_it(case):
     try:
         for sql in schema:
             conn.execute(sql)
-        for sql, header in statements:
+        for sql, header, effects in statements:
             conn.execute(sql)
             assert parse_trigger(sql)[:5] == header, sql
+            assert parse_trigger(sql).effects == effects, sql
         stored = conn.execute("SELECT name, tbl_name FROM sqlite_master"
                               " WHERE type = 'trigger' ORDER BY rowid").fetchall()
         triggers = read_schema(conn).triggers

@@ -51,6 +51,16 @@ def test_parse_permission_tags():
     assert len(tags) == 9
 
 
+@pytest.mark.parametrize("comment, tags", [
+    ('-- L0_REFERENCE Table: "order items"', {"order items": "read_only"}),
+    ("--L1_ENTITY Table:[order items]", {"order items": "read_only"}),
+    ("-- l2_transaction table: `it's`", {"it's": "read_write"}),
+    ("-- NOTE Table: items", {}),
+])
+def test_parse_permission_tags_reads_quoted_names(comment, tags):
+    assert parse_permission_tags(f"{comment}\nCREATE TABLE x (a);") == tags
+
+
 def test_architect_replays_fixture_first_attempt():
     result = architect_compile("corporate travel", stub_port(), max_attempts=3)
     assert result.bundle.schema == ct.SCHEMA_SQL
