@@ -22,6 +22,7 @@ import re
 import sqlite3
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import pairwise
 from pathlib import Path
 from typing import Callable
 
@@ -38,10 +39,12 @@ from .snapshots import (
     ColumnInfo,
     SchemaInfo,
     Snapshot,
+    TableInfo,
     catalog_of,
     quote_ident,
     read_schema,
     read_triggers,
+    tokenize,
 )
 from .verify import (
     CanonicalRelationSet,
@@ -395,8 +398,16 @@ def _json_type(decl: str) -> str:
     return "number"
 
 
-def _is_auto_key(col: ColumnInfo) -> bool:
-    return col.primary_key and "INT" in (col.decl_type or "").upper()
+def _auto_key(info: TableInfo) -> str | None:
+    """The column that SQLite assigns when an insert omits it: the rowid alias, a
+    table's one primary-key column, declared exactly INTEGER and not by
+    ``INTEGER PRIMARY KEY DESC``, in a table that is not WITHOUT ROWID."""
+    keys = [c for c in info.columns if c.primary_key]
+    if len(keys) != 1 or keys[0].decl_type.upper() != "INTEGER":
+        return None
+    sql = info.sql.upper()  # the tokens are read only where the keywords may stand
+    words = map(str.upper, tokenize(info.sql)) if "ROWID" in sql or "DESC" in sql else ()
+    return None if {("WITHOUT", "ROWID"), ("KEY", "DESC")} & set(pairwise(words)) else keys[0].name
 
 
 def _filter_value() -> dict:
@@ -405,21 +416,22 @@ def _filter_value() -> dict:
     return {"type": ["string", "integer", "number", "null"]}
 
 
-def _insert_schema(cols: list[ColumnInfo]) -> dict:
+def _insert_schema(info: TableInfo) -> dict:
+    auto_key = _auto_key(info)
     properties = {}
     required = []
-    for col in cols:
+    for col in info.columns:
         # NULL is always allowed: NOT NULL belongs to the engine
         prop: dict = {"type": [_json_type(col.decl_type), "null"]}
         notes = []
-        if _is_auto_key(col):
+        if col.name == auto_key:
             notes.append("auto-assigned; omit unless you must override")
         if col.default is not None:
             notes.append(f"defaults to {col.default}")
         if notes:
             prop["description"] = "; ".join(notes)
         properties[col.name] = prop
-        if (col.notnull or col.primary_key) and col.default is None and not _is_auto_key(col):
+        if (col.notnull or col.primary_key) and col.default is None and col.name != auto_key:
             required.append(col.name)
     return {"type": "object", "properties": properties, "required": required,
             "additionalProperties": False}
@@ -462,20 +474,20 @@ def _query_schema(cols: list[ColumnInfo]) -> dict:
     }
 
 
-def _update_schema(cols: list[ColumnInfo]) -> dict:
+def _update_schema(info: TableInfo) -> dict:
     return {
         "type": "object",
         "properties": {
             "filters": {
                 "type": "object",
-                "properties": {c.name: _filter_value() for c in cols},
+                "properties": {c.name: _filter_value() for c in info.columns},
                 "additionalProperties": False,
                 "description": "equality filters; rows matching every entry are updated",
             },
             "set": {
                 "type": "object",
                 "properties": {c.name: {"type": [_json_type(c.decl_type), "null"]}
-                               for c in cols},
+                               for c in info.columns},
                 "additionalProperties": False,
                 "minProperties": 1,
             },
@@ -507,7 +519,6 @@ def derive_tools_from_schema(
             parameter_schema=_query_schema(schema.tables[table].columns),
             description=f"Read rows from the {table} table with conjunctive filters."))
     for table in sorted(t for t, m in permissions.items() if m == READ_WRITE):
-        cols = schema.tables[table].columns
         for kind, parameters, base in (
             ("insert", _insert_schema, f"Insert one row into the {table} table."),
             ("update", _update_schema,
@@ -515,7 +526,7 @@ def derive_tools_from_schema(
         ):
             pre, post = trigger_annotations(schema, table, kind.upper())
             tools.append(ToolSpec(name=f"{kind}_{table}", kind=kind, table=table,
-                                  parameter_schema=parameters(cols),
+                                  parameter_schema=parameters(schema.tables[table]),
                                   description=_compose_description(base, pre, post),
                                   preconditions=pre, side_effects=post))
     tools.append(

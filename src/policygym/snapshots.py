@@ -113,6 +113,79 @@ class Snapshot:
             return state_digest(conn)
 
 
+# --- SQL tokens ------------------------------------------------------------------
+
+# One SQL token as SQLite's tokenizer splits it, after a gap of whitespace and
+# comments (possessive: no token starts with a space or a comment). The token is
+# a bare word (a letter, _, $ or any non-ASCII character, then digits too; the
+# classes list the ASCII characters they leave out, as a wide-range class
+# compiles slowly), a string or a quoted identifier ('', "", `` or []; a doubled
+# quote stands for itself), a number, a two-character operator or any other one
+# character. The group is empty only at the end of the text.
+_TOKEN = re.compile(
+    r"\s*+(?:(?:--[^\n]*+|/\*.*?(?:\*/|\Z))\s*+)*+"
+    r"([^\x00-#%-@\[-^`{-\x7f][^\x00-#%-/:-@\[-^`{-\x7f]*+"
+    r"""|'(?:[^']++|'')*+'|"(?:[^"]++|"")*+"|`(?:[^`]++|``)*+`|\[[^\]]*+\]"""
+    r"|0x[\da-f]+|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|[<>!=]=|<>|\|\||.)?",
+    re.IGNORECASE | re.DOTALL | re.ASCII)
+
+
+def tokenize(sql: str) -> list[str]:
+    """The text of each token of ``sql``, in order; whitespace and comments dropped."""
+    tokens = _TOKEN.findall(sql)
+    del tokens[tokens.index(""):]  # the end of the text
+    return tokens
+
+
+def is_number(token: str) -> bool:
+    """``token`` is a number: it opens with a digit, or with a point and a digit."""
+    return "0" <= token.removeprefix(".")[:1] <= "9"
+
+
+def _unquote(name: str) -> str:
+    """The identifier that the SQL token ``name`` spells."""
+    if name[0] in "\"`'":
+        return name[1:-1].replace(name[0] * 2, name[0])
+    return name[1:-1] if name[0] == "[" else name
+
+
+def _number(text: str):
+    """The value of the SQL number ``text``, a sign included."""
+    if "x" in text.lower():
+        return int(text, 16)
+    return float(text) if any(c in text for c in ".eE") else int(text)
+
+
+def _literals(tokens) -> tuple | None:
+    """The values of the list ``literal, ...)`` read off the iterator ``tokens``, when
+    one more ``)`` follows it; else None. A sign and the number after it are one literal."""
+    values = []
+    for token in tokens:
+        text = token + next(tokens, "") if token in ("-", "+") else token
+        if text[0] in "'\"":
+            values.append(_unquote(text))
+        elif is_number(text.lstrip("-+")):
+            values.append(_number(text))
+        else:
+            return None
+        end = next(tokens, "")
+        if end != ",":
+            return tuple(values) if end == next(tokens, "") == ")" else None
+    return None
+
+
+def table_tags(sql: str) -> list[tuple[str, str]]:
+    """``(tag, table)`` of each ``-- <tag> Table: <table>`` comment in ``sql``.
+    Comments are read between tokens, so never inside a string or a quoted name."""
+    tags = []
+    for m in _TOKEN.finditer(sql):
+        for comment in sql[m.start():m.start(1) if m.group(1) else m.end()].split("--")[1:]:
+            words = tokenize(comment.partition("\n")[0])
+            if len(words) > 3 and words[1].upper() == "TABLE" and words[2] == ":":
+                tags.append((words[0], _unquote(words[3])))
+    return tags
+
+
 # --- schema catalog ------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -120,7 +193,6 @@ class TableInfo:
     name: str
     columns: tuple[ColumnInfo, ...]
     foreign_keys: tuple[ForeignKey, ...]
-    autoincrement: bool  # the DDL holds the keyword AUTOINCREMENT
     sql: str  # the CREATE TABLE statement as stored in sqlite_master
 
     @property
@@ -133,84 +205,26 @@ class TableInfo:
         return next((c.name for c in self.columns if c.primary_key), None)
 
     @cached_property
+    def autoincrement(self) -> bool:
+        """The DDL holds the keyword AUTOINCREMENT."""
+        return "AUTOINCREMENT" in self.sql.upper() and any(
+            token.upper() == "AUTOINCREMENT" for token in tokenize(self.sql))
+
+    @cached_property
     def check_enums(self) -> dict[str, tuple]:
         """Column -> the literal values of its ``CHECK(<column> IN (...))``, in order."""
-        return {_unquote(column): tuple(_literal(text) for text in
-                                        re.findall(_LITERALS, values, _FLAGS) if text)
-                for column, values in re.findall(_CHECK_ENUM, self.sql, _FLAGS) if column}
+        tokens, enums = tokenize(self.sql), {}
+        for i in range(len(tokens) - 4):
+            column = tokens[i + 2]
+            if (tokens[i].upper() == "CHECK" and tokens[i + 1] == tokens[i + 4] == "("
+                    and tokens[i + 3].upper() == "IN"):
+                values = _literals(iter(tokens[i + 5:]))
+                if values is not None:
+                    enums[_unquote(column)] = values
+        return enums
 
 
-# SQL's tokens: one character of a bare identifier (a letter, digit, _, $ or any
-# non-ASCII character; the class lists the ASCII characters it leaves out, as a
-# wide-range class compiles slowly), a comment, the gap between two tokens
-# (possessive: no token starts with a space or a comment), a token quoted by "",
-# ``, [] or '' (a doubled quote stands for itself), an identifier, and a literal
-_ID_CHAR = r"[^\x00-#%-/:-@\[-^`{-\x7f]"
-_COMMENT = r"--[^\n]*|/\*.*?\*/"
-_GAP = rf"(?:\s|{_COMMENT})*+"
-_QUOTED = r""""(?:[^"]|"")*"|`(?:[^`]|``)*`|\[[^\]]*\]|'(?:[^']|'')*'"""
-_NAME = rf"(?:{_QUOTED}|{_ID_CHAR}++)"
-_LITERAL = (r"""'(?:[^']|'')*'|"(?:[^"]|"")*"|"""
-            r"[-+]?(?:0x[\da-f]+|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)")
-_FLAGS = re.IGNORECASE | re.DOTALL | re.ASCII
-
-
-def _words(*words: str) -> str:
-    """Each of ``words`` as a whole keyword, followed by a gap."""
-    return "".join(rf"{w}(?!{_ID_CHAR}){_GAP}" for w in words)
-
-
-def _reader(pattern: str) -> str:
-    """``pattern`` at a token's start; a comment or quoted token matches whole, no group.
-    re's cache compiles it on first use: a process pays only for the readers it runs."""
-    return rf"{_COMMENT}|{_QUOTED}|(?<!{_ID_CHAR})(?:{pattern})"
-
-
-_QUALIFIED = rf"(?:{_NAME}{_GAP}\.{_GAP})?({_NAME})"  # a schema prefix is dropped
-_CONFLICT = rf"(?:{_words('OR')}{_ID_CHAR}+{_GAP})?"  # OR ROLLBACK, OR IGNORE, ...
-_TRIGGER_HEADER_RE = re.compile(
-    _GAP + _words("CREATE") + rf"(?:{_words('TEMP(?:ORARY)?')})?" + _words("TRIGGER")
-    + rf"(?:{_words('IF', 'NOT', 'EXISTS')})?{_QUALIFIED}{_GAP}"
-    + rf"(?:(BEFORE|AFTER|INSTEAD(?!{_ID_CHAR}){_GAP}OF)(?!{_ID_CHAR}){_GAP})?"
-    + _words("(INSERT|UPDATE|DELETE)")
-    + rf"(?:{_words('OF')}({_NAME}(?:{_GAP},{_GAP}{_NAME})*){_GAP})?{_words('ON')}{_QUALIFIED}",
-    _FLAGS,
-)
-_COLUMN_RE = re.compile(rf"{_GAP},?{_GAP}({_NAME})", _FLAGS)
-_RAISE_RE = re.compile(rf"RAISE{_GAP}\({_GAP}(ABORT|FAIL|ROLLBACK){_GAP},{_GAP}({_NAME})",
-                       _FLAGS)
-_TIMINGS = {"B": "BEFORE", "A": "AFTER", "I": "INSTEAD OF"}
-# UPDATE (group 1) with its target and first SET column, or an INSERT's target
-_EFFECT = _reader(
-    _words("(?:(UPDATE)|INSERT|REPLACE)") + rf"{_CONFLICT}(?(1)|{_words('INTO')}){_QUALIFIED}"
-    + rf"(?(1){_GAP}{_words('SET')}(?:\({_GAP})?({_NAME}))")
-_AUTOINCREMENT = _reader(f"({_words('AUTOINCREMENT')})")
-_CHECK_ENUM = _reader(
-    _words("CHECK") + rf"\({_GAP}({_NAME}){_GAP}{_words('IN')}\("
-    + rf"({_GAP}(?:{_LITERAL})(?:{_GAP},{_GAP}(?:{_LITERAL}))*){_GAP}\){_GAP}\)")
-_LITERALS = rf"{_COMMENT}|({_LITERAL})"
-_TABLE_TAG = rf"--\s*(\w+)\s+Table:\s*({_NAME})"
-
-
-def _unquote(name: str) -> str:
-    """The identifier that the SQL token ``name`` spells."""
-    if name[0] in "\"`'":
-        return name[1:-1].replace(name[0] * 2, name[0])
-    return name[1:-1] if name[0] == "[" else name
-
-
-def _literal(text: str):
-    """The value of the SQL string or number literal ``text``."""
-    if text[0] in "'\"":
-        return _unquote(text)
-    if "x" in text.lower():
-        return int(text, 16)
-    return float(text) if any(c in text for c in ".eE") else int(text)
-
-
-def table_tags(sql: str) -> list[tuple[str, str]]:
-    """``(tag, table)`` of each ``-- <tag> Table: <table>`` comment in ``sql``."""
-    return [(tag, _unquote(name)) for tag, name in re.findall(_TABLE_TAG, sql, _FLAGS)]
+_TIMINGS = {"BEFORE": "BEFORE", "AFTER": "AFTER", "INSTEAD": "INSTEAD OF"}
 
 
 class TriggerInfo(NamedTuple):
@@ -225,32 +239,58 @@ class TriggerInfo(NamedTuple):
     def raises(self) -> tuple[tuple[str, str], ...]:
         """``(ABORT|FAIL|ROLLBACK, message)`` of each RAISE in the body, in order;
         the message is the one the engine reports."""
-        return tuple((kind.upper(), _unquote(message))
-                     for kind, message in _RAISE_RE.findall(self.body))
+        tokens = tokenize(self.body) if "RAISE" in self.body.upper() else []
+        return tuple((tokens[i + 2].upper(), _unquote(tokens[i + 4]))
+                     for i in range(len(tokens) - 4)
+                     if tokens[i].upper() == "RAISE" and tokens[i + 1] == "("
+                     and tokens[i + 2].upper() in ("ABORT", "FAIL", "ROLLBACK")
+                     and tokens[i + 3] == ",")
 
     @property
     def effects(self) -> tuple[tuple[str, str, str], ...]:
         """``("UPDATE", table, first SET column)`` of each UPDATE in the body and
         ``("INSERT", table, "")`` of each INSERT or REPLACE, in order."""
-        return tuple(("UPDATE" if update else "INSERT", _unquote(table),
-                      column and _unquote(column))
-                     for update, table, column in re.findall(_EFFECT, self.body, _FLAGS) if table)
+        tokens = tokenize(self.body) + [""] * 6  # nothing matches past the end
+        words, found = [token.upper() for token in tokens], []
+        for i, word in enumerate(words):
+            if word == "UPDATE":  # UPDATE [OR <conflict>] [schema .] table SET [(] column
+                i += 2 * (words[i + 1] == "OR")
+            elif word != "INTO":  # in a trigger body, INTO follows only INSERT and REPLACE
+                continue
+            i += 1 + 2 * (tokens[i + 2] == ".")  # a schema prefix is dropped
+            if word == "INTO":
+                found.append(("INSERT", _unquote(tokens[i]), ""))
+            elif words[i + 1] == "SET":
+                column = tokens[i + 2 + (tokens[i + 2] == "(")]  # SET (a, b) = ...
+                found.append(("UPDATE", _unquote(tokens[i]), _unquote(column)))
+        return tuple(found)
 
 
 def parse_trigger(sql: str) -> TriggerInfo | None:
-    """Header fields of a CREATE TRIGGER statement, or None for other SQL."""
-    m = _TRIGGER_HEADER_RE.match(sql)
-    if m is None:
+    """Header fields of a CREATE TRIGGER statement, or None for other SQL. Tokens
+    are read up to the table name; the body is the text after it."""
+    tokens, ends = [], []
+    for m in _TOKEN.finditer(sql):
+        tokens.append(m.group(1) or "")
+        ends.append(m.end())
+        if len(tokens) > 3 and tokens[-4].upper() == "ON":  # ON [schema .] table
+            break
+    words = [token.upper() for token in tokens] + [""] * 3
+    i = 1 + (words[1] in ("TEMP", "TEMPORARY"))
+    if words[0] != "CREATE" or words[i] != "TRIGGER" or "ON" not in words:
         return None
-    name, timing, event, of_columns, table = m.groups()
+    i += 1 + 3 * (words[i + 1:i + 4] == ["IF", "NOT", "EXISTS"])
+    i += 2 * (words[i + 1] == ".")  # a schema prefix is dropped
+    name, timing = tokens[i], _TIMINGS.get(words[i + 1], "BEFORE")  # SQLite's default
+    i += 1 + (words[i + 1] in _TIMINGS) + (words[i + 1] == "INSTEAD")  # INSTEAD OF
+    on = words.index("ON", i)
+    table = on + 1 + 2 * (words[on + 2] == ".")
+    if words[i] not in ("INSERT", "UPDATE", "DELETE"):
+        return None
     return TriggerInfo(
-        name=_unquote(name),
-        timing=_TIMINGS[(timing or "B")[0].upper()],  # SQLite's default is BEFORE
-        event=event.upper(),
-        of_columns=tuple(map(_unquote, _COLUMN_RE.findall(of_columns or ""))),
-        table=_unquote(table),
-        body=sql[m.end():],
-    )
+        name=_unquote(name), timing=timing, event=words[i],
+        of_columns=tuple(map(_unquote, tokens[i + 2:on:2] if words[i + 1] == "OF" else ())),
+        table=_unquote(tokens[table]), body=sql[ends[table]:])
 
 
 _TABLES_SQL = (
@@ -316,10 +356,8 @@ def read_schema(conn: sqlite3.Connection) -> SchemaInfo:
                 parent = by_folded_name.get(r[2].lower(), ())
                 ref_col = next((c.name for c in parent if c.primary_key), "rowid")
             fks.append(ForeignKey(column=r[3], ref_table=r[2], ref_column=ref_col))
-        autoincrement = ("AUTOINCREMENT" in sql.upper()  # the reader scans only candidates
-                         and any(re.findall(_AUTOINCREMENT, sql, _FLAGS)))
         tables[name] = TableInfo(name=name, columns=columns[name], foreign_keys=tuple(fks),
-                                 autoincrement=autoincrement, sql=sql)
+                                 sql=sql)
     return SchemaInfo(tables=MappingProxyType(tables), triggers=read_triggers(conn))
 
 

@@ -10,10 +10,10 @@ is delegated to a port and marked skipped when none is configured.
 from __future__ import annotations
 
 import json
-import re
 import sqlite3
 import warnings
 from dataclasses import dataclass
+from itertools import pairwise
 
 from .errors import (
     CompilationExhausted,
@@ -39,10 +39,10 @@ from .packages import (
     harvest_error_codes,
     token_pattern,
 )
-from .snapshots import SchemaInfo, Snapshot, insert_sql, quote_ident, table_tags
+from .snapshots import (SchemaInfo, Snapshot, insert_sql, is_number, quote_ident, table_tags,
+                        tokenize)
 from .verify import DiffConfig, diff_canonical
 
-_QUOTA_CMP_RE = re.compile(r">=\s*\d+")
 
 ARCHITECT_STAGES = ("analyze", "policy", "tables", "triggers")
 
@@ -386,10 +386,12 @@ def seed_initial_state(
 # --- boundary probing ------------------------------------------------------------------
 
 def quota_bearing_tables(schema: SchemaInfo) -> list[str]:
-    """Tables whose BEFORE INSERT triggers compare a count against a threshold."""
+    """Tables whose BEFORE INSERT triggers compare a count against a threshold:
+    a ``>=`` token followed by a number token."""
     return list(dict.fromkeys(
         t.table for t in sorted(schema.triggers, key=lambda t: t.name)
-        if t.timing == "BEFORE" and t.event == "INSERT" and _QUOTA_CMP_RE.search(t.body)))
+        if t.timing == "BEFORE" and t.event == "INSERT" and ">=" in t.body
+        and any(a == ">=" and is_number(b) for a, b in pairwise(tokenize(t.body)))))
 
 
 def probe_boundary_adjacency(

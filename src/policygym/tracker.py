@@ -39,14 +39,13 @@ The full-scan functions stay the reference, and some schemas keep them:
 from __future__ import annotations
 
 import hashlib
-import re
 import sqlite3
 import threading
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import islice, pairwise
 from types import MappingProxyType
 
 from .snapshots import (
@@ -61,6 +60,7 @@ from .snapshots import (
     select_sql,
     state_digest,
     table_record,
+    tokenize,
 )
 from .verify import (
     CanonicalRelationSet,
@@ -74,8 +74,6 @@ from .verify import (
 
 LOG_TABLE = "policygym_changelog"
 MARK = 8192  # bytes of digest input between two kept hash states
-_REPLACE_RE = re.compile(r"\bREPLACE\b", re.IGNORECASE)
-_DDL_SQL = "SELECT coalesce(sql, '') FROM sqlite_master WHERE type IN ('table', 'trigger')"
 
 
 @dataclass(frozen=True)
@@ -127,11 +125,19 @@ def _log_ddl(tables: tuple[_Table, ...]) -> list[str]:
     return install
 
 
+def _replaces(sql: str) -> bool:
+    """``sql`` holds the keyword REPLACE (conflict resolution, or REPLACE INTO);
+    a call of the function replace() does not count."""
+    tokens = tokenize(sql) if "REPLACE" in sql.upper() else []
+    return any(a.upper() == "REPLACE" and b != "(" for a, b in pairwise(tokens + [""]))
+
+
 def _install_log(conn: sqlite3.Connection, schema: SchemaInfo, install_sql: list[str]) -> bool:
     """Install the log on ``conn``; False, and no log, where it could miss a
     change or where the schema refuses its triggers (a virtual table, say)."""
+    ddl = [t.sql for t in schema.tables.values()] + [t.body for t in schema.triggers]
     if (any(name.lower() == LOG_TABLE for name in schema.tables)
-            or any(_REPLACE_RE.search(sql) for (sql,) in conn.execute(_DDL_SQL))):
+            or any(_replaces(sql) for sql in ddl)):
         return False
     try:
         for sql in install_sql:

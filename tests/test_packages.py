@@ -10,7 +10,8 @@ import sqlite3
 import pytest
 
 from policygym import load_package, save_package
-from policygym.executor import ToolCall, execute_tool, open_environment, open_environment_at
+from policygym.executor import (ToolCall, execute_tool, open_environment, open_environment_at,
+                                safe_execute_tool)
 from policygym.errors import (
     CompileFailure,
     IoFailure,
@@ -20,6 +21,8 @@ from policygym.errors import (
 )
 from policygym.fixtures import corporate_travel
 from policygym.packages import (
+    READ_WRITE,
+    EnvironmentBundle,
     compile_environment,
     derive_tools,
     find_spoiler,
@@ -162,6 +165,30 @@ def test_logic_exposed_interface_rule_holds(travel_pkg):
             tool = by_name[f"{kind}_{table}"]
             assert (tool.preconditions, tool.side_effects) == trigger_annotations(
                 info, table, kind.upper())
+
+
+@pytest.mark.parametrize("schema_sql, auto_key", [
+    ("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)", "id"),
+    ("CREATE TABLE t (id integer primary key autoincrement, name TEXT)", "id"),
+    ("CREATE TABLE t (id INTEGER, name TEXT, PRIMARY KEY (id DESC))", "id"),
+    # no rowid alias: an omitted key is stored as NULL, or refused by the engine
+    ("CREATE TABLE t (id BIGINT PRIMARY KEY, name TEXT)", None),
+    ("CREATE TABLE t (a INTEGER, b INTEGER, name TEXT, PRIMARY KEY (a, b))", None),
+    ("CREATE TABLE t (id INTEGER PRIMARY KEY DESC, name TEXT)", None),
+    ("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT) WITHOUT ROWID", None),
+])
+def test_only_a_rowid_alias_is_published_as_auto_assigned(schema_sql, auto_key):
+    bundle = EnvironmentBundle.from_schema(schema_sql, "", compile_environment(schema_sql, ""),
+                                           {"t": READ_WRITE}, {})
+    contract = bundle.tools_by_name()["insert_t"].parameter_schema
+    keys = [c.name for c in bundle.schema_info.tables["t"].columns if c.primary_key]
+    omitted = [auto_key] if auto_key else []
+    assert [k for k in keys if k not in contract["required"]] == omitted
+    assert [k for k in keys
+            if "auto-assigned" in contract["properties"][k].get("description", "")] == omitted
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
+        result = safe_execute_tool(env, ToolCall("insert_t", {"name": "x"}))
+    assert (result.error and result.error.code) == (None if auto_key else "MALFORMED_ARGUMENTS")
 
 
 def test_query_tools_for_read_only_tables_only(travel_pkg):

@@ -190,6 +190,13 @@ def test_raises_unquotes_the_message_as_the_engine_does(message):
     assert trigger.raises == (("ABORT", str(caught.value)),)
 
 
+def test_raises_skip_a_raise_spelled_in_a_string_or_a_comment():
+    trigger = parse_trigger(
+        "CREATE TRIGGER g BEFORE INSERT ON t BEGIN SELECT 'RAISE(ABORT, ''[X] no'')' WHERE 0;"
+        " /* RAISE(FAIL, 'y') */ SELECT RAISE(ABORT, 'real') -- RAISE(ROLLBACK, 'z')\n; END")
+    assert trigger.raises == (("ABORT", "real"),)
+
+
 _EFFECT_CASES = [
     ('INSERT INTO "order items" VALUES (1, 2);', (("INSERT", "order items", ""),)),
     ('UPDATE [order items] SET "unit price" = 1;', (("UPDATE", "order items", "unit price"),)),
@@ -228,6 +235,8 @@ _ENUM_CASES = [
     ("n INTEGER CHECK(n IN (-1, 0x10, +2))", {"n": (-1, 16, 2)}),
     ("n REAL CHECK (n IN (2.5, /* half */ .5, 1E2))", {"n": (2.5, 0.5, 100.0)}),
     ("kind TEXT CHECK(kind NOT IN ('a')), note TEXT DEFAULT 'CHECK(kind IN (1))'", {}),
+    # a gap between a sign and its number: SQLite reads -1
+    ("n INTEGER CHECK(n IN (- 1, 2))", {"n": (-1, 2)}),
 ]
 
 
@@ -343,3 +352,68 @@ def test_every_trigger_sqlite_accepts_reads_as_sqlite_stores_it(case):
         conn.close()
     assert [(t.name, t.table) for t in triggers] == stored
     assert all(t.raises == (("ROLLBACK", "no"),) for t in triggers)
+
+
+def _spelled_literal(draw, value) -> str:
+    """``value`` as one SQL literal: a string quoted by '', or a number with a sign
+    (and a gap after it) or none, spelled in decimal, hex or with an exponent."""
+    if isinstance(value, str):
+        return _spell(value, "''")
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    value = abs(value)
+    if isinstance(value, int):
+        digits = draw(st.sampled_from([str(value), f"0x{value:x}"]))
+    else:  # a multiple of 1/8, so that any reading of its decimal digits is exact
+        digits = draw(st.sampled_from([repr(value), f"{int(value * 1000)}e-3"]))
+    digits = digits.lstrip("0") if digits.startswith("0.") and draw(st.booleans()) else digits
+    return sign + (draw(_GAPS) if sign else "") + draw(_SPELLINGS)(digits)
+
+
+@st.composite
+def _enum_tables(draw):
+    """A CREATE TABLE whose column c has a generated ``CHECK(c IN (...))`` list and a
+    BEFORE INSERT trigger for c IS NULL whose real RAISE stands between decoys in a
+    string and in comments; with each literal's text and the RAISE's kind and message."""
+    values = draw(st.lists(st.one_of(st.integers(-300, 300),
+                                     st.integers(-4000, 4000).map(lambda n: n / 8),
+                                     st.text(st.sampled_from("ab '\"é,)("), max_size=4)),
+                           min_size=1, max_size=4))
+    literals = [_spelled_literal(draw, value) for value in values]
+    gap, word = (lambda: draw(_GAPS)), (lambda text: draw(_SPELLINGS)(text))
+    column = _spell("c", draw(st.sampled_from(["bare", '""', "[]", "``"])))
+    items = (gap() + "," + gap()).join(literals)
+    table = (f"CREATE TABLE t (id INTEGER PRIMARY KEY, c {word('CHECK')}{gap()}({gap()}{column}"
+             f"{gap()}{word('IN')}{gap()}({gap()}{items}{gap()}){gap()}))")
+    kind = draw(st.sampled_from(["ABORT", "FAIL", "ROLLBACK"]))
+    message = _spell(draw(_IDENT_TEXT), draw(_STYLES))
+    trigger = (f"CREATE TRIGGER g BEFORE INSERT ON t WHEN NEW.c IS NULL BEGIN"
+               f" SELECT '{word('RAISE')}(ABORT, ''decoy'')' WHERE 0;{gap()}"
+               f"/* {word('RAISE')}(FAIL, 'decoy') */{gap()}SELECT {word('RAISE')}{gap()}({gap()}"
+               f"{word(kind)}{gap()},{gap()}{message}{gap()}) -- RAISE(ROLLBACK, 'decoy')\n; END")
+    return table, trigger, literals, kind
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(_enum_tables())
+def test_check_enums_and_raises_read_what_the_engine_accepts_and_reports(case):
+    """The engine is the oracle: check_enums holds the value of each literal of the
+    list, which the column accepts while it refuses others, and raises gives the
+    message the engine reports when the real RAISE fires."""
+    table, trigger_sql, literals, kind = case
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    try:
+        conn.execute(table)
+        conn.execute(trigger_sql)
+        info = read_schema(conn)
+        read = [conn.execute(f"SELECT {literal}").fetchone()[0] for literal in literals]
+        for value in read:
+            conn.execute("INSERT INTO t (c) VALUES (?)", (value,))
+        with pytest.raises(sqlite3.IntegrityError, match="CHECK constraint failed"):
+            conn.execute("INSERT INTO t (c) VALUES ('not listed')")
+        with pytest.raises(sqlite3.IntegrityError) as caught:
+            conn.execute("INSERT INTO t (c) VALUES (NULL)")
+    finally:
+        conn.close()
+    enums = info.tables["t"].check_enums
+    assert [(type(v), v) for v in enums["c"]] == [(type(v), v) for v in read], table
+    assert info.triggers[0].raises == ((kind, str(caught.value)),), trigger_sql

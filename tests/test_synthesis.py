@@ -32,6 +32,7 @@ from policygym.synthesis import (
     parse_permission_tags,
     probe_boundary_adjacency,
     project_user_view,
+    quota_bearing_tables,
     seed_initial_state,
     synthesize_package,
     verify_environment,
@@ -56,6 +57,8 @@ def test_parse_permission_tags():
     ("--L1_ENTITY Table:[order items]", {"order items": "read_only"}),
     ("-- l2_transaction table: `it's`", {"it's": "read_write"}),
     ("-- NOTE Table: items", {}),
+    # a tag inside a string literal is no comment
+    ("CREATE TABLE y (a TEXT DEFAULT '-- L0_REFERENCE Table: x');", {}),
 ])
 def test_parse_permission_tags_reads_quoted_names(comment, tags):
     assert parse_permission_tags(f"{comment}\nCREATE TABLE x (a);") == tags
@@ -224,6 +227,20 @@ def test_integer_check_enum_probes_with_integers():
     result = probe_boundary_adjacency(bundle, bundle.empty_snapshot, probe_budget=4)
     assert [(p["outcome"], p["code"]) for p in result.probes] == [("accepted", "")]
     assert result.adjacency_score == 0.0
+
+
+@pytest.mark.parametrize("when, tables", [
+    ("WHEN (SELECT COUNT(*) FROM t) >= 3", ["t"]),
+    ("WHEN (SELECT COUNT(*) FROM t) >=\n  3", ["t"]),
+    # the only ">= 3" sits in the RAISE message or in a comment
+    ("/* >= 3 */", []),
+    ("", []),
+])
+def test_quota_bearing_tables_read_a_threshold_token(when, tables):
+    info, _ = packages.compile_environment(
+        "CREATE TABLE t (a);", f"CREATE TRIGGER q BEFORE INSERT ON t {when}"
+        " BEGIN SELECT RAISE(ABORT, '[QUOTA] count >= 3'); END;")
+    assert quota_bearing_tables(info) == tables
 
 
 @pytest.fixture

@@ -370,10 +370,11 @@ def test_a_closed_handle_cannot_reach_the_pooled_connection(travel_pkg):
 
 # --- schemas that keep the full scan ---------------------------------------------------------
 
-def _package(schema_sql: str, origin_sql: str, target_sql: str, cfg: DiffConfig) -> TaskPackage:
+def _package(schema_sql: str, origin_sql: str, target_sql: str, cfg: DiffConfig,
+             triggers_sql: str = "") -> TaskPackage:
     permissions = {"parents": "read_write", "children": "read_write"}
 
-    _, empty = compile_environment(schema_sql, "")
+    _, empty = compile_environment(schema_sql, triggers_sql)
 
     def image(rows_sql):
         with empty.connect() as conn:
@@ -381,8 +382,8 @@ def _package(schema_sql: str, origin_sql: str, target_sql: str, cfg: DiffConfig)
             return Snapshot(conn.serialize())
 
     origin, target = image(origin_sql), image(target_sql)
-    bundle = EnvironmentBundle(schema=schema_sql, triggers="", permissions=permissions,
-                               tool_catalog=derive_tools(schema_sql, permissions))
+    bundle = EnvironmentBundle(schema=schema_sql, triggers=triggers_sql, permissions=permissions,
+                               tool_catalog=derive_tools(schema_sql, permissions, triggers_sql))
     return TaskPackage(name="small", domain="test", policy_doc="p", task_description="t",
                        env=bundle, origin_snapshot=origin, target_snapshot=target,
                        diff_config=cfg, limits=RolloutLimits(),
@@ -424,6 +425,27 @@ def test_replace_conflict_resolution_keeps_the_full_scan():
         names = [r[0] for r in env.connection.execute("SELECT name FROM parents ORDER BY id")]
         assert names == ["ann", "bob", "cy"]
         assert env.connection.execute("SELECT id FROM parents WHERE name = 'cy'").fetchone() == (4,)
+
+
+_ON_NEW_CHILD = "CREATE TRIGGER g AFTER INSERT ON children BEGIN {} END;"
+
+
+@pytest.mark.parametrize("unique, triggers_sql, tracked", [
+    # REPLACE in a string, in a comment or as the function replace() resolves no conflict
+    (" DEFAULT 'REPLACE me'", "", True),
+    (" -- no REPLACE here\n", "", True),
+    ("", _ON_NEW_CHILD.format("UPDATE children SET label = replace(label, 'c', 'C')"
+                              " WHERE id = NEW.id;"), True),
+    ("", _ON_NEW_CHILD.format("INSERT OR REPLACE INTO parents (id, name) VALUES (1, 'al');"),
+     False),
+    ("", _ON_NEW_CHILD.format("REPLACE INTO parents (id, name) VALUES (1, 'al');"), False),
+])
+def test_only_the_replace_keyword_keeps_the_full_scan(unique, triggers_sql, tracked):
+    """A tracked handle's digest and distance equal the full scan's after each call."""
+    pkg = _package(_SCHEMA.format(unique=unique), _ORIGIN, _TARGET,
+                   DiffConfig(excluded_columns={"parents": {"id"}, "children": {"id"}}),
+                   triggers_sql)
+    assert _drive(pkg, [ToolCall("insert_children", {"parent_id": 2, "label": "c"})]) is tracked
 
 
 def test_virtual_table_keeps_the_full_scan():
