@@ -20,7 +20,6 @@ from ..packages import (
     EnvironmentBundle,
     RolloutLimits,
     TaskPackage,
-    compile_environment,
     save_package,
 )
 from ..snapshots import Snapshot
@@ -821,9 +820,7 @@ def canned_generation_outputs() -> dict[str, list[str]]:
 
 
 def build_bundle() -> EnvironmentBundle:
-    compiled = compile_environment(SCHEMA_SQL, TRIGGERS_SQL)
-    return EnvironmentBundle.from_schema(SCHEMA_SQL, TRIGGERS_SQL, compiled, PERMISSIONS,
-                                         ERROR_HINTS)
+    return EnvironmentBundle.from_schema(SCHEMA_SQL, TRIGGERS_SQL, PERMISSIONS, ERROR_HINTS)
 
 
 def build_origin_snapshot(bundle: EnvironmentBundle | None = None) -> Snapshot:

@@ -21,7 +21,7 @@ import json
 import re
 import sqlite3
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import pairwise
 from pathlib import Path
 from typing import Callable
@@ -82,6 +82,8 @@ REQUIRED_FILES = (
 )
 
 _ERROR_CODE_RE = re.compile(r"\s*\[([A-Z][A-Z0-9_]*)\]\s*(.*)", re.DOTALL)
+
+MEMO_SIZE = 16  # the distinct DDL pairs, and the distinct bundles, that a process keeps
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,7 @@ class EnvironmentBundle:
 
     @cached_property
     def _compiled(self) -> tuple[SchemaInfo, Snapshot]:
-        """``compile_environment`` of this bundle's DDL, run at most once per
-        bundle; raises CompileFailure."""
+        """``compile_environment`` of this bundle's DDL; raises CompileFailure."""
         return compile_environment(self.schema, self.triggers)
 
     @property
@@ -170,17 +171,24 @@ class EnvironmentBundle:
         return self._compiled[1]
 
     @classmethod
-    def from_schema(
-        cls, schema_sql: str, triggers_sql: str, compiled: tuple[SchemaInfo, Snapshot],
-        permissions: dict[str, str], error_registry: dict[str, str],
-    ) -> "EnvironmentBundle":
-        """Bundle over DDL that ``compile_environment`` already turned into
-        ``compiled``; the bundle keeps that pair and derives its tools from it."""
-        catalog = derive_tools_from_schema(compiled[0], permissions)
-        bundle = cls(schema=schema_sql, triggers=triggers_sql, permissions=dict(permissions),
-                     tool_catalog=catalog, error_registry=dict(error_registry))
-        bundle.__dict__["_compiled"] = compiled  # the cached_property slot
-        return bundle
+    def from_schema(cls, schema_sql: str, triggers_sql: str, permissions: dict[str, str],
+                    error_registry: dict[str, str] | None = None) -> "EnvironmentBundle":
+        """The bundle of this DDL, permissions and registry (None: an empty rule per
+        harvested ``[CODE]``), shared by every call with the same arguments, dict
+        order included; raises CompileFailure or SchemaMismatch."""
+        registry = None if error_registry is None else tuple(error_registry.items())
+        return _shared_bundle(cls, schema_sql, triggers_sql, tuple(permissions.items()), registry)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _shared_bundle(cls, schema_sql: str, triggers_sql: str, permissions: tuple,
+                   registry: tuple | None) -> EnvironmentBundle:
+    info = compile_environment(schema_sql, triggers_sql)[0]
+    if registry is None:
+        registry = ((code, "") for code in harvest_error_codes(info))
+    return cls(schema=schema_sql, triggers=triggers_sql, permissions=dict(permissions),
+               tool_catalog=derive_tools_from_schema(info, dict(permissions)),
+               error_registry=dict(registry))
 
 
 @dataclass(frozen=True)
@@ -218,6 +226,7 @@ class TaskPackage:
 
 # --- compilation ------------------------------------------------------------
 
+@lru_cache(maxsize=MEMO_SIZE)
 def compile_environment(schema_sql: str, triggers_sql: str) -> tuple[SchemaInfo, Snapshot]:
     """Execute the DDL on a scratch in-memory engine: its catalog and the
     serialized empty engine; raise CompileFailure.
@@ -226,6 +235,7 @@ def compile_environment(schema_sql: str, triggers_sql: str) -> tuple[SchemaInfo,
     the schema does not declare it. Trigger bodies are force-compiled with
     EXPLAIN probes because SQLite resolves trigger references lazily at
     first fire.
+    Memoized over the last ``MEMO_SIZE`` pairs; a CompileFailure is never kept.
     """
     conn = sqlite3.connect(":memory:")
     try:
@@ -668,14 +678,11 @@ def load_package(path) -> TaskPackage:
     if not policy_doc.strip():
         raise MissingArtifact("policy.md is empty")
 
-    compiled = compile_environment(schema_sql, triggers_sql)
-    info = compiled[0]
+    info = compile_environment(schema_sql, triggers_sql)[0]
     for table in info.tables:
         if table != ESCALATIONS_TABLE and table not in permissions:
             raise SchemaMismatch(f"no permission entry for table {table}")
-    if not registry:
-        registry = {code: "" for code in harvest_error_codes(info)}
-    env = EnvironmentBundle.from_schema(schema_sql, triggers_sql, compiled, permissions, registry)
+    env = EnvironmentBundle.from_schema(schema_sql, triggers_sql, permissions, registry or None)
     validate_excluded_columns(info, diff_config)
 
     origin = Snapshot.from_file(root / "origin.db")

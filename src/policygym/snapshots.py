@@ -128,6 +128,7 @@ _TOKEN = re.compile(
     r"""|'(?:[^']++|'')*+'|"(?:[^"]++|"")*+"|`(?:[^`]++|``)*+`|\[[^\]]*+\]"""
     r"|0x[\da-f]+|(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|[<>!=]=|<>|\|\||.)?",
     re.IGNORECASE | re.DOTALL | re.ASCII)
+_COMMENT = re.compile(r"--([^\n]*+)|/\*.*?(?:\*/|\Z)", re.DOTALL)  # group 1: a -- comment's text
 
 
 def tokenize(sql: str) -> list[str]:
@@ -150,10 +151,13 @@ def _unquote(name: str) -> str:
 
 
 def _number(text: str):
-    """The value of the SQL number ``text``, a sign included."""
+    """The value of the SQL number ``text``, a sign included, as SQLite reads it: a
+    hex literal wraps to signed 64 bits, and an integer outside them is a REAL."""
     if "x" in text.lower():
-        return int(text, 16)
-    return float(text) if any(c in text for c in ".eE") else int(text)
+        value = int(text.lstrip("-+"), 16)
+        return (-1 if text[0] == "-" else 1) * (value - (value >> 63 << 64))
+    value = float(text) if any(c in text for c in ".eE") else int(text)
+    return value if -(2**63) <= value < 2**63 else float(text)
 
 
 def _literals(tokens) -> tuple | None:
@@ -175,12 +179,12 @@ def _literals(tokens) -> tuple | None:
 
 
 def table_tags(sql: str) -> list[tuple[str, str]]:
-    """``(tag, table)`` of each ``-- <tag> Table: <table>`` comment in ``sql``.
-    Comments are read between tokens, so never inside a string or a quoted name."""
+    """``(tag, table)`` of each ``-- <tag> Table: <table>`` line comment in ``sql``,
+    read between tokens: never inside a string, a quoted name or a block comment."""
     tags = []
     for m in _TOKEN.finditer(sql):
-        for comment in sql[m.start():m.start(1) if m.group(1) else m.end()].split("--")[1:]:
-            words = tokenize(comment.partition("\n")[0])
+        for comment in _COMMENT.findall(sql, m.start(), m.start(1) if m.group(1) else m.end()):
+            words = tokenize(comment)
             if len(words) > 3 and words[1].upper() == "TABLE" and words[2] == ":":
                 tags.append((words[0], _unquote(words[3])))
     return tags

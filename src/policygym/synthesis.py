@@ -36,7 +36,6 @@ from .packages import (
     checked_canonical,
     compile_environment,
     find_spoiler,
-    harvest_error_codes,
     token_pattern,
 )
 from .snapshots import (SchemaInfo, Snapshot, insert_sql, is_number, quote_ident, table_tags,
@@ -206,17 +205,14 @@ def architect_compile(
         )
 
     schema_sql, _ = compiled_stage("tables", lambda text: compile_environment(text, ""))
-    triggers_sql, compiled = compiled_stage(
+    triggers_sql, (info, _) = compiled_stage(
         "triggers", lambda text: compile_environment(schema_sql, text))
 
     permissions = parse_permission_tags(schema_sql)
-    for table in compiled[0].tables:
+    for table in info.tables:
         if table != ESCALATIONS_TABLE and table not in permissions:
             permissions[table] = READ_WRITE
-    bundle = EnvironmentBundle.from_schema(
-        schema_sql, triggers_sql, compiled, permissions,
-        {code: "" for code in harvest_error_codes(compiled[0])},
-    )
+    bundle = EnvironmentBundle.from_schema(schema_sql, triggers_sql, permissions)
     return ArchitectResult(bundle=bundle, policy_doc=policy_doc,
                            reports=tuple(reports), blueprint=blueprint)
 

@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from policygym import load_package, tracker
+from policygym import load_package, packages, tracker
 from policygym.fixtures import corporate_travel
 from policygym.snapshots import Snapshot
 
@@ -21,6 +21,13 @@ def fixture_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def travel_pkg(fixture_dir):
     return load_package(fixture_dir)
+
+
+def clear_memos() -> None:
+    """Empty the per-process memos of compiled DDL and of shared bundles, so that
+    what a test counts next starts from a cold process."""
+    packages.compile_environment.cache_clear()
+    packages._shared_bundle.cache_clear()
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ from policygym.executor import (
     parse_engine_error,
     safe_execute_tool,
 )
-from policygym.packages import READ_ONLY, EnvironmentBundle, compile_environment
+from policygym.packages import READ_ONLY, EnvironmentBundle
 from policygym.snapshots import quote_ident
 from policygym.verify import canonicalize, canonicalize_connection, diff_canonical
 
@@ -81,8 +81,7 @@ def test_update_on_read_only_table_rejected_before_engine(env):
 @pytest.mark.parametrize("table", ["order items", "order-lines"])
 def test_a_write_to_a_read_only_table_of_any_name_is_refused_as_read_only(table):
     schema = f"CREATE TABLE {quote_ident(table)} (id INTEGER PRIMARY KEY, note TEXT);"
-    bundle = EnvironmentBundle.from_schema(schema, "", compile_environment(schema, ""),
-                                           {table: READ_ONLY}, {})
+    bundle = EnvironmentBundle.from_schema(schema, "", {table: READ_ONLY}, {})
     with open_environment_at(bundle, bundle.empty_snapshot) as handle:
         for kind in ("insert", "update"):
             result = safe_execute_tool(handle, ToolCall(f"{kind}_{table}", {}))

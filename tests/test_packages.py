@@ -6,10 +6,12 @@ import json
 import os
 import shutil
 import sqlite3
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from policygym import load_package, save_package
+from policygym import load_package, packages, save_package
 from policygym.executor import (ToolCall, execute_tool, open_environment, open_environment_at,
                                 safe_execute_tool)
 from policygym.errors import (
@@ -30,7 +32,10 @@ from policygym.packages import (
     trigger_annotations,
 )
 from policygym.snapshots import read_schema
+from policygym.synthesis import StubGenerationPort, synthesize_package
 from policygym.verify import diff
+
+from conftest import clear_memos
 
 
 def test_fixture_loads_with_expected_counts(travel_pkg):
@@ -178,8 +183,7 @@ def test_logic_exposed_interface_rule_holds(travel_pkg):
     ("CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT) WITHOUT ROWID", None),
 ])
 def test_only_a_rowid_alias_is_published_as_auto_assigned(schema_sql, auto_key):
-    bundle = EnvironmentBundle.from_schema(schema_sql, "", compile_environment(schema_sql, ""),
-                                           {"t": READ_WRITE}, {})
+    bundle = EnvironmentBundle.from_schema(schema_sql, "", {"t": READ_WRITE}, {})
     contract = bundle.tools_by_name()["insert_t"].parameter_schema
     keys = [c.name for c in bundle.schema_info.tables["t"].columns if c.primary_key]
     omitted = [auto_key] if auto_key else []
@@ -317,6 +321,7 @@ def read_schema_calls(monkeypatch):
 
     for module in (packages, snapshots, verify):
         monkeypatch.setattr(module, "read_schema", counting)
+    clear_memos()  # a memo hit reads no catalog
     return calls
 
 
@@ -358,3 +363,52 @@ def test_an_image_of_the_same_shape_from_other_ddl_is_accepted(fixture_dir, trav
     assert len(read_schema_calls) == 2  # the compile, then the target's own catalog
     assert pkg.delta0 == diff(travel_pkg.origin_snapshot, pkg.target_snapshot,
                               pkg.diff_config).total == 4
+
+
+# --- the per-process memos of compiled DDL and shared bundles --------------------------------
+
+def _stub_round(path):
+    """A stub synthesis round, then save and load: the synthesized and the loaded package."""
+    port = StubGenerationPort(corporate_travel.canned_generation_outputs())
+    pkg, _ = synthesize_package(corporate_travel.SEED_DOMAIN_TEXT, port, name="x")
+    save_package(pkg, path)
+    return pkg, load_package(path)
+
+
+def test_a_repeat_stub_round_and_its_load_compile_nothing(tmp_path):
+    _stub_round(tmp_path / "first")
+    misses = compile_environment.cache_info().misses
+    pkg, loaded = _stub_round(tmp_path / "second")
+    assert compile_environment.cache_info().misses == misses
+    assert loaded == pkg
+
+
+def test_a_compile_failure_is_raised_on_every_call_and_never_kept():
+    before = compile_environment.cache_info()
+    for attempt in (1, 2):
+        with pytest.raises(CompileFailure, match="no such table"):
+            compile_environment("CREATE TABLE t (a);",
+                                "CREATE TRIGGER x AFTER INSERT ON t BEGIN DELETE FROM u; END")
+        info = compile_environment.cache_info()
+        assert (info.misses - before.misses, info.currsize) == (attempt, before.currsize)
+
+
+def test_loading_one_package_twice_shares_one_bundle(fixture_dir, travel_pkg):
+    a, b = load_package(fixture_dir), load_package(fixture_dir)
+    assert a.env is b.env
+    assert a is not b and a == b == travel_pkg
+
+
+def test_threads_loading_one_package_at_once_get_equal_packages(fixture_dir, travel_pkg):
+    clear_memos()  # every thread meets a cold memo
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that they race on each miss
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            loaded = list(pool.map(load_package, [fixture_dir] * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(pkg == travel_pkg for pkg in loaded)
+    # a race may compile twice, but each memo keeps one entry for the one key
+    assert compile_environment.cache_info().currsize == 1
+    assert packages._shared_bundle.cache_info().currsize == 1

@@ -25,7 +25,6 @@ from policygym.packages import (
     EnvironmentBundle,
     RolloutLimits,
     TaskPackage,
-    compile_environment,
 )
 from policygym.snapshots import Snapshot, state_digest
 from policygym.synthesis import probe_boundary_adjacency
@@ -60,11 +59,10 @@ _REOPEN = ToolCall("update_accounts", {"filters": {"id": 2}, "set": {"status": "
 
 @pytest.fixture(scope="module")
 def accounts_pkg() -> TaskPackage:
-    compiled = compile_environment(_SCHEMA, _TRIGGERS)
     bundle = EnvironmentBundle.from_schema(
-        _SCHEMA, _TRIGGERS, compiled,
-        {"accounts": READ_WRITE, "audit": READ_WRITE, "branches": READ_ONLY}, {})
-    with compiled[1].connect() as conn:
+        _SCHEMA, _TRIGGERS, {"accounts": READ_WRITE, "audit": READ_WRITE, "branches": READ_ONLY},
+        {})
+    with bundle.empty_snapshot.connect() as conn:
         conn.execute("INSERT INTO accounts (id, status) VALUES (1, 'open'), (2, 'open')")
         origin = Snapshot.from_connection(conn)
         conn.execute("INSERT INTO audit (note) VALUES ('target')")

@@ -237,13 +237,20 @@ _ENUM_CASES = [
     ("kind TEXT CHECK(kind NOT IN ('a')), note TEXT DEFAULT 'CHECK(kind IN (1))'", {}),
     # a gap between a sign and its number: SQLite reads -1
     ("n INTEGER CHECK(n IN (- 1, 2))", {"n": (-1, 2)}),
+    # a hex literal wraps to signed 64 bits; a decimal integer past them is a REAL
+    ("n CHECK(n IN (0xFFFFFFFFFFFFFFFF, 9223372036854775808))", {"n": (-1, 2.0**63)}),
+    ("n CHECK(n IN (-9223372036854775808, +9223372036854775808, - 0xFFFFFFFFFFFFFFFF))",
+     {"n": (-(2**63), 2.0**63, 1)}),
 ]
 
 
 @pytest.mark.parametrize("column, enums", _ENUM_CASES)
 def test_check_enums_read_the_literals_sqlite_reads(column, enums):
     info, _ = compile_environment(f"CREATE TABLE t (id INTEGER PRIMARY KEY, {column});", "")
-    assert info.tables["t"].check_enums == enums
+    read = info.tables["t"].check_enums
+    # typed: 2**63 == 2.0**63, but SQLite stores one as INTEGER and the other as REAL
+    assert {c: [(type(v), v) for v in vs] for c, vs in read.items()} == {
+        c: [(type(v), v) for v in vs] for c, vs in enums.items()}
 
 
 @pytest.mark.parametrize("columns, autoincrement", [
@@ -361,8 +368,9 @@ def _spelled_literal(draw, value) -> str:
         return _spell(value, "''")
     sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
     value = abs(value)
-    if isinstance(value, int):
-        digits = draw(st.sampled_from([str(value), f"0x{value:x}"]))
+    if isinstance(value, int):  # SQLite refuses -0x8000000000000000, whose hex is -2**63
+        hex_ok = (sign, value) != ("-", 2**63)
+        digits = draw(st.sampled_from([str(value)] + [f"0x{value:x}"] * hex_ok))
     else:  # a multiple of 1/8, so that any reading of its decimal digits is exact
         digits = draw(st.sampled_from([repr(value), f"{int(value * 1000)}e-3"]))
     digits = digits.lstrip("0") if digits.startswith("0.") and draw(st.booleans()) else digits
@@ -375,6 +383,9 @@ def _enum_tables(draw):
     BEFORE INSERT trigger for c IS NULL whose real RAISE stands between decoys in a
     string and in comments; with each literal's text and the RAISE's kind and message."""
     values = draw(st.lists(st.one_of(st.integers(-300, 300),
+                                     # the edges of signed 64 bits and of 64-bit hex
+                                     st.sampled_from([2**63 - 1, 2**63, -(2**63),
+                                                      -(2**63) - 1, 2**64 - 1]),
                                      st.integers(-4000, 4000).map(lambda n: n / 8),
                                      st.text(st.sampled_from("ab '\"é,)("), max_size=4)),
                            min_size=1, max_size=4))

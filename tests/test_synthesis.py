@@ -9,7 +9,6 @@ import pytest
 
 from policygym import load_package, save_package
 from policygym import executor, packages, snapshots, tracker
-from policygym import synthesis as synthesis_module
 from policygym.errors import (
     CompilationExhausted,
     ExplorationDiverged,
@@ -39,6 +38,8 @@ from policygym.synthesis import (
 )
 from policygym.verify import diff
 
+from conftest import clear_memos
+
 
 def stub_port() -> StubGenerationPort:
     return StubGenerationPort(ct.canned_generation_outputs())
@@ -57,8 +58,9 @@ def test_parse_permission_tags():
     ("--L1_ENTITY Table:[order items]", {"order items": "read_only"}),
     ("-- l2_transaction table: `it's`", {"it's": "read_write"}),
     ("-- NOTE Table: items", {}),
-    # a tag inside a string literal is no comment
+    # a tag inside a string literal or a block comment is no comment
     ("CREATE TABLE y (a TEXT DEFAULT '-- L0_REFERENCE Table: x');", {}),
+    ("/* -- L0_REFERENCE Table: x */", {}),
 ])
 def test_parse_permission_tags_reads_quoted_names(comment, tags):
     assert parse_permission_tags(f"{comment}\nCREATE TABLE x (a);") == tags
@@ -140,10 +142,8 @@ def test_verify_environment_warns_on_the_probes_that_surprise_it():
     triggers_sql = ("CREATE TRIGGER tags_no_probe BEFORE INSERT ON tags\n"
                     "WHEN NEW.label = 'probe'\n"
                     "BEGIN SELECT RAISE(ABORT, '[NO_PROBE] probe labels are refused'); END;")
-    compiled = packages.compile_environment(schema_sql, triggers_sql)
     bundle = packages.EnvironmentBundle.from_schema(
-        schema_sql, triggers_sql, compiled,
-        {"notes": packages.READ_WRITE, "tags": packages.READ_WRITE}, {})
+        schema_sql, triggers_sql, {"notes": packages.READ_WRITE, "tags": packages.READ_WRITE}, {})
     report = verify_environment(bundle)
     assert report.physical == "pass"
     assert report.warnings == (
@@ -219,9 +219,8 @@ def test_integer_check_enum_probes_with_integers():
     triggers_sql = ("CREATE TRIGGER tickets_quota BEFORE INSERT ON tickets\n"
                     "WHEN (SELECT COUNT(*) FROM tickets) >= 3\n"
                     "BEGIN SELECT RAISE(ABORT, '[QUOTA] at most 3 tickets'); END;")
-    compiled = packages.compile_environment(schema_sql, triggers_sql)
     bundle = packages.EnvironmentBundle.from_schema(
-        schema_sql, triggers_sql, compiled, {"tickets": packages.READ_WRITE}, {})
+        schema_sql, triggers_sql, {"tickets": packages.READ_WRITE}, {})
     with bundle.empty_snapshot.connect() as conn:
         assert derive_probe_row(conn, bundle, "tickets") == {"urgent": 0}
     result = probe_boundary_adjacency(bundle, bundle.empty_snapshot, probe_budget=4)
@@ -519,34 +518,26 @@ def test_malformed_consultant_tool_calls_are_synthesis_errors(tool_calls):
 
 
 @pytest.fixture()
-def compiles(monkeypatch):
-    """Every call of ``compile_environment``, in each module that binds it."""
-    calls = []
-    real = packages.compile_environment
-
-    def counted(schema_sql, triggers_sql):
-        calls.append(schema_sql)
-        return real(schema_sql, triggers_sql)
-
-    for module in (packages, synthesis_module, ct):
-        monkeypatch.setattr(module, "compile_environment", counted)
-    return calls
+def compiles():
+    """The number of DDL compiles run so far (memo misses), from empty memos."""
+    clear_memos()
+    return lambda: packages.compile_environment.cache_info().misses
 
 
 def test_stub_synthesis_compiles_its_ddl_twice(compiles):
     synthesize_package("corporate travel", stub_port(), name="x", limits=ct.LIMITS)
-    assert len(compiles) == 2  # the tables stage, then the triggers stage
+    assert compiles() == 2  # the tables stage, then the triggers stage
 
 
 def test_fixture_package_compiles_its_ddl_once(compiles):
     ct.build_task_package()
-    assert len(compiles) == 1
+    assert compiles() == 1
 
 
 def test_stages_on_a_compiled_bundle_do_not_compile(compiles):
     bundle = ct.build_bundle()
-    compiles.clear()
+    assert compiles() == 1
     assert verify_environment(bundle).accepted
     origin = seed_initial_state(bundle, {}, stub_port())
     probe_boundary_adjacency(bundle, origin, probe_budget=8)
-    assert compiles == []
+    assert compiles() == 1
