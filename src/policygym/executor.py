@@ -124,6 +124,13 @@ class EnvHandle:
     it is inside a transaction or ran ``system_write`` (arbitrary SQL, TEMP
     DDL included). A closed handle no longer reaches its connection.
 
+    A tracked handle's first write opens an episode savepoint, and the
+    handle resets by rolling back to it (tracker.py). Handing out
+    ``connection`` ends that savepoint for the rest of the handle's life
+    (``snapshot()`` and ``system_write`` hand it out too), so the caller
+    gets an autocommit connection onto the live state; the handle's resets
+    then reload the origin image.
+
     Every write keeps or undoes its changes through ``savepoint``, so a probe
     undoes its write instead of calling ``reset()``.
     """
@@ -153,13 +160,14 @@ class EnvHandle:
         conn, tracker = self._conn, self._tracker
         self._conn = self._tracker = None
         self.closed = True
-        if tracker is not None and self._reusable and not conn.in_transaction:
+        if tracker is not None and self._reusable and not tracker.pending:
             try:
-                tracker.reset(self.origin.data)  # also drops its row copies
+                tracker.rewind(self.origin.data)
+                tracker.settle()
             except sqlite3.Error:
                 conn.close()
             else:
-                self._base.give_back(tracker)
+                self._base.give_back(conn)
         else:
             conn.close()
 
@@ -180,8 +188,12 @@ class EnvHandle:
 
     @property
     def connection(self) -> sqlite3.Connection:
+        """The live connection, autocommit; on a tracked handle this ends the
+        episode savepoint (see the class docstring)."""
         if self.closed:
             raise RuntimeError("environment is closed")
+        if self._tracker is not None:
+            self._tracker.settle()
         return self._conn
 
     @property
@@ -363,7 +375,7 @@ def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
     if limit is not None:
         sql += " LIMIT ?"
         params.append(limit)
-    rows = tuple(dict(zip(columns, row)) for row in env.connection.execute(sql, params))
+    rows = tuple(dict(zip(columns, row)) for row in env._conn.execute(sql, params))
     return ToolResult(status="success", rows=rows)
 
 
@@ -385,7 +397,9 @@ def _update_sql(spec: ToolSpec, args: dict) -> tuple[str, list]:
 
 
 def _run_write(env: EnvHandle, sql: str, params: list) -> ToolResult:
-    conn = env.connection
+    conn = env._conn  # not ``connection``, which would end the episode
+    if env._tracker is not None:
+        env._tracker.begin()
     try:
         with savepoint(conn):
             affected = max(conn.execute(sql, params).rowcount, 0)

@@ -22,9 +22,28 @@ handle and thread; a handle copies a table's rows on its first write there.
 
 Installing the log costs more than a short episode's calls, so each
 connection installs it once and the base pools idle tracked connections,
-starting with the one it scanned the origin on. A closed handle's connection
-goes back to the origin (``StateTracker.reset``) and waits there, log and
-triggers in place, for the next handle opened on the package.
+starting with the one it scanned the origin on. A pooled connection sits at
+the origin, outside any transaction, its log installed and empty.
+
+A handle's first write opens an outer ``SAVEPOINT policygym_episode``, at
+the origin, inside which each call keeps or undoes its own nested savepoint
+(``executor.savepoint``). A reset, and the close that pools the connection,
+run ``ROLLBACK TO policygym_episode``: no image is reloaded, no schema is
+re-read, and prepared statements (the trigger programs inside them) survive.
+Opening a handle, and handing out its connection before any write, run no
+SQL, so a trace callback that a caller sets at open sees the same
+statements for every handle.
+
+Two cases reset instead by reloading the origin image, then bumping the
+TEMP schema version (``StateTracker.rewind``):
+
+* a schema that can end a transaction or wait for a commit opens no
+  episode: a ``ROLLBACK`` keyword (``RAISE(ROLLBACK)``, ``ON CONFLICT
+  ROLLBACK``, ``OR ROLLBACK``) would undo the whole episode, and a
+  ``DEFERRED`` key is checked only at a commit, which no call makes inside it;
+* a handle that hands out its raw connection first ends its episode
+  (``settle``) for the rest of its life: inside the savepoint ``serialize()``
+  returns the last committed image, not the live one.
 
 The full-scan functions stay the reference, and some schemas keep them:
 
@@ -73,6 +92,7 @@ from .verify import (
 )
 
 LOG_TABLE = "policygym_changelog"
+EPISODE = "policygym_episode"  # the savepoint a handle's episode runs in
 MARK = 8192  # bytes of digest input between two kept hash states
 
 
@@ -132,10 +152,19 @@ def _replaces(sql: str) -> bool:
     return any(a.upper() == "REPLACE" and b != "(" for a, b in pairwise(tokens + [""]))
 
 
-def _install_log(conn: sqlite3.Connection, schema: SchemaInfo, install_sql: list[str]) -> bool:
+def _ends_transactions(sql: str) -> bool:
+    """``sql`` holds the keyword ROLLBACK (``RAISE(ROLLBACK)``, ``ON CONFLICT
+    ROLLBACK``, ``OR ROLLBACK``), which ends the whole transaction, or DEFERRED
+    (a foreign key checked only at a commit)."""
+    upper = sql.upper()
+    tokens = tokenize(sql) if "ROLLBACK" in upper or "DEFERRED" in upper else []
+    return any(t.upper() in ("ROLLBACK", "DEFERRED") for t in tokens)
+
+
+def _install_log(conn: sqlite3.Connection, schema: SchemaInfo, ddl: list[str],
+                 install_sql: list[str]) -> bool:
     """Install the log on ``conn``; False, and no log, where it could miss a
     change or where the schema refuses its triggers (a virtual table, say)."""
-    ddl = [t.sql for t in schema.tables.values()] + [t.body for t in schema.triggers]
     if (any(name.lower() == LOG_TABLE for name in schema.tables)
             or any(_replaces(sql) for sql in ddl)):
         return False
@@ -154,18 +183,22 @@ class VerificationBase:
     then only read, so any number of handles and threads share it.
     ``tracked`` is False for a schema the change log cannot follow; its
     handles use the full-scan reference for digest and distance alike.
+    ``episodic`` is False for a schema whose DDL could end or outlive an
+    episode savepoint (``_ends_transactions``); its handles reset by
+    reloading the origin image.
 
-    The one mutable part is the pool of idle trackers (``take`` and
-    ``give_back``, under a lock). It starts with the tracker on the scan's
-    connection and gains only trackers that handles gave back, so it holds
-    no more than one, or than were ever open at the same time.
+    The one mutable part is the pool of idle connections (``take`` and
+    ``give_back``, under a lock). It starts with the scan's connection and
+    gains only connections that handles gave back, so it holds no more than
+    one, or than were ever open at the same time. It holds connections, not
+    trackers, so nothing in it refers back to the base.
     """
 
     def __init__(self, pkg):  # a packages.TaskPackage
         self.cfg: DiffConfig = pkg.diff_config
         self._origin: Snapshot = pkg.origin_snapshot
         self._target: Snapshot = pkg.target_snapshot
-        self._idle: list[StateTracker] = []
+        self._idle: list[sqlite3.Connection] = []
         self._lock = threading.Lock()
         conn = open_handle(self._origin.data)
         try:
@@ -173,7 +206,10 @@ class VerificationBase:
             validate_excluded_columns(self.schema, self.cfg)
             self.tables = _tables(self.schema, self.cfg)
             self.install_sql = _log_ddl(self.tables)
-            self.tracked = _install_log(conn, self.schema, self.install_sql)
+            ddl = ([t.sql for t in self.schema.tables.values()]
+                   + [t.body for t in self.schema.triggers])
+            self.tracked = _install_log(conn, self.schema, ddl, self.install_sql)
+            self.episodic = self.tracked and not any(map(_ends_transactions, ddl))
             if self.tracked:
                 rows, signed = self.scan(conn)
                 # a handle's first write to a table copies the table's tuple
@@ -187,7 +223,7 @@ class VerificationBase:
                 self.marks = tuple(marks)
                 self.signed = None if signed is None else MappingProxyType(signed)
                 self.distance = None if signed is None else sum(map(abs, signed.values()))
-                self._idle.append(StateTracker(conn, self))
+                self._idle.append(conn)
         finally:
             if not self._idle:  # untracked, or the build raised
                 conn.close()
@@ -219,24 +255,24 @@ class VerificationBase:
         return diff_canonical(live, self.target).total
 
     def take(self) -> "StateTracker":
-        """An idle tracker from the pool, or a new one on a new handle
-        connection onto the origin, the log installed; either way at the origin."""
+        """A new tracker at the origin, on an idle connection from the pool or
+        on a new handle connection onto the origin with the log installed."""
         with self._lock:
-            if self._idle:
-                return self._idle.pop()
-        conn = open_handle(self._origin.data)
-        try:
-            for sql in self.install_sql:
-                conn.execute(sql)
-        except sqlite3.Error:
-            conn.close()
-            raise
+            conn = self._idle.pop() if self._idle else None
+        if conn is None:
+            conn = open_handle(self._origin.data)
+            try:
+                for sql in self.install_sql:
+                    conn.execute(sql)
+            except sqlite3.Error:
+                conn.close()
+                raise
         return StateTracker(conn, self)
 
-    def give_back(self, tracker: "StateTracker") -> None:
-        """Pool ``tracker``, which a closed handle has reset to the origin."""
+    def give_back(self, conn: sqlite3.Connection) -> None:
+        """Pool ``conn``, which a closed handle's tracker has ``rewind``-ed."""
         with self._lock:
-            self._idle.append(tracker)
+            self._idle.append(conn)
 
 
 def _hash(blocks, marks, start: int, mark: int) -> tuple[list, str]:
@@ -263,13 +299,16 @@ def _hash(blocks, marks, start: int, mark: int) -> tuple[list, str]:
 class StateTracker:
     """The digest and d_t of one connection, kept current from its change log.
 
-    ``conn`` must hold a fresh copy of the origin with the base's log
-    installed, once for the connection's life.
+    ``conn`` must be a pooled connection (see ``VerificationBase``): at the
+    origin, outside any transaction, the base's log installed and empty. A
+    tracker serves one handle.
     """
 
     def __init__(self, conn: sqlite3.Connection, base: VerificationBase):
         self.conn = conn
         self._base = base
+        self._episodic = base.episodic  # writes run inside the episode savepoint
+        self._episode = False  # the episode savepoint is open
         self._restore()
 
     def _restore(self) -> None:
@@ -283,13 +322,18 @@ class StateTracker:
         self._signed = None if base.signed is None else dict(base.signed)
         self._distance = base.distance
         self._stale = False
-        self.conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
         self._seen = self.conn.total_changes
+
+    @property
+    def pending(self) -> bool:
+        """The connection is inside a transaction other than the episode, whose
+        changes may still roll back."""
+        return self.conn.in_transaction and not self._episode
 
     # -- reads -----------------------------------------------------------------
 
     def digest(self) -> str:
-        if self.conn.in_transaction:
+        if self.pending:
             # the log holds changes that may still roll back
             return state_digest(self.conn, self._base.schema)
         self._sync()
@@ -310,7 +354,7 @@ class StateTracker:
         return self._digest
 
     def distance(self) -> int:
-        if self._signed is None or self.conn.in_transaction:
+        if self._signed is None or self.pending:
             return self._base.reference_distance(self.conn)
         self._sync()
         return self._distance
@@ -321,23 +365,52 @@ class StateTracker:
         """Rescan at the next read (after a write the log may not follow, such as DDL)."""
         self._stale = True
 
-    def reset(self, data: bytes) -> None:
-        """Load the origin image ``data`` into the connection and return to the base.
+    def begin(self) -> None:
+        """Open the episode savepoint, if the handle runs one, before a write."""
+        if self._episodic and not self._episode:
+            self.conn.execute(f"SAVEPOINT {EPISODE}")
+            self._episode = True
 
-        SQLite binds a TEMP trigger to its ``main`` table through main's
-        in-memory schema object, and ``deserialize`` frees that object and
-        builds a new one. Left as they are, the triggers point at the freed
-        object and fire only if the new one happens to get its address; after
-        a run of other allocations they stay silent. Bumping the TEMP schema
-        version makes SQLite re-read the TEMP schema at the next statement
-        that touches it, which binds the triggers to the new tables. That
-        statement must come before any write: here it is the log clear in
-        ``_restore``."""
+    def settle(self) -> None:
+        """End the episode for good, keeping its changes: the connection is
+        then autocommit, and ``serialize()`` on it returns the live state."""
+        self._episodic = False
+        if self._episode:
+            self._episode = False
+            self.conn.execute(f"RELEASE {EPISODE}")
+
+    def reset(self, data: bytes) -> None:
+        """Return the connection to the origin image ``data`` and the tracker to
+        the base: ``ROLLBACK TO`` inside the episode, else (once the episode
+        is settled, or on a schema that runs none) a reload of ``data`` and
+        the TEMP schema bump (``rewind``)."""
+        self.rewind(data)
+        self._restore()
+
+    def rewind(self, data: bytes) -> None:
+        """Return the connection to the origin image ``data``, its log empty.
+
+        Inside the episode that is ``ROLLBACK TO`` its savepoint, which also
+        empties the log; a handle that runs one and has not written yet is
+        already there. Otherwise ``data`` is loaded again, and then the TEMP
+        schema version is bumped: SQLite binds a TEMP trigger to its ``main``
+        table through main's in-memory schema object, and ``deserialize``
+        frees that object and builds a new one. Left as they are, the
+        triggers point at the freed object and fire only if the new one
+        happens to get its address; after a run of other allocations they
+        stay silent. The bump makes SQLite re-read the TEMP schema at the
+        next statement that touches it, which binds the triggers to the new
+        tables. That statement must come before any write: here it is the
+        log clear."""
         conn = self.conn
+        if self._episode:
+            conn.execute(f"ROLLBACK TO {EPISODE}")
+        if self._episodic:  # each write since the origin ran inside the episode
+            return
         load_image(conn, data)
         (version,) = conn.execute("PRAGMA temp.schema_version").fetchone()
         conn.execute(f"PRAGMA temp.schema_version = {version + 1}")
-        self._restore()
+        conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
 
     # -- folding the log -------------------------------------------------------------
 

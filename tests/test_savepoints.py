@@ -9,6 +9,7 @@ import sqlite3
 
 import pytest
 
+from policygym import tracker
 from policygym.executor import (
     ToolCall,
     _dispatch_folded,
@@ -57,11 +58,13 @@ _READ = ToolCall("query_accounts", {})
 _REOPEN = ToolCall("update_accounts", {"filters": {"id": 2}, "set": {"status": "open"}})
 
 
-@pytest.fixture(scope="module")
-def accounts_pkg() -> TaskPackage:
-    bundle = EnvironmentBundle.from_schema(
-        _SCHEMA, _TRIGGERS, {"accounts": READ_WRITE, "audit": READ_WRITE, "branches": READ_ONLY},
-        {})
+_PERMISSIONS = {"accounts": READ_WRITE, "audit": READ_WRITE, "branches": READ_ONLY}
+
+
+def _accounts_package(schema: str = _SCHEMA, triggers: str = _TRIGGERS,
+                      permissions: dict = _PERMISSIONS) -> TaskPackage:
+    """Two open accounts; the target adds one audit note."""
+    bundle = EnvironmentBundle.from_schema(schema, triggers, permissions, {})
     with bundle.empty_snapshot.connect() as conn:
         conn.execute("INSERT INTO accounts (id, status) VALUES (1, 'open'), (2, 'open')")
         origin = Snapshot.from_connection(conn)
@@ -72,6 +75,11 @@ def accounts_pkg() -> TaskPackage:
                        env=bundle, origin_snapshot=origin, target_snapshot=target,
                        diff_config=cfg, limits=RolloutLimits(),
                        delta0=diff(origin, target, cfg).total)
+
+
+@pytest.fixture(scope="module")
+def accounts_pkg() -> TaskPackage:
+    return _accounts_package()
 
 
 @pytest.mark.parametrize("call, code", [
@@ -189,3 +197,63 @@ def test_undone_probes_leave_a_tracked_handle_at_the_origin(travel_pkg, rescans)
         kept = safe_execute_tool(env, calls[-1])
         assert kept.ok and kept.state_digest == state_digest(env.connection) != origin
     assert len(calls) == 5 and rescans == []
+
+
+# --- schemas that can end a transaction: no episode savepoint ------------------------------
+
+_NULL_NOTE_ROLLS_BACK = _SCHEMA.replace("note TEXT NOT NULL", "note TEXT NOT NULL ON CONFLICT ROLLBACK")
+_FREEZE_WRITES_NULL = """
+CREATE TRIGGER accounts_freeze_notes_null AFTER UPDATE OF status ON accounts
+WHEN NEW.status = 'frozen'
+BEGIN INSERT INTO audit (note) VALUES (NULL); END;
+"""
+_DEFERRED_LINKS = _SCHEMA + """
+CREATE TABLE links (id INTEGER PRIMARY KEY, account INTEGER
+                    REFERENCES accounts(id) DEFERRABLE INITIALLY DEFERRED);
+"""
+
+
+@pytest.mark.parametrize("schema, triggers, permissions, rejected", [
+    (_SCHEMA, _TRIGGERS, _PERMISSIONS, _CLOSE),
+    (_NULL_NOTE_ROLLS_BACK, _FREEZE_WRITES_NULL, _PERMISSIONS, _FREEZE),
+    (_DEFERRED_LINKS, "", {**_PERMISSIONS, "links": READ_WRITE},
+     ToolCall("insert_links", {"account": 99})),
+], ids=["raise_rollback", "on_conflict_rollback", "deferred_foreign_key"])
+def test_schemas_that_can_end_a_transaction_reset_by_reloading_the_image(
+        schema, triggers, permissions, rejected):
+    """Inside an episode savepoint a ROLLBACK would undo the whole episode, and
+    a deferred key would never be checked, since no call commits. These
+    handles open no episode: each call commits or rolls back on its own, so a
+    rejected call after an accepted one undoes only itself, and every reset
+    reloads the origin, after which the change log must still see each write."""
+    pkg = _accounts_package(schema, triggers, permissions)
+    base = pkg.verification_base
+    assert base.tracked and not base.episodic
+    origin = pkg.origin_snapshot.digest()
+    with open_environment(pkg) as env:
+        conn = env._conn  # read without settling, as the handle's own calls do
+        for _ in range(50):
+            kept = safe_execute_tool(env, _NOTE)
+            assert kept.ok and kept.state_digest == state_digest(conn) != origin
+            result = safe_execute_tool(env, rejected)
+            assert result.status == "error"
+            assert result.state_digest == kept.state_digest == state_digest(conn)
+            assert not conn.in_transaction
+            assert conn.execute("SELECT note FROM audit").fetchall() == [("target",)]
+            assert env.distance() == 0
+            env.reset()
+            assert env.digest() == origin == state_digest(conn)
+            assert env.distance() == pkg.delta0
+
+
+@pytest.mark.parametrize("ddl, ends", [
+    ("SELECT RAISE(ROLLBACK, 'no')", True),
+    ("note TEXT NOT NULL ON CONFLICT ROLLBACK", True),
+    ("INSERT OR ROLLBACK INTO audit (note) VALUES (1)", True),
+    ("REFERENCES accounts(id) DEFERRABLE INITIALLY DEFERRED", True),
+    ("REFERENCES accounts(id) DEFERRABLE INITIALLY IMMEDIATE", False),
+    ("note TEXT DEFAULT 'ROLLBACK' -- DEFERRED\n", False),
+    ('"rollback" TEXT, deferred_until TEXT', False),
+])
+def test_only_rollback_and_deferred_keywords_end_transactions(ddl, ends):
+    assert tracker._ends_transactions(ddl) is ends

@@ -7,17 +7,19 @@ distance with ``diff_canonical(canonicalize_connection(..), target).total``.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import random
 import sqlite3
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from policygym import tracker
+from policygym import executor, snapshots, tracker
 from policygym.executor import (
     ToolCall,
     open_environment,
@@ -31,7 +33,9 @@ from policygym.packages import (
     compile_environment,
     derive_tools,
 )
-from policygym.rollout import EpisodeScorer
+from policygym.fixtures import corporate_travel as ct
+from policygym.ports import ScriptedAgentPort, ScriptedUserPort
+from policygym.rollout import EpisodeScorer, run_episode
 from policygym.snapshots import Snapshot, state_digest
 from policygym.verify import DiffConfig, canonicalize, canonicalize_connection, diff, diff_canonical
 
@@ -49,9 +53,40 @@ class FullScan:
         assert env.distance() == diff_canonical(live, self.target).total
 
 
+def _live(env) -> sqlite3.Connection:
+    """The handle's connection, read without ending its episode savepoint
+    (``env.connection`` would end it)."""
+    return env._conn
+
+
+class EpisodeScan(FullScan):
+    """The same reference values, read through ``_live``."""
+
+    def check(self, env):
+        conn = _live(env)
+        assert env.digest() == state_digest(conn, env.schema_info)
+        live = canonicalize_connection(conn, self.cfg, env.schema_info)
+        assert env.distance() == diff_canonical(live, self.target).total
+
+
+def _in_episode(env) -> bool:
+    """The handle's episode savepoint is open (its first write opens it)."""
+    return env._tracker._episode
+
+
+def _episodic(env) -> bool:
+    """The handle's writes run inside the episode savepoint: nothing has ended it."""
+    return env._tracker._episodic
+
+
 @pytest.fixture(scope="module")
 def full_scan(travel_pkg):
     return FullScan(travel_pkg)
+
+
+@pytest.fixture(scope="module")
+def episode_scan(travel_pkg):
+    return EpisodeScan(travel_pkg)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +151,7 @@ def operations(draw, pkg, values):
     return ("call", ToolCall(spec.name, args))
 
 
-def _apply(env, op):
+def _apply(env, op, read=lambda env: env.connection):
     if op[0] == "reset":
         env.reset()
     elif op[0] == "system_write":
@@ -126,7 +161,7 @@ def _apply(env, op):
             pass  # a trigger refused it; the write rolled back
     else:
         result = safe_execute_tool(env, op[1])
-        assert result.state_digest == state_digest(env.connection, env.schema_info)
+        assert result.state_digest == state_digest(read(env), env.schema_info)
 
 
 @settings(max_examples=60, deadline=None,
@@ -140,6 +175,23 @@ def test_random_sequences_match_full_scan(travel_pkg, full_scan, column_values, 
         for op in ops:
             _apply(env, op)
             full_scan.check(env)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_random_sequences_inside_the_episode_match_full_scan(
+        travel_pkg, episode_scan, column_values, data):
+    """The property above, read without ending the episode savepoint, so
+    resets roll back to it; a system write ends it."""
+    ops = data.draw(st.lists(operations(travel_pkg, column_values), max_size=25))
+    with open_environment(travel_pkg) as env:
+        assert _episodic(env)
+        episode_scan.check(env)
+        for op in ops:
+            _apply(env, op, _live)
+            assert _episodic(env) is env._reusable  # only a system write ends it
+            episode_scan.check(env)
 
 
 # --- targeted cases -------------------------------------------------------------------
@@ -180,6 +232,162 @@ def test_reset_and_write_keep_logging_for_200_rounds(travel_pkg, full_scan):
             full_scan.check(env)
             env.reset()
             assert env.digest() == travel_pkg.origin_snapshot.digest()
+
+
+_ROUND_WRITES = [
+    ToolCall("transfer_to_human_agents", {"summary": "note"}),
+    ToolCall("update_travel_requests", {"filters": {}, "set": {"current_step": 16}}),
+    ToolCall("insert_hotel_bookings", {"travel_request_id": 2, "hotel_vendor_id": "v_harbor",
+                                       "cost": 250, "booking_step": 14}),
+]
+_ROUND_REJECTED = ToolCall("update_travel_requests",
+                           {"filters": {"id": 2}, "set": {"status": "x"}})
+
+
+def test_episode_resets_and_writes_keep_logging_for_200_rounds(travel_pkg, episode_scan):
+    """The rounds above, read through ``_live``, so resets roll back to the
+    episode savepoint. A tenth of the rounds end the episode by handing out
+    the connection and close the handle, which reloads the origin into the
+    pooled connection; another tenth end it with a system write, whose
+    connection is not pooled. Either way the next round opens a new episode.
+    Every write of every round must log."""
+    rng = random.Random(7)
+    pkg = dataclasses.replace(travel_pkg)  # a pool of its own
+    origin = travel_pkg.origin_snapshot.digest()
+    ended = {"connection": 0, "system_write": 0}
+    env = open_environment(pkg)
+    try:
+        for _ in range(200):
+            assert _episodic(env)
+            for _ in range(rng.randint(0, 3)):
+                result = safe_execute_tool(env, rng.choice(_ROUND_WRITES + [_ROUND_REJECTED]))
+                assert result.state_digest == state_digest(_live(env), env.schema_info)
+            episode_scan.check(env)
+            roll = rng.random()
+            if roll < 0.2:
+                conn = _live(env)
+                if roll < 0.1:
+                    assert env.connection is conn
+                    ended["connection"] += 1
+                else:
+                    env.system_write("INSERT INTO escalations (summary) VALUES ('system')")
+                    ended["system_write"] += 1
+                assert not _episodic(env) and not conn.in_transaction
+                episode_scan.check(env)
+                env.close()
+                env = open_environment(pkg)
+                assert (_live(env) is conn) is (roll < 0.1)
+            else:
+                env.reset()
+            assert env.digest() == origin == state_digest(_live(env), env.schema_info)
+    finally:
+        env.close()
+    assert min(ended.values()) >= 10
+
+
+def test_handing_out_the_connection_ends_the_episode(travel_pkg, full_scan):
+    """Inside the episode savepoint ``serialize()`` returns the last committed
+    image, the origin. ``snapshot()`` and ``connection`` first end the
+    episode, so both images hold the live state; the handle goes on serving
+    calls and resets by reloading the origin, and its pooled connection
+    starts the next handle at the origin, in a new episode."""
+    pkg = dataclasses.replace(travel_pkg)
+    origin = travel_pkg.origin_snapshot.digest()
+    with open_environment(pkg) as env:
+        for call in _ROUND_WRITES:
+            assert safe_execute_tool(env, call).ok
+        digest = env.digest()
+        assert digest != origin and _in_episode(env)
+        assert Snapshot(_live(env).serialize()).digest() == origin
+        assert env.snapshot().digest() == digest
+        assert not _episodic(env) and not _live(env).in_transaction
+        assert Snapshot(env.connection.serialize()).digest() == digest
+        for call in (_ROUND_WRITES[0], _ROUND_REJECTED):
+            result = safe_execute_tool(env, call)
+            assert result.state_digest == state_digest(env.connection, env.schema_info)
+            full_scan.check(env)
+        env.reset()
+        assert env.digest() == origin
+        assert safe_execute_tool(env, _ROUND_WRITES[1]).ok
+        assert not _in_episode(env)
+        full_scan.check(env)
+        conn = _live(env)
+    with open_environment(pkg) as env:
+        assert _live(env) is conn and _episodic(env)
+        assert env.digest() == origin == state_digest(conn, env.schema_info)
+        assert env.distance() == travel_pkg.delta0
+        assert safe_execute_tool(env, _ROUND_WRITES[1]).ok and _in_episode(env)
+
+
+def test_pooled_oracle_episodes_reload_no_image(travel_pkg, monkeypatch):
+    """After the first episode opens the package's base, 20 more oracle
+    episodes on its pooled connection reset by ``ROLLBACK TO``: no image is
+    loaded and the TEMP schema version is never written."""
+    loads, statements = [], []
+    load_image = snapshots.load_image
+    for module in (snapshots, tracker, executor):
+        monkeypatch.setattr(module, "load_image",
+                            lambda conn, data: (loads.append(data), load_image(conn, data)))
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    pkg = dataclasses.replace(travel_pkg)  # a package with no base yet
+
+    def episode():
+        return run_episode(pkg, ScriptedAgentPort(ct.ORACLE_AGENT_SCRIPT),
+                           ScriptedUserPort(ct.ORACLE_USER_SCRIPT))
+
+    assert episode().r_final == 1
+    assert loads
+    loads.clear()
+    for _ in range(20):
+        assert episode().r_final == 1
+    assert loads == []
+    assert not [s for s in statements if "schema_version" in s]
+    assert sum(s.startswith("ROLLBACK TO") for s in statements) == 21
+
+
+def test_opening_a_pooled_handle_and_handing_out_its_connection_run_no_sql(travel_pkg):
+    """A caller that sets a trace callback on a handle's connection when it
+    opens sees the same statements for every handle on the package: the
+    open and the handout run none, so nothing runs before the callback that
+    the previous handle's callback would see. The first write opens the
+    episode."""
+    pkg = dataclasses.replace(travel_pkg)
+    statements = []
+    with open_environment(pkg) as env:
+        assert safe_execute_tool(env, _ROUND_WRITES[0]).ok and _in_episode(env)
+        conn = _live(env)
+    conn.set_trace_callback(statements.append)
+    with open_environment(pkg) as env:
+        assert env.connection is conn and not _episodic(env)
+        assert statements == []
+    statements.clear()
+    with open_environment(pkg) as env:
+        assert statements == [] and _episodic(env) and not _in_episode(env)
+        assert safe_execute_tool(env, _ROUND_WRITES[0]).ok
+        assert statements[0] == "SAVEPOINT policygym_episode"
+    conn.set_trace_callback(None)
+
+
+def test_a_dropped_package_frees_its_base_without_gc(travel_pkg):
+    """The pool holds connections, not trackers, so no reference cycle keeps
+    a package's base and its pooled connection alive until a full gc."""
+    pkg = dataclasses.replace(travel_pkg)
+    gc.disable()
+    try:
+        with open_environment(pkg) as env:
+            assert safe_execute_tool(env, _ROUND_WRITES[0]).ok
+        base = weakref.ref(pkg.verification_base)
+        del pkg, env
+        assert base() is None
+    finally:
+        gc.enable()
 
 
 def test_digest_resumes_from_hash_marks(travel_pkg, full_scan, monkeypatch):
