@@ -571,15 +571,34 @@ def derive_tools(
 # --- spoiler check -----------------------------------------------------------------
 
 def token_pattern(token: str) -> re.Pattern:
-    """``token`` as a whole word, in any case: one rule for spoilers and redaction."""
+    """``token`` as a whole word, in any case: one rule for spoilers and redaction.
+
+    Callers run it only where ``token_screen`` lets the token through: when
+    the token and the text are both ASCII, a match needs ``token.lower()`` in
+    ``text.lower()``."""
     return re.compile(rf"(?<!\w){re.escape(token)}(?!\w)", re.IGNORECASE)
+
+
+def token_screen(text: str) -> Callable[[str], bool]:
+    """A test that is False only for tokens ``token_pattern`` cannot find in
+    ``text``. When both are ASCII, a match needs ``token.lower()`` inside
+    ``text.lower()``: the non-ASCII letters that IGNORECASE folds onto ASCII
+    ones (KELVIN SIGN, LONG S, dotted and dotless I) cannot occur in ASCII
+    text. A non-ASCII token or text always passes."""
+    if not text.isascii():
+        return lambda token: True
+    folded = text.lower()
+    return lambda token: not token.isascii() or token.lower() in folded
 
 
 def find_spoiler(task_text: str, tool_names, redaction_list) -> str | None:
     """First forbidden token occurring in the task text (``token_pattern``),
-    or None. Pure function of its inputs."""
+    or None. Pure function of its inputs. Only tokens that ``token_screen``
+    lets through (an ASCII token in ASCII text must occur in it, ignoring
+    case) compile and run their pattern."""
+    may_occur = token_screen(task_text)
     for token in list(tool_names) + list(redaction_list):
-        if token and token_pattern(token).search(task_text):
+        if token and may_occur(token) and token_pattern(token).search(task_text):
             return token
     return None
 

@@ -10,15 +10,9 @@ executable used by the bundled fixture:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import selectors
-import shlex
-import subprocess
 import sys
-import tempfile
-import time
 
 from .errors import PortFailure
 
@@ -151,10 +145,17 @@ class SubprocessTransport:
     """One long-lived worker process; one JSON line out, one JSON line back.
 
     The worker's stderr goes to an anonymous temporary file; a failure quotes
-    its last ``STDERR_TAIL`` bytes, and nothing reads it otherwise.
+    its last ``STDERR_TAIL`` bytes, and nothing reads it otherwise. The modules
+    that spawn and watch the worker are imported here, not by the served port
+    (``main``), which needs none of them.
     """
 
     def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT):
+        import selectors
+        import shlex
+        import subprocess
+        import tempfile
+
         self.cmd = cmd
         self.timeout = timeout
         self._stderr = tempfile.TemporaryFile()
@@ -230,6 +231,8 @@ class SubprocessTransport:
         return reply.get("type") == "episode_start"
 
     def _read_line(self) -> str:
+        import time
+
         deadline = time.monotonic() + self.timeout
         scanned = 0  # the buffer before this offset holds no newline
         while (end := self._buffer.find(b"\n", scanned)) < 0:
@@ -265,6 +268,8 @@ class SubprocessTransport:
         return PortFailure(f"{message}; stderr: {tail}" if tail else message)
 
     def close(self) -> None:
+        import subprocess
+
         self._selector.close()
         # closing stdin first lets a worker that reads to end of input exit
         # by itself before it is terminated
@@ -403,6 +408,8 @@ def _serve_script(role: str, script) -> None:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="policygym.ports",
                                      description="serve a scripted port over stdio")
     parser.add_argument("--role", choices=["agent", "user", "generate"], required=True)

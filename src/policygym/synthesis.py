@@ -37,6 +37,7 @@ from .packages import (
     compile_environment,
     find_spoiler,
     token_pattern,
+    token_screen,
 )
 from .snapshots import (SchemaInfo, Snapshot, insert_sql, is_number, quote_ident, table_tags,
                         tokenize)
@@ -561,9 +562,17 @@ def build_redaction_list(
 
 
 def _redact(text: str, tokens: tuple[str, ...]) -> str:
+    """``text`` with each token (``token_pattern``) replaced by ``[redacted]``,
+    longest token first. Only tokens that ``token_screen`` lets through (an
+    ASCII token in ASCII text must occur in it, ignoring case) run their
+    pattern; the screen is rebuilt after each token that replaced anything,
+    since an inserted ``[redacted]`` can hold a later token."""
+    may_occur = token_screen(text)
     for token in sorted(tokens, key=len, reverse=True):
-        if token:
-            text = token_pattern(token).sub("[redacted]", text)
+        if token and may_occur(token):
+            text, replaced = token_pattern(token).subn("[redacted]", text)
+            if replaced:
+                may_occur = token_screen(text)
     return text
 
 

@@ -51,10 +51,18 @@ def test_every_public_name_resolves():
         policygym.no_such_name  # noqa: B018
 
 
+def _imported(stderr: str) -> set[str]:
+    """The modules a ``python -X importtime`` run listed on ``stderr``."""
+    return {line.rsplit("|", 1)[1].strip() for line in stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def test_served_agent_script_refuses_the_step_the_scripted_port_refuses(tmp_path):
     """``python -m policygym.ports`` answers a step that is neither an object
     nor a string with the error ScriptedAgentPort raises for it, serves the
-    next step, and imports neither sqlite3 nor the executor meanwhile."""
+    next step, and imports neither sqlite3 nor the executor meanwhile. Nor
+    does it import subprocess, selectors, tempfile or shlex, which only the
+    spawning side needs, beyond what the interpreter's own start-up imports."""
     with pytest.raises(PortFailure) as refused:
         ScriptedAgentPort([5])
     assert str(refused.value) == "unrecognized agent step: 5"
@@ -69,10 +77,12 @@ def test_served_agent_script_refuses_the_step_the_scripted_port_refuses(tmp_path
         {"type": "error", "message": "unrecognized agent step: 5"},
         {"type": "agent_turn", "content": {"text": "hello"}},
     ]
-    imported = {line.rsplit("|", 1)[1].strip() for line in served.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = _imported(served.stderr)
     assert "policygym.errors" in imported
     assert not {"sqlite3", "policygym.executor"} & imported
+    bare = subprocess.run([sys.executable, "-X", "importtime", "-c", "pass"], check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert not {"subprocess", "selectors", "tempfile", "shlex"} & (imported - _imported(bare.stderr))
 
 
 def _generate_server(tmp_path, outputs: dict) -> SubprocessTransport:
