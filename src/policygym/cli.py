@@ -114,8 +114,8 @@ def cmd_verify(args) -> dict:
     a = Snapshot.from_file(args.snapshot_a)
     b = Snapshot.from_file(args.snapshot_b)
     d = diff_canonical(
-        checked_canonical(a, pkg.env.schema_info, pkg.diff_config, args.snapshot_a),
-        checked_canonical(b, pkg.env.schema_info, pkg.diff_config, args.snapshot_b))
+        checked_canonical(a, pkg.env, pkg.diff_config, args.snapshot_a),
+        checked_canonical(b, pkg.env, pkg.diff_config, args.snapshot_b))
     per_table = {
         table: {"added": len(delta.added), "removed": len(delta.removed)}
         for table, delta in sorted(d.per_table.items())

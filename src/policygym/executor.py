@@ -18,8 +18,8 @@ from .packages import (
     ToolSpec,
     split_error_code,
 )
-from .snapshots import (Snapshot, catalog_of, insert_sql, load_image, open_handle, quote_ident,
-                        select_sql, state_digest)
+from .snapshots import (Snapshot, catalog_of, insert_sql, load_image, quote_ident, select_sql,
+                        state_digest)
 
 if TYPE_CHECKING:
     from .tracker import VerificationBase
@@ -122,7 +122,11 @@ class EnvHandle:
     A tracked handle takes an idle connection from the package's pool when
     there is one, and ``close()`` gives it back reset to the origin, unless
     it is inside a transaction or ran ``system_write`` (arbitrary SQL, TEMP
-    DDL included). A closed handle no longer reaches its connection.
+    DDL included). Any other handle takes one from its bundle's pool
+    (``snapshots.HandlePool``), which loads the origin into it, and
+    ``close()`` gives it back under the same rule if the origin held the
+    bundle's compiled catalog. A closed handle no longer reaches its
+    connection.
 
     A tracked handle's first write opens an episode savepoint, and the
     handle resets by rolling back to it (tracker.py). Handing out
@@ -142,14 +146,15 @@ class EnvHandle:
         self.closed = False
         self._tools = bundle.tools_by_name()
         self._base = base
-        self._reusable = True  # the connection may go back to the pool
+        # _reusable: the connection may go back to its pool; never after a miss
         if base is not None and base.tracked:
             self._tracker = base.take()
-            self._conn = self._tracker.conn
+            self._conn, self._reusable = self._tracker.conn, True
         else:
             self._tracker = None
-            self._conn = open_handle(origin.data)
+            self._conn, self._reusable = bundle.pool.take(origin.data)
         self.schema_info = (base.schema if base is not None
+                            else bundle.schema_info if self._reusable
                             else catalog_of(self._conn, bundle.schema_info))
 
     # -- lifecycle ----------------------------------------------------------
@@ -168,6 +173,8 @@ class EnvHandle:
                 conn.close()
             else:
                 self._base.give_back(conn)
+        elif tracker is None and self._reusable and not conn.in_transaction:
+            self.bundle.pool.give_back(conn)
         else:
             conn.close()
 

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .snapshots import (
     ColumnInfo,
+    HandlePool,
     SchemaInfo,
     Snapshot,
     TableInfo,
@@ -156,7 +157,7 @@ class EnvironmentBundle:
         return sorted(t for t, m in self.permissions.items() if m == mode)
 
     @cached_property
-    def _compiled(self) -> tuple[SchemaInfo, Snapshot]:
+    def _compiled(self) -> Compiled:
         """``compile_environment`` of this bundle's DDL; raises CompileFailure."""
         return compile_environment(self.schema, self.triggers)
 
@@ -169,6 +170,12 @@ class EnvironmentBundle:
     def empty_snapshot(self) -> Snapshot:
         """The compiled schema and triggers with no rows."""
         return self._compiled[1]
+
+    @property
+    def pool(self) -> HandlePool:
+        """Idle handle connections for images of this bundle's compiled catalog,
+        shared by every bundle of the same DDL."""
+        return self._compiled.pool
 
     @classmethod
     def from_schema(cls, schema_sql: str, triggers_sql: str, permissions: dict[str, str],
@@ -226,10 +233,23 @@ class TaskPackage:
 
 # --- compilation ------------------------------------------------------------
 
+class Compiled(tuple):
+    """``(catalog, empty image)`` of one DDL pair, and ``pool``, the idle handle
+    connections for images of that catalog."""
+
+    pool: HandlePool
+
+    def __new__(cls, schema: SchemaInfo, empty: Snapshot, pool: HandlePool):
+        compiled = super().__new__(cls, (schema, empty))
+        compiled.pool = pool
+        return compiled
+
+
 @lru_cache(maxsize=MEMO_SIZE)
-def compile_environment(schema_sql: str, triggers_sql: str) -> tuple[SchemaInfo, Snapshot]:
+def compile_environment(schema_sql: str, triggers_sql: str) -> Compiled:
     """Execute the DDL on a scratch in-memory engine: its catalog and the
-    serialized empty engine; raise CompileFailure.
+    serialized empty engine, with the pool of handle connections for images
+    of that catalog; raise CompileFailure.
 
     The one place package DDL runs. The escalations log table is added when
     the schema does not declare it. Trigger bodies are force-compiled with
@@ -252,7 +272,8 @@ def compile_environment(schema_sql: str, triggers_sql: str) -> tuple[SchemaInfo,
         info = read_schema(conn)
         _force_compile_triggers(conn, info)
         conn.commit()
-        return info, Snapshot(conn.serialize())
+        empty = Snapshot(conn.serialize())
+        return Compiled(info, empty, HandlePool(conn, empty.data))
     finally:
         conn.close()
 
@@ -573,20 +594,26 @@ def derive_tools(
 def token_pattern(token: str) -> re.Pattern:
     """``token`` as a whole word, in any case: one rule for spoilers and redaction.
 
-    Callers run it only where ``token_screen`` lets the token through: when
-    the token and the text are both ASCII, a match needs ``token.lower()`` in
-    ``text.lower()``."""
+    Callers run it only where ``token_screen`` lets the token through: for an
+    ASCII token, a match needs ``token.lower()`` in the folded text."""
     return re.compile(rf"(?<!\w){re.escape(token)}(?!\w)", re.IGNORECASE)
+
+
+# The only non-ASCII characters IGNORECASE matches with ASCII ones (every code
+# point checked on Python 3.11), and the letter each matches. lower() keeps
+# three of them non-ASCII and turns U+0130 into "i" and a combining dot, so
+# they are replaced first (str.replace: str.translate is ~15x slower here).
+_ASCII_FOLDS = (("\u0130", "i"), ("\u0131", "i"), ("\u017f", "s"), ("\u212a", "k"))
 
 
 def token_screen(text: str) -> Callable[[str], bool]:
     """A test that is False only for tokens ``token_pattern`` cannot find in
-    ``text``. When both are ASCII, a match needs ``token.lower()`` inside
-    ``text.lower()``: the non-ASCII letters that IGNORECASE folds onto ASCII
-    ones (KELVIN SIGN, LONG S, dotted and dotless I) cannot occur in ASCII
-    text. A non-ASCII token or text always passes."""
-    if not text.isascii():
-        return lambda token: True
+    ``text``. An ASCII token matches only text characters that are its own
+    letters in either case or one of ``_ASCII_FOLDS``, so a match needs
+    ``token.lower()`` inside the text with those folded, then lowered. A
+    non-ASCII token always passes."""
+    for char, letter in _ASCII_FOLDS:
+        text = text.replace(char, letter)
     folded = text.lower()
     return lambda token: not token.isascii() or token.lower() in folded
 
@@ -594,7 +621,7 @@ def token_screen(text: str) -> Callable[[str], bool]:
 def find_spoiler(task_text: str, tool_names, redaction_list) -> str | None:
     """First forbidden token occurring in the task text (``token_pattern``),
     or None. Pure function of its inputs. Only tokens that ``token_screen``
-    lets through (an ASCII token in ASCII text must occur in it, ignoring
+    lets through (an ASCII token must occur in the folded text, ignoring
     case) compile and run their pattern."""
     may_occur = token_screen(task_text)
     for token in list(tool_names) + list(redaction_list):
@@ -612,27 +639,38 @@ def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
     }
 
 
-def checked_canonical(snap: Snapshot, schema: SchemaInfo, cfg: DiffConfig,
+def checked_canonical(snap: Snapshot, env: EnvironmentBundle, cfg: DiffConfig,
                       label: str, run: bool = False) -> CanonicalRelationSet:
     """``canonicalize(snap, cfg)`` under the catalog of ``snap``; SchemaMismatch unless
-    the same DDL made its tables or that catalog has the tables and column types of ``schema``.
+    the same DDL made its tables or that catalog has the tables and column types of ``env``'s.
     An image that handles ``run`` (an origin) must also carry exactly the triggers of
-    ``schema``, in order; an image that is only compared needs the tables alone."""
-    with snap.connect() as conn:
-        info = catalog_of(conn, schema)
-        if info is not schema:
-            have, want = _schema_shape(info), _schema_shape(schema)
-            for table, cols in want.items():
-                if table not in have:
-                    raise SchemaMismatch(f"{label}: missing table {table}")
-                if have[table] != cols:
-                    raise SchemaMismatch(f"{label}: column mismatch in table {table}")
-            extra = set(have) - set(want)
-            if extra:
-                raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
-        if run and read_triggers(conn) != schema.triggers:
-            raise SchemaMismatch(f"{label}: its triggers are not those of triggers.sql")
+    ``env``, in order; an image that is only compared needs the tables alone.
+    The image is read on a connection from ``env.pool``; a hit there proves all of
+    this (the image holds the compiled catalog), so the checks run only on a miss."""
+    schema = env.schema_info
+    conn, hit = env.pool.take(snap.data)
+    try:
+        info = schema
+        if not hit:
+            info = catalog_of(conn, schema)
+            if info is not schema:
+                have, want = _schema_shape(info), _schema_shape(schema)
+                for table, cols in want.items():
+                    if table not in have:
+                        raise SchemaMismatch(f"{label}: missing table {table}")
+                    if have[table] != cols:
+                        raise SchemaMismatch(f"{label}: column mismatch in table {table}")
+                extra = set(have) - set(want)
+                if extra:
+                    raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
+            if run and read_triggers(conn) != schema.triggers:
+                raise SchemaMismatch(f"{label}: its triggers are not those of triggers.sql")
         return canonicalize_connection(conn, cfg, info)
+    finally:
+        if hit:
+            env.pool.give_back(conn)
+        else:
+            conn.close()
 
 
 def _manifest_field(doc: dict, key: str, kind: type, default, prefix: str = "",
@@ -706,8 +744,8 @@ def load_package(path) -> TaskPackage:
 
     origin = Snapshot.from_file(root / "origin.db")
     target = Snapshot.from_file(root / "target.db")
-    canonical_origin = checked_canonical(origin, info, diff_config, "origin.db", run=True)
-    canonical_target = checked_canonical(target, info, diff_config, "target.db")
+    canonical_origin = checked_canonical(origin, env, diff_config, "origin.db", run=True)
+    canonical_target = checked_canonical(target, env, diff_config, "target.db")
 
     leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)
     if leak is not None:

@@ -2,8 +2,21 @@
 
 A snapshot is an immutable single-file SQLite database image held as bytes.
 Every content-level operation (digests, canonical row extraction) reads the
-image through a short-lived in-memory connection (``Connection.deserialize``);
-nothing touches the file system unless a caller writes the image out.
+image through an in-memory connection (``Connection.deserialize``); nothing
+touches the file system unless a caller writes the image out.
+
+Opening a connection is cheap, but the first statement prepared on an image
+makes SQLite parse its whole catalog. A ``HandlePool`` keeps idle connections
+for the images of one compiled catalog and loads the next image into one of
+them, where the statements it has prepared run without that parse. The rule
+that keeps this correct: ``deserialize`` resets main's schema, yet a prepared
+statement (the sqlite3 module caches them by SQL text) runs on the new image
+without being prepared again whenever the schema cookie is unchanged, reading
+the root pages it was prepared against. ``CREATE TABLE t(a)`` and ``CREATE
+TABLE u(b)`` both have cookie 1: after the ``u`` image is loaded, a cached
+``SELECT * FROM t`` returns u's rows, while a new statement gets "no such
+table: t" (SQLite 3.40.1). So a connection serves an image only when the
+image's catalog is the one its statements were prepared on.
 """
 
 from __future__ import annotations
@@ -13,6 +26,7 @@ import hashlib
 import math
 import re
 import sqlite3
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -78,6 +92,69 @@ def open_handle(data: bytes) -> sqlite3.Connection:
     conn = open_image(data, check_same_thread=False)
     conn.execute("PRAGMA foreign_keys = ON")
     return conn
+
+
+_CATALOG_SQL = "SELECT type, name, tbl_name, rootpage, sql FROM sqlite_master"
+
+
+def _header(data: bytes) -> bytes:
+    """The header fields of the image ``data`` that a prepared statement
+    depends on: schema cookie and schema format (bytes 40-47) and text
+    encoding (bytes 56-59)."""
+    return data[40:48] + data[56:60]
+
+
+class HandlePool:
+    """Idle handle connections (``open_handle``) for the images of one
+    catalog: that of the database behind ``conn``, whose image is ``data``.
+
+    ``take`` loads the caller's image into an idle connection and checks that
+    the image holds this catalog: the same header fields (``_header``) and
+    every ``sqlite_master`` row (type, name, tbl_name, rootpage, sql) in
+    order. That check is what keeps cached statements right (module
+    docstring), not an optimisation. Its own statement is right on any
+    image, because ``sqlite_master`` is rooted at page 1 in every one. On a
+    miss the connection is closed and a fresh one opened on the image, as if
+    there were no pool.
+
+    Only a connection that took a hit may go back (``give_back``), and only
+    outside a transaction, having run nothing but reads and writes of rows
+    (so every statement it prepared was prepared on this catalog, and
+    foreign keys are still on), with no cursor left part-read: loading an
+    image under a running statement crashes the process at that statement's
+    next use (SQLite 3.40.1). The pool holds no more connections than were
+    ever out at the same time.
+    """
+
+    def __init__(self, conn: sqlite3.Connection, data: bytes):
+        self._header = _header(data)
+        self._catalog = conn.execute(_CATALOG_SQL).fetchall()
+        self._idle: list[sqlite3.Connection] = []
+        self._lock = threading.Lock()
+
+    def _holds(self, conn: sqlite3.Connection, data: bytes) -> bool:
+        """The image ``data``, loaded behind ``conn``, holds this pool's catalog."""
+        return (_header(data) == self._header
+                and conn.execute(_CATALOG_SQL).fetchall() == self._catalog)
+
+    def take(self, data: bytes) -> tuple[sqlite3.Connection, bool]:
+        """A handle connection onto a copy of the image ``data``, and whether
+        the image holds this pool's catalog (a hit)."""
+        with self._lock:  # deserialize refuses an empty image
+            conn = self._idle.pop() if self._idle and data else None
+        if conn is None:
+            conn = open_handle(data)
+            return conn, self._holds(conn, data)
+        load_image(conn, data)
+        if self._holds(conn, data):
+            return conn, True
+        conn.close()
+        return open_handle(data), False
+
+    def give_back(self, conn: sqlite3.Connection) -> None:
+        """Pool ``conn``, which took a hit (see the class docstring)."""
+        with self._lock:
+            self._idle.append(conn)
 
 
 @dataclass(frozen=True)

@@ -564,7 +564,7 @@ def build_redaction_list(
 def _redact(text: str, tokens: tuple[str, ...]) -> str:
     """``text`` with each token (``token_pattern``) replaced by ``[redacted]``,
     longest token first. Only tokens that ``token_screen`` lets through (an
-    ASCII token in ASCII text must occur in it, ignoring case) run their
+    ASCII token must occur in the folded text, ignoring case) run their
     pattern; the screen is rebuilt after each token that replaced anything,
     since an inserted ``[redacted]`` can hold a later token."""
     may_occur = token_screen(text)
@@ -635,8 +635,8 @@ def assemble_package(
     if leak is not None:
         raise SpoilerLeak(f"task text mentions {leak!r}")
     delta0 = diff_canonical(
-        checked_canonical(s_origin, bundle.schema_info, cfg, "origin.db"),
-        checked_canonical(ep.s_target, bundle.schema_info, cfg, "target.db")).total
+        checked_canonical(s_origin, bundle, cfg, "origin.db"),
+        checked_canonical(ep.s_target, bundle, cfg, "target.db")).total
     if delta0 == 0:
         warnings.warn(f"package {name!r} is trivial: origin already equals target")
     return TaskPackage(

@@ -45,6 +45,14 @@ TEMP schema version (``StateTracker.rewind``):
   (``settle``) for the rest of its life: inside the savepoint ``serialize()``
   returns the last committed image, not the live one.
 
+That reload is safe for the statements the connection has cached:
+``deserialize`` resets main's schema, yet a cached statement runs on the new
+image without being prepared again whenever the schema cookie is unchanged
+(see snapshots.py), and the image reloaded is always the handle's own origin,
+whose catalog they were prepared on. Untracked handles share one pool per
+compiled DDL instead (``snapshots.HandlePool``), which checks each image's
+catalog before a connection serves it.
+
 The full-scan functions stay the reference, and some schemas keep them:
 
 * a schema that uses REPLACE conflict resolution, which deletes rows without

@@ -1,0 +1,202 @@
+"""The pool of warm handle connections that each compiled DDL keeps
+(``snapshots.HandlePool``): the catalog check that keeps cached statements
+right, pooled reads against fresh ones, the rules for what goes back, and the
+connections a stub synthesis round opens."""
+
+from __future__ import annotations
+
+import sqlite3
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from policygym import load_package, snapshots
+from policygym.executor import open_environment_at
+from policygym.fixtures import corporate_travel as ct
+from policygym.packages import ESCALATIONS_DDL, checked_canonical, compile_environment
+from policygym.snapshots import state_digest
+from policygym.synthesis import StubGenerationPort, synthesize_package
+from policygym.verify import canonicalize
+
+from conftest import clear_memos
+from test_cli import _blob_package
+from test_packages import _stub_round
+
+T_DDL = "CREATE TABLE t (a);"
+
+
+def _image(ddl: str, rows_sql: str, encoding: str = "UTF-8") -> bytes:
+    """An image built as ``compile_environment`` builds one (``ddl``, then the
+    escalations table), holding the rows ``rows_sql`` inserts."""
+    conn = sqlite3.connect(":memory:", isolation_level=None)
+    try:
+        conn.execute(f"PRAGMA encoding = '{encoding}'")
+        conn.executescript(ddl)
+        conn.execute(ESCALATIONS_DDL)
+        conn.executescript(rows_sql)
+        return conn.serialize()
+    finally:
+        conn.close()
+
+
+def _warm_pool(ddl: str):
+    """The pool of ``ddl``, holding one connection that ran ``SELECT * FROM t``
+    on an image of ``ddl``."""
+    clear_memos()
+    pool = compile_environment(ddl, "").pool
+    conn, hit = pool.take(_image(ddl, "INSERT INTO t VALUES ('t-row');"))
+    assert hit
+    assert conn.execute("SELECT * FROM t").fetchall() == [("t-row",)]
+    pool.give_back(conn)
+    return pool, conn
+
+
+# --- the cookie rule ---------------------------------------------------------------------
+
+def test_an_image_of_other_ddl_with_an_equal_cookie_is_a_miss():
+    """A statement cached on ``t`` runs unprepared on an image whose cookie is
+    the same, so without the catalog check it would read u's rows as t's."""
+    pool, warm = _warm_pool(T_DDL)
+    other = _image("CREATE TABLE u (b);", "INSERT INTO u VALUES ('u-row');")
+    assert other[40:44] == compile_environment(T_DDL, "")[1].data[40:44]  # equal cookies
+    conn, hit = pool.take(other)
+    try:
+        assert not hit and conn is not warm
+        with pytest.raises(sqlite3.OperationalError, match="no such table: t"):
+            conn.execute("SELECT * FROM t")
+        assert conn.execute("SELECT * FROM u").fetchall() == [("u-row",)]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("variant", ["text encoding", "schema format"])
+def test_the_same_ddl_in_another_encoding_or_format_is_a_miss(variant):
+    """The catalog rows read the same; only the image header tells them apart."""
+    pool, warm = _warm_pool(T_DDL)
+    if variant == "text encoding":
+        image = _image(T_DDL, "INSERT INTO t VALUES ('héllo');", "UTF-16le")
+    else:
+        image = _image(T_DDL, "INSERT INTO t VALUES ('héllo');")
+        image = image[:44] + (1).to_bytes(4, "big") + image[48:]  # legacy format 1
+    catalog = "SELECT type, name, tbl_name, rootpage, sql FROM sqlite_master"
+    with snapshots.Snapshot(image).connect() as fresh:
+        with compile_environment(T_DDL, "")[1].connect() as compiled:
+            assert fresh.execute(catalog).fetchall() == compiled.execute(catalog).fetchall()
+    conn, hit = pool.take(image)
+    try:
+        assert not hit and conn is not warm
+        assert conn.execute("SELECT * FROM t").fetchall() == [("héllo",)]
+    finally:
+        conn.close()
+
+
+# --- pooled against fresh ------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def images(tmp_path_factory):
+    """(bundle, diff config, image) of the empty image, origin and target of the
+    fixture, of the BLOB package and of a stub-synthesized package; the fixture
+    and the synthesized package share one DDL, so they share one pool."""
+    blob_dir = tmp_path_factory.mktemp("pool") / "blobs"
+    _blob_package(blob_dir)
+    fixture_dir = tmp_path_factory.mktemp("pool") / "travel"
+    ct.build(fixture_dir)
+    synthesized, _ = synthesize_package(ct.SEED_DOMAIN_TEXT,
+                                        StubGenerationPort(ct.canned_generation_outputs()),
+                                        name="x", limits=ct.LIMITS)
+    out = []
+    for pkg in (load_package(fixture_dir), load_package(blob_dir), synthesized):
+        for snap in (pkg.env.empty_snapshot, pkg.origin_snapshot, pkg.target_snapshot):
+            out.append((pkg.env, pkg.diff_config, snap))
+    return out
+
+
+def _closed(conn: sqlite3.Connection) -> bool:
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                          st.sampled_from(["read", "transaction", "system_write"])),
+                min_size=1, max_size=8))
+def test_pooled_reads_equal_fresh_reads_and_only_clean_handles_go_back(images, steps):
+    """In any order of images and uses, a pooled ``checked_canonical`` and
+    handle digest equal ``canonicalize`` and ``Snapshot.digest`` on a fresh
+    connection; every taken connection has foreign keys on; a handle closed
+    inside a transaction, or that ran ``system_write``, goes back to no pool."""
+    for index, use in steps:
+        bundle, cfg, snap = images[index]
+        assert checked_canonical(snap, bundle, cfg, "image", run=True) == canonicalize(snap, cfg)
+        env = open_environment_at(bundle, snap)
+        conn = env.connection
+        assert conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
+        assert env.digest() == snap.digest()
+        if use == "transaction":
+            conn.execute("BEGIN")
+        elif use == "system_write":
+            env.system_write("INSERT INTO escalations (summary) VALUES ('probe')")
+        env.close()
+        if use == "read":
+            again, hit = bundle.pool.take(snap.data)
+            assert hit and again is conn
+            bundle.pool.give_back(again)
+        else:
+            assert _closed(conn)
+
+
+def test_threads_never_hold_one_connection_at_once(images):
+    """4 threads take and give back 50 times each, switching often: no
+    connection is out to two of them at once, and each reads its own image."""
+    bundle, _, origin = images[1]
+    target = images[2][2]
+    digests = {origin.data: origin.digest(), target.data: target.digest()}
+    held, guard = set(), threading.Lock()
+
+    def work(index: int) -> bool:
+        right = True
+        for i in range(50):
+            data = (origin, target)[(index + i) % 2].data
+            conn, hit = bundle.pool.take(data)
+            with guard:
+                right &= hit and conn not in held
+                held.add(conn)
+            right &= state_digest(conn, bundle.schema_info) == digests[data]
+            with guard:
+                held.discard(conn)
+            bundle.pool.give_back(conn)
+        return right
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as workers:
+            assert all(workers.map(work, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# --- count guard: connections a warm stub round opens -----------------------------------------
+
+def test_a_warm_stub_round_opens_at_most_two_connections(tmp_path, monkeypatch):
+    """Every stage loads its image into a warm connection, except
+    ``verify_environment`` (a scratch copy with foreign keys off) and the one
+    that replaces seeding's (its ``system_write`` keeps it out of the pool)."""
+    _stub_round(tmp_path / "warm-up")
+    opened, open_image = [], snapshots.open_image
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return open_image(*args, **kwargs)
+
+    monkeypatch.setattr(snapshots, "open_image", counting)
+    pkg, loaded = _stub_round(tmp_path / "counted")
+    assert loaded == pkg
+    assert len(opened) <= 2  # 8 when every stage opened its own

@@ -59,10 +59,12 @@ def texts_and_tokens(draw):
 
 SPOILERS = settings(max_examples=200, deadline=None, derandomize=True)
 # letters that IGNORECASE folds across the ASCII boundary, in the text or in the
-# token, and a redaction mark that a shorter token matches
+# token, a redaction mark that a shorter token matches, and an ASCII token in a
+# text that an em dash makes non-ASCII
 EDGES = [("\u212a", ["k"]), ("k", ["\u212a"]), ("\u017f", ["S"]), ("s", ["\u017f"]),
          ("\u0130", ["i"]), ("I", ["\u0130"]), ("\u0131", ["I"]), ("i", ["\u0131"]),
-         ("the booking_id", ["booking_id", "redacted"])]
+         ("the booking_id", ["booking_id", "redacted"]),
+         ("book it \u2014 Booking_\u0130d", ["booking_id", "trip"])]
 
 
 def with_edges(*rest):
@@ -139,6 +141,8 @@ def test_projecting_the_fixture_episode_compiles_no_pattern(fixture_dir, pattern
 
 def test_a_text_naming_one_tool_compiles_one_pattern(travel_pkg, pattern_calls):
     tools = [t.name for t in travel_pkg.env.tool_catalog]
-    text = travel_pkg.task_description + "- Please run Transfer_To_Human_Agents.\n"
-    assert find_spoiler(text, tools, travel_pkg.redaction_list) == "transfer_to_human_agents"
-    assert pattern_calls == ["transfer_to_human_agents"]
+    for dash in ("-", "\u2014"):  # an em dash makes the text non-ASCII
+        pattern_calls.clear()
+        text = travel_pkg.task_description + f"{dash} Please run Transfer_To_Human_Agents.\n"
+        assert find_spoiler(text, tools, travel_pkg.redaction_list) == "transfer_to_human_agents"
+        assert pattern_calls == ["transfer_to_human_agents"]
