@@ -17,6 +17,11 @@ class MissingArtifact(PackageError):
     """A required package file is absent; message names the file."""
 
 
+class CorruptArtifact(PackageError):
+    """A package file is not UTF-8 text, or not an image SQLite can read; message
+    names the file."""
+
+
 class InvalidManifest(PackageError):
     """manifest.json is unreadable or structurally wrong."""
 

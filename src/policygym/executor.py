@@ -18,8 +18,8 @@ from .packages import (
     ToolSpec,
     split_error_code,
 )
-from .snapshots import (Snapshot, catalog_of, insert_sql, load_image, quote_ident, select_sql,
-                        state_digest)
+from .snapshots import (Snapshot, catalog_of, insert_sql, load_image, open_handle, quote_ident,
+                        select_sql, state_digest)
 
 if TYPE_CHECKING:
     from .tracker import VerificationBase
@@ -122,11 +122,14 @@ class EnvHandle:
     A tracked handle takes an idle connection from the package's pool when
     there is one, and ``close()`` gives it back reset to the origin, unless
     it is inside a transaction or ran ``system_write`` (arbitrary SQL, TEMP
-    DDL included). Any other handle takes one from its bundle's pool
+    DDL included). An untracked handle of a package, or one from
+    ``open_pooled_at``, takes one from its bundle's pool
     (``snapshots.HandlePool``), which loads the origin into it, and
     ``close()`` gives it back under the same rule if the origin held the
-    bundle's compiled catalog. A closed handle no longer reaches its
-    connection.
+    bundle's compiled catalog. A handle from ``open_environment_at`` opens a
+    fresh connection and closes it: the bytes of an image written on a
+    pooled connection depend on what that connection ran before (see
+    ``HandlePool``). A closed handle no longer reaches its connection.
 
     A tracked handle's first write opens an episode savepoint, and the
     handle resets by rolling back to it (tracker.py). Handing out
@@ -140,7 +143,7 @@ class EnvHandle:
     """
 
     def __init__(self, bundle: EnvironmentBundle, origin: Snapshot,
-                 base: VerificationBase | None = None):
+                 base: VerificationBase | None = None, *, _pooled: bool = False):
         self.bundle = bundle
         self.origin = origin
         self.closed = False
@@ -152,7 +155,10 @@ class EnvHandle:
             self._conn, self._reusable = self._tracker.conn, True
         else:
             self._tracker = None
-            self._conn, self._reusable = bundle.pool.take(origin.data)
+            if base is not None or _pooled:
+                self._conn, self._reusable = bundle.pool.take(origin.data)
+            else:
+                self._conn, self._reusable = open_handle(origin.data), False
         self.schema_info = (base.schema if base is not None
                             else bundle.schema_info if self._reusable
                             else catalog_of(self._conn, bundle.schema_info))
@@ -196,12 +202,25 @@ class EnvHandle:
     @property
     def connection(self) -> sqlite3.Connection:
         """The live connection, autocommit; on a tracked handle this ends the
-        episode savepoint (see the class docstring)."""
+        episode savepoint (see the class docstring).
+
+        A cursor opened on it must be read to its end or closed before the
+        handle resets or closes: a pooled connection then loads another image,
+        and ``deserialize`` under a part-read cursor crashes the process at
+        that cursor's next use (SQLite 3.40.1). ``read`` returns fetched rows
+        and leaves no cursor."""
         if self.closed:
             raise RuntimeError("environment is closed")
         if self._tracker is not None:
             self._tracker.settle()
         return self._conn
+
+    def read(self, sql: str, params=()) -> list[tuple]:
+        """Every row of the query ``sql`` on the live state, fetched; unlike
+        ``connection`` this keeps a tracked handle's episode savepoint."""
+        if self.closed:
+            raise RuntimeError("environment is closed")
+        return self._conn.execute(sql, params).fetchall()
 
     @property
     def tracked(self) -> bool:
@@ -280,10 +299,18 @@ def open_environment(pkg: TaskPackage) -> EnvHandle:
 
 
 def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHandle:
-    """Live environment starting from an arbitrary snapshot (synthesis
-    paths). It has no target and digests by full scan, once per call;
-    boundary probes take none and undo their writes through ``savepoint``."""
+    """Live environment starting from an arbitrary snapshot (seeding, the
+    explorer, fixture builds). It has no target and digests by full scan,
+    once per call. Its connection is a fresh engine, so the images it writes
+    are the same bytes in any process state."""
     return EnvHandle(bundle, snapshot)
+
+
+def open_pooled_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHandle:
+    """``open_environment_at`` on a connection from the bundle's pool, for a
+    handle whose image never leaves the process (boundary probes, whose
+    writes are all undone)."""
+    return EnvHandle(bundle, snapshot, _pooled=True)
 
 
 # --- execution ----------------------------------------------------------------------
@@ -353,6 +380,13 @@ def _dispatch(env: EnvHandle, call: ToolCall) -> ToolResult:
     if spec.kind == "update":
         return _run_write(env, *_update_sql(spec, call.arguments))
     return _run_write(env, *insert_sql(spec.table, call.arguments))  # inserts and escalations
+
+
+def _dispatch_undone(env: EnvHandle, call: ToolCall) -> ToolResult:
+    """``call`` as ``safe_execute_tool`` runs it, inside a savepoint that
+    undoes its write, and with no digest: a boundary probe."""
+    with savepoint(env._conn, keep=False):
+        return _dispatch_folded(env, call)
 
 
 def _dispatch_folded(env: EnvHandle, call: ToolCall) -> ToolResult:

@@ -28,14 +28,17 @@ from typing import Callable
 
 from .errors import (
     CompileFailure,
+    CorruptArtifact,
     InvalidManifest,
     IoFailure,
     MalformedArguments,
     MissingArtifact,
     SchemaMismatch,
     SpoilerLeak,
+    UnknownExcludedColumn,
 )
 from .snapshots import (
+    MEMO_SIZE,
     ColumnInfo,
     HandlePool,
     SchemaInfo,
@@ -83,9 +86,6 @@ REQUIRED_FILES = (
 )
 
 _ERROR_CODE_RE = re.compile(r"\s*\[([A-Z][A-Z0-9_]*)\]\s*(.*)", re.DOTALL)
-
-MEMO_SIZE = 16  # the distinct DDL pairs, and the distinct bundles, that a process keeps
-
 
 @dataclass(frozen=True)
 class RolloutLimits:
@@ -261,13 +261,13 @@ def compile_environment(schema_sql: str, triggers_sql: str) -> Compiled:
     try:
         try:
             conn.executescript(schema_sql)
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, ValueError) as exc:  # ValueError: a NUL character
             raise CompileFailure(f"schema: {exc}") from exc
         conn.execute(ESCALATIONS_DDL)
         try:
             if triggers_sql.strip():
                 conn.executescript(triggers_sql)
-        except sqlite3.Error as exc:
+        except (sqlite3.Error, ValueError) as exc:
             raise CompileFailure(f"triggers: {exc}") from exc
         info = read_schema(conn)
         _force_compile_triggers(conn, info)
@@ -639,6 +639,11 @@ def _schema_shape(schema: SchemaInfo) -> dict[str, dict[str, str]]:
     }
 
 
+# What reading a damaged image raises: SQLite's errors, and the sqlite3 module's
+# for text that is not UTF-8.
+_UNREADABLE = (sqlite3.DatabaseError, UnicodeDecodeError)
+
+
 def checked_canonical(snap: Snapshot, env: EnvironmentBundle, cfg: DiffConfig,
                       label: str, run: bool = False) -> CanonicalRelationSet:
     """``canonicalize(snap, cfg)`` under the catalog of ``snap``; SchemaMismatch unless
@@ -646,9 +651,13 @@ def checked_canonical(snap: Snapshot, env: EnvironmentBundle, cfg: DiffConfig,
     An image that handles ``run`` (an origin) must also carry exactly the triggers of
     ``env``, in order; an image that is only compared needs the tables alone.
     The image is read on a connection from ``env.pool``; a hit there proves all of
-    this (the image holds the compiled catalog), so the checks run only on a miss."""
+    this (the image holds the compiled catalog), so the checks run only on a miss.
+    CorruptArtifact when SQLite cannot read the image."""
     schema = env.schema_info
-    conn, hit = env.pool.take(snap.data)
+    try:
+        conn, hit = env.pool.take(snap.data)
+    except _UNREADABLE as exc:
+        raise CorruptArtifact(f"{label}: {exc}") from exc
     try:
         info = schema
         if not hit:
@@ -666,6 +675,9 @@ def checked_canonical(snap: Snapshot, env: EnvironmentBundle, cfg: DiffConfig,
             if run and read_triggers(conn) != schema.triggers:
                 raise SchemaMismatch(f"{label}: its triggers are not those of triggers.sql")
         return canonicalize_connection(conn, cfg, info)
+    except _UNREADABLE as exc:  # a damaged page past the catalog
+        hit = False  # so the connection is closed, not pooled
+        raise CorruptArtifact(f"{label}: {exc}") from exc
     finally:
         if hit:
             env.pool.give_back(conn)
@@ -695,6 +707,14 @@ def _manifest_section(cls, key: str, doc: dict):
         raise InvalidManifest(f"manifest.json: {key}: {exc}") from exc
 
 
+def _read_text(path: Path) -> str:
+    """The text of the package file ``path``; CorruptArtifact unless it is UTF-8."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptArtifact(f"{path.name}: not UTF-8 text ({exc})") from exc
+
+
 def load_package(path) -> TaskPackage:
     """Load and fully validate a package directory."""
     root = Path(path)
@@ -706,7 +726,7 @@ def load_package(path) -> TaskPackage:
 
     try:
         manifest = json.loads((root / "manifest.json").read_text("utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise InvalidManifest(f"manifest.json: {exc}") from exc
     if not isinstance(manifest, dict):
         raise InvalidManifest("manifest.json: top-level object expected")
@@ -728,10 +748,8 @@ def load_package(path) -> TaskPackage:
     redaction_list = tuple(_manifest_field(manifest, "redaction_list", list, [], of_strings=True))
     registry = _manifest_field(manifest, "error_registry", dict, {}, of_strings=True)
 
-    policy_doc = (root / "policy.md").read_text("utf-8")
-    task_description = (root / "task.md").read_text("utf-8")
-    schema_sql = (root / "schema.sql").read_text("utf-8")
-    triggers_sql = (root / "triggers.sql").read_text("utf-8")
+    policy_doc, task_description, schema_sql, triggers_sql = (
+        _read_text(root / name) for name in ("policy.md", "task.md", "schema.sql", "triggers.sql"))
     if not policy_doc.strip():
         raise MissingArtifact("policy.md is empty")
 
@@ -740,7 +758,10 @@ def load_package(path) -> TaskPackage:
         if table != ESCALATIONS_TABLE and table not in permissions:
             raise SchemaMismatch(f"no permission entry for table {table}")
     env = EnvironmentBundle.from_schema(schema_sql, triggers_sql, permissions, registry or None)
-    validate_excluded_columns(info, diff_config)
+    try:
+        validate_excluded_columns(info, diff_config)
+    except UnknownExcludedColumn as exc:
+        raise InvalidManifest(f"manifest.json: diff_config: {exc}") from exc
 
     origin = Snapshot.from_file(root / "origin.db")
     target = Snapshot.from_file(root / "target.db")

@@ -28,9 +28,12 @@ import re
 import sqlite3
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
+
+
+MEMO_SIZE = 16  # the distinct keys each per-process memo keeps: DDL pairs, bundles, texts, ...
 
 
 def quote_ident(name: str) -> str:
@@ -124,6 +127,18 @@ class HandlePool:
     image under a running statement crashes the process at that statement's
     next use (SQLite 3.40.1). The pool holds no more connections than were
     ever out at the same time.
+
+    A pooled connection serves reads, and writes whose image never leaves the
+    process. A write statement the sqlite3 module cached before a
+    ``deserialize`` and runs after it stores the integers 0 and 1 as one-byte
+    integers (serial type 1), where a statement prepared on the loaded image
+    uses serial types 8 and 9 (SQLite 3.40.1). Rows and digests are equal,
+    but the image's bytes then depend on what the connection ran before. So
+    the handles whose images are saved (seeding, the explorer and fixture
+    builds: ``executor.open_environment_at``) write on fresh connections,
+    while boundary probes (every write undone), ``checked_canonical`` and the
+    untracked handles of a package (whose images leave the process only as
+    digests) take pooled ones.
     """
 
     def __init__(self, conn: sqlite3.Connection, data: bytes):
@@ -139,17 +154,23 @@ class HandlePool:
 
     def take(self, data: bytes) -> tuple[sqlite3.Connection, bool]:
         """A handle connection onto a copy of the image ``data``, and whether
-        the image holds this pool's catalog (a hit)."""
+        the image holds this pool's catalog (a hit). When reading the image
+        raises, no connection is kept."""
         with self._lock:  # deserialize refuses an empty image
             conn = self._idle.pop() if self._idle and data else None
-        if conn is None:
-            conn = open_handle(data)
-            return conn, self._holds(conn, data)
-        load_image(conn, data)
-        if self._holds(conn, data):
-            return conn, True
-        conn.close()
-        return open_handle(data), False
+        try:
+            if conn is None:
+                conn = open_handle(data)
+                return conn, self._holds(conn, data)
+            load_image(conn, data)
+            if self._holds(conn, data):
+                return conn, True
+            conn.close()
+            return open_handle(data), False
+        except BaseException:
+            if conn is not None:  # closing twice is harmless
+                conn.close()
+            raise
 
     def give_back(self, conn: sqlite3.Connection) -> None:
         """Pool ``conn``, which took a hit (see the class docstring)."""
@@ -255,16 +276,18 @@ def _literals(tokens) -> tuple | None:
     return None
 
 
-def table_tags(sql: str) -> list[tuple[str, str]]:
+@lru_cache(maxsize=MEMO_SIZE)
+def table_tags(sql: str) -> tuple[tuple[str, str], ...]:
     """``(tag, table)`` of each ``-- <tag> Table: <table>`` line comment in ``sql``,
-    read between tokens: never inside a string, a quoted name or a block comment."""
+    read between tokens: never inside a string, a quoted name or a block comment.
+    Memoized over the last ``MEMO_SIZE`` texts."""
     tags = []
     for m in _TOKEN.finditer(sql):
         for comment in _COMMENT.findall(sql, m.start(), m.start(1) if m.group(1) else m.end()):
             words = tokenize(comment)
             if len(words) > 3 and words[1].upper() == "TABLE" and words[2] == ":":
                 tags.append((words[0], _unquote(words[3])))
-    return tags
+    return tuple(tags)
 
 
 # --- schema catalog ------------------------------------------------------------

@@ -9,11 +9,14 @@ is delegated to a port and marked skipped when none is configured.
 
 from __future__ import annotations
 
+import functools
 import json
 import sqlite3
+import threading
 import warnings
 from dataclasses import dataclass
 from itertools import pairwise
+from typing import Callable
 
 from .errors import (
     CompilationExhausted,
@@ -24,10 +27,11 @@ from .errors import (
     SpoilerLeak,
     SynthesisError,
 )
-from .executor import (EnvHandle, ToolCall, ToolResult, _dispatch_folded, open_environment_at,
-                       safe_execute_tool, savepoint)
+from .executor import (EnvHandle, ToolCall, ToolResult, _dispatch_undone, open_environment_at,
+                       open_pooled_at, safe_execute_tool, savepoint)
 from .packages import (
     ESCALATIONS_TABLE,
+    MEMO_SIZE,
     READ_ONLY,
     READ_WRITE,
     EnvironmentBundle,
@@ -220,14 +224,15 @@ def architect_compile(
 
 # --- physical verification ----------------------------------------------------------
 
-def derive_probe_row(conn: sqlite3.Connection, bundle: EnvironmentBundle,
+def derive_probe_row(read: Callable[[str, tuple], list], bundle: EnvironmentBundle,
                      table: str) -> dict | None:
     """Best-effort trivially-valid arguments for ``insert_<table>``: a value
     for each property its published schema requires, of the schema's type.
 
     Returns None when a required foreign key has no candidate parent value;
     triggers may still reject the row, which probing treats as signal, not
-    failure. ``bundle`` must describe ``conn``.
+    failure. ``read(sql, params)`` returns every row of a query on the state
+    (``EnvHandle.read``), which ``bundle`` must describe.
     """
     info = bundle.schema_info.table(table)
     contract = bundle.tools_by_name()[f"insert_{table}"].parameter_schema
@@ -241,12 +246,12 @@ def derive_probe_row(conn: sqlite3.Connection, bundle: EnvironmentBundle,
             # natural priority order, so rowid order beats lexicographic
             c, t = quote_ident(fk.ref_column), quote_ident(fk.ref_table)
             try:
-                parent = conn.execute(f"SELECT {c} FROM {t} ORDER BY rowid LIMIT 1").fetchone()
+                parent = read(f"SELECT {c} FROM {t} ORDER BY rowid LIMIT 1", ())
             except sqlite3.OperationalError:  # a WITHOUT ROWID parent
-                parent = conn.execute(f"SELECT {c} FROM {t} ORDER BY {c} LIMIT 1").fetchone()
-            if parent is None:
+                parent = read(f"SELECT {c} FROM {t} ORDER BY {c} LIMIT 1", ())
+            if not parent:
                 return None
-            row[name] = parent[0]
+            row[name] = parent[0][0]
         elif name in enums:
             row[name] = enums[name][0]
         else:
@@ -267,6 +272,31 @@ def _probe_write(conn: sqlite3.Connection, sql: str, params) -> tuple[str, str]:
     return "accepted", ""
 
 
+def _memo_per_object(func):
+    """``func`` of one argument, memoized per argument object (``is``, not
+    ``==``) over the last ``MEMO_SIZE`` objects. Each entry keeps its object,
+    so no other object can take its ``id`` while the entry lives.
+    ``__wrapped__`` is ``func`` itself, uncached."""
+    memo: dict[int, tuple] = {}
+    lock = threading.Lock()
+
+    @functools.wraps(func)
+    def memoized(arg):
+        with lock:
+            kept = memo.pop(id(arg), None)  # put back last: the least recently used goes first
+        if kept is None:
+            kept = (arg, func(arg))
+        with lock:
+            memo[id(arg)] = kept
+            if len(memo) > MEMO_SIZE:
+                del memo[next(iter(memo))]
+        return kept[1]
+
+    memoized.cache_clear = memo.clear
+    return memoized
+
+
+@_memo_per_object
 def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
     """Physical-executability check of a compiled bundle.
 
@@ -275,6 +305,11 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
     per read-write table where derivable, on a scratch copy of its empty
     snapshot. Engine rejections are expected; only broken references or
     failed compilation flunk the check.
+
+    The report is kept per bundle object: it depends only on what a bundle
+    holds (its DDL, its permissions in order and its tool catalog), and
+    ``EnvironmentBundle.from_schema`` shares one bundle among the tasks of one
+    domain, so a domain runs the check once.
     """
     warns: list[str] = []
     try:
@@ -292,7 +327,8 @@ def verify_environment(bundle: EnvironmentBundle) -> VerificationReport:
                     stage="triggers", physical="fail",
                     physical_message=f"declared table missing: {table}",
                 )
-            row = derive_probe_row(conn, bundle, table)
+            row = derive_probe_row(lambda sql, params: conn.execute(sql, params).fetchall(),
+                                   bundle, table)
             if row is None:
                 warns.append(f"{table}: valid probe not derivable (empty parent tables)")
             else:
@@ -403,13 +439,13 @@ def probe_boundary_adjacency(
     quota-bearing table plus status transitions on each transactional table;
     non-numeric boundaries need explicit probe specs. All probes run on one
     copy of ``s``, each inside a savepoint that undoes its write, so every
-    probe starts from ``s`` and nothing persists.
+    probe starts from ``s`` and nothing persists; the copy is on a pooled
+    connection (``open_pooled_at``), since no image of it leaves the probe.
     """
     candidates = [ToolCall.from_json(spec) for spec in probe_specs or []]
     schema = bundle.schema_info
-    with open_environment_at(bundle, s) as env:
-        conn = env.connection
-        inserts = ((t, derive_probe_row(conn, bundle, t)) for t in quota_bearing_tables(schema)
+    with open_pooled_at(bundle, s) as env:
+        inserts = ((t, derive_probe_row(env.read, bundle, t)) for t in quota_bearing_tables(schema)
                    if bundle.permissions.get(t) == READ_WRITE)
         candidates += [ToolCall(f"insert_{t}", row) for t, row in inserts if row is not None]
         for table in bundle.tables(READ_WRITE):
@@ -417,16 +453,15 @@ def probe_boundary_adjacency(
             if info is None or "status" not in info.column_names or info.primary_key is None:
                 continue
             pk, enums = info.primary_key, info.check_enums.get("status", ())
-            rows = conn.execute(f"SELECT {quote_ident(pk)}, status FROM {quote_ident(table)}"
-                                f" ORDER BY {quote_ident(pk)} LIMIT 3").fetchall()
+            rows = env.read(f"SELECT {quote_ident(pk)}, status FROM {quote_ident(table)}"
+                            f" ORDER BY {quote_ident(pk)} LIMIT 3")
             candidates += [ToolCall(f"update_{table}",
                                     {"filters": {pk: pk_value}, "set": {"status": value}})
                            for pk_value, current in rows for value in enums if value != current]
 
         records = []
         for call in candidates[: max(probe_budget, 0)]:
-            with savepoint(conn, keep=False):
-                error = _dispatch_folded(env, call).error  # undone, so no digest
+            error = _dispatch_undone(env, call).error
             records.append({"tool_call": call.to_json(),
                             "outcome": "rejected" if error else "accepted",
                             "code": error.code if error else ""})

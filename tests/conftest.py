@@ -6,7 +6,7 @@ import sqlite3
 
 import pytest
 
-from policygym import load_package, packages, tracker
+from policygym import load_package, packages, snapshots, synthesis, tracker
 from policygym.fixtures import corporate_travel
 from policygym.snapshots import Snapshot
 
@@ -24,10 +24,12 @@ def travel_pkg(fixture_dir):
 
 
 def clear_memos() -> None:
-    """Empty the per-process memos of compiled DDL and of shared bundles, so that
-    what a test counts next starts from a cold process."""
+    """Empty the per-process memos (compiled DDL, shared bundles, gate reports and
+    table tags), so that what a test counts next starts from a cold process."""
     packages.compile_environment.cache_clear()
     packages._shared_bundle.cache_clear()
+    synthesis.verify_environment.cache_clear()
+    snapshots.table_tags.cache_clear()
 
 
 @pytest.fixture

@@ -1,21 +1,25 @@
 """The pool of warm handle connections that each compiled DDL keeps
 (``snapshots.HandlePool``): the catalog check that keeps cached statements
-right, pooled reads against fresh ones, the rules for what goes back, and the
-connections a stub synthesis round opens."""
+right, pooled reads against fresh ones, the rules for what goes back, the
+connections a stub synthesis round opens, and the fresh engines that keep
+exported images byte-identical."""
 
 from __future__ import annotations
 
+import contextlib
+import json
 import sqlite3
 import sys
 import threading
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policygym import load_package, snapshots
-from policygym.executor import open_environment_at
+from policygym import load_package, save_package, snapshots
+from policygym.executor import execute_tool, open_environment_at, open_pooled_at
 from policygym.fixtures import corporate_travel as ct
 from policygym.packages import ESCALATIONS_DDL, checked_canonical, compile_environment
 from policygym.snapshots import state_digest
@@ -135,7 +139,7 @@ def test_pooled_reads_equal_fresh_reads_and_only_clean_handles_go_back(images, s
     for index, use in steps:
         bundle, cfg, snap = images[index]
         assert checked_canonical(snap, bundle, cfg, "image", run=True) == canonicalize(snap, cfg)
-        env = open_environment_at(bundle, snap)
+        env = open_pooled_at(bundle, snap)
         conn = env.connection
         assert conn.execute("PRAGMA foreign_keys").fetchone() == (1,)
         assert env.digest() == snap.digest()
@@ -185,18 +189,59 @@ def test_threads_never_hold_one_connection_at_once(images):
 
 # --- count guard: connections a warm stub round opens -----------------------------------------
 
+_STAGES = ("verify_environment", "seed_initial_state", "probe_boundary_adjacency",
+           "explore_episode", "assemble_package", "load_package")
+
+
 def test_a_warm_stub_round_opens_at_most_two_connections(tmp_path, monkeypatch):
-    """Every stage loads its image into a warm connection, except
-    ``verify_environment`` (a scratch copy with foreign keys off) and the one
-    that replaces seeding's (its ``system_write`` keeps it out of the pool)."""
+    """Seeding and the explorer write the images a package saves, so each opens
+    a fresh engine (``open_environment_at``). Probing, ``assemble_package`` and
+    ``load_package`` load their images into the DDL's warm connection, and the
+    gate's report is kept from the first round."""
     _stub_round(tmp_path / "warm-up")
     opened, open_image = [], snapshots.open_image
 
     def counting(*args, **kwargs):
-        opened.append(args)
+        stack = [frame.name for frame in traceback.extract_stack()]
+        opened.append(next((name for name in reversed(stack) if name in _STAGES), None))
         return open_image(*args, **kwargs)
 
     monkeypatch.setattr(snapshots, "open_image", counting)
     pkg, loaded = _stub_round(tmp_path / "counted")
     assert loaded == pkg
-    assert len(opened) <= 2  # 8 when every stage opened its own
+    assert opened == ["seed_initial_state", "explore_episode"]  # 8 when every stage opened its own
+
+
+# --- exported bytes do not depend on what ran before -------------------------------------------
+
+def _replay_oracle(bundle, origin, handles: int = 1) -> list[bytes]:
+    """The images the fixture's oracle calls write from ``origin`` on
+    ``handles`` handles from ``open_environment_at``, all open at once."""
+    with contextlib.ExitStack() as stack:
+        envs = [stack.enter_context(open_environment_at(bundle, origin)) for _ in range(handles)]
+        for call in ct.oracle_tool_calls():
+            assert all(execute_tool(env, call).ok for env in envs)
+        return [env.snapshot().data for env in envs]
+
+
+def test_replayed_oracle_calls_write_the_bytes_of_the_target_every_time(travel_pkg, fixture_dir):
+    """A write statement cached on a pooled connection stores 0 and 1 in
+    another serial type after the next image is loaded, so replays on a pooled
+    connection wrote other bytes than the first (rows and digests equal)."""
+    images = [_replay_oracle(travel_pkg.env, travel_pkg.origin_snapshot)[0] for _ in range(4)]
+    assert images == [(fixture_dir / "target.db").read_bytes()] * 4
+
+
+def test_stub_rounds_with_writes_between_them_save_the_bytes_of_the_first(tmp_path):
+    """Between two in-process stub rounds the oracle calls run 4 times on the
+    round's DDL; every saved file and the synthesis log stay those of round 1."""
+    clear_memos()  # a new pool, which only these rounds use
+    rounds = []
+    for index in range(3):
+        port = StubGenerationPort(ct.canned_generation_outputs())
+        pkg, log = synthesize_package(ct.SEED_DOMAIN_TEXT, port, name="x", limits=ct.LIMITS)
+        save_package(pkg, tmp_path / str(index))
+        rounds.append(({f.name: f.read_bytes() for f in (tmp_path / str(index)).iterdir()},
+                       json.dumps(log, sort_keys=True)))
+        _replay_oracle(pkg.env, pkg.origin_snapshot, handles=4)
+    assert rounds[1] == rounds[0] and rounds[2] == rounds[0]

@@ -2,22 +2,30 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import random
 import shutil
 import sqlite3
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from policygym import load_package, packages, save_package
+from policygym import cli, load_package, packages, save_package
 from policygym.executor import (ToolCall, execute_tool, open_environment, open_environment_at,
                                 safe_execute_tool)
 from policygym.errors import (
     CompileFailure,
     IoFailure,
     MissingArtifact,
+    PackageError,
     SchemaMismatch,
     SpoilerLeak,
 )
@@ -412,3 +420,106 @@ def test_threads_loading_one_package_at_once_get_equal_packages(fixture_dir, tra
     # a race may compile twice, but each memo keeps one entry for the one key
     assert compile_environment.cache_info().currsize == 1
     assert packages._shared_bundle.cache_info().currsize == 1
+
+
+# --- total loading: a damaged file is a PackageError that names it ---------------------------
+
+def _validate_json(path) -> tuple[int, dict, str]:
+    """Exit code, JSON document and stderr of ``policygym validate <path> --json``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["validate", str(path), "--json"])
+    return code, json.loads(out.getvalue()), err.getvalue()
+
+
+def _zero_page_one_tail(data: bytes) -> bytes:
+    return data[:100] + bytes(200) + data[300:]
+
+
+@pytest.mark.parametrize("fname, damage, error", [
+    ("task.md", lambda data: b"\xff" + data, "not UTF-8"),
+    ("schema.sql", lambda data: data + b"\xc3", "not UTF-8"),
+    ("manifest.json", lambda data: data.replace(b'"name"', b'"n\xffame"'), "manifest.json"),
+    ("origin.db", lambda data: random.Random(0).randbytes(len(data)), "file is not a database"),
+    ("origin.db", _zero_page_one_tail, "malformed"),
+    ("target.db", _zero_page_one_tail, "malformed"),
+])
+def test_an_undecodable_file_is_a_package_error_naming_it(fixture_dir, tmp_path, fname, damage,
+                                                          error):
+    broken = tmp_path / "pkg"
+    shutil.copytree(fixture_dir, broken)
+    (broken / fname).write_bytes(damage((broken / fname).read_bytes()))
+    with pytest.raises(PackageError, match=fname.replace(".", r"\.")) as raised:
+        load_package(broken)
+    assert error in str(raised.value)
+    code, doc, err = _validate_json(broken)
+    assert code == 1 and doc["error"].startswith(type(raised.value).__name__)
+    assert "Traceback" not in err
+
+
+_TEXT_FILES = ("manifest.json", "policy.md", "task.md", "schema.sql", "triggers.sql")
+_SWAPS = (None, 0, -1, 2.5, True, "", "x", [], ["x"], {}, {"x": "y"})
+_NOT_UTF8 = (b"\xff", b"\xc3", b"\xed\xa0\x80")  # a bad byte, a cut sequence, a surrogate
+
+
+def _json_paths(doc, prefix=()):
+    """The key path of every value inside the JSON document ``doc``."""
+    items = (doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list)
+             else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+@st.composite
+def _damaged_file(draw, files):
+    """``(name, bytes)``: one file of ``files`` (name -> bytes) with bytes
+    flipped, cut short, made non-UTF-8 or, for the manifest, a value swapped
+    for one of another JSON type."""
+    kind = draw(st.sampled_from(("flip", "truncate", "not utf-8", "swap")))
+    fname = "manifest.json" if kind == "swap" else draw(st.sampled_from(sorted(files)))
+    data = files[fname]
+    if kind == "flip":
+        damaged = bytearray(data)
+        for at in draw(st.lists(st.integers(0, len(data) - 1), min_size=1, max_size=4)):
+            damaged[at] ^= draw(st.integers(1, 255))
+        return fname, bytes(damaged)
+    if kind == "truncate":
+        return fname, data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "not utf-8":
+        at, bad = draw(st.integers(0, len(data))), draw(st.sampled_from(_NOT_UTF8))
+        return fname, data[:at] + bad + data[at:]
+    doc = json.loads(data)
+    *parents, key = draw(st.sampled_from(list(_json_paths(doc))))
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    node[key] = draw(st.sampled_from(_SWAPS))
+    return fname, json.dumps(doc).encode()
+
+
+@pytest.fixture(scope="module")
+def package_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("total") / "pkg"
+    corporate_travel.build(root)
+    return root, {f: (root / f).read_bytes() for f in _TEXT_FILES + ("origin.db", "target.db")}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_load_package_raises_only_package_errors_on_one_damaged_file(package_files, data):
+    """Whatever one file of the fixture holds, ``load_package`` returns a
+    package or raises a PackageError, and ``validate --json`` answers with a
+    structured error, never ``internal:`` and a traceback."""
+    root, files = package_files
+    fname, damaged = data.draw(_damaged_file(files))
+    with tempfile.TemporaryDirectory() as scratch:
+        broken = Path(scratch) / "pkg"
+        shutil.copytree(root, broken)
+        (broken / fname).write_bytes(damaged)
+        try:
+            load_package(broken)
+        except PackageError:
+            code, doc, err = _validate_json(broken)
+            assert code == 1 and not doc["error"].startswith("internal")
+            assert "Traceback" not in err

@@ -3,9 +3,12 @@ exploration, projection and assembly under the deterministic stub port."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from policygym import load_package, save_package
 from policygym import executor, packages, snapshots, tracker
@@ -39,6 +42,7 @@ from policygym.synthesis import (
 from policygym.verify import diff
 
 from conftest import clear_memos
+from test_cli import _blob_package
 
 
 def stub_port() -> StubGenerationPort:
@@ -152,6 +156,35 @@ def test_verify_environment_warns_on_the_probes_that_surprise_it():
     )
 
 
+@pytest.fixture(scope="module")
+def gate_bundles(tmp_path_factory):
+    """The fixture's bundle, the BLOB package's, a stub-synthesized one and the
+    fixture's with insert tools that require nothing (a catalog change alone)."""
+    blob_dir = tmp_path_factory.mktemp("gate") / "blobs"
+    _blob_package(blob_dir)
+    fixture = ct.build_bundle()
+    synthesized, _ = synthesize_package(ct.SEED_DOMAIN_TEXT, stub_port(), name="x",
+                                        limits=ct.LIMITS)
+    altered = dataclasses.replace(fixture, tool_catalog=tuple(
+        dataclasses.replace(tool, parameter_schema={**tool.parameter_schema, "required": []})
+        if tool.kind == "insert" else tool for tool in fixture.tool_catalog))
+    return fixture, load_package(blob_dir).env, synthesized.env, altered
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8))
+def test_the_memoized_gate_reports_what_the_uncached_gate_does(gate_bundles, order):
+    """In any order of calls, ``verify_environment`` returns the report of its
+    uncached reference (``__wrapped__``). The altered catalog changes the
+    report, so a memo that ignored the catalog would fail here."""
+    reference = verify_environment.__wrapped__
+    fixture, _, _, altered = gate_bundles
+    assert reference(altered) != reference(fixture)
+    for index in order:
+        bundle = gate_bundles[index]
+        assert verify_environment(bundle) == reference(bundle)
+
+
 def test_seed_initial_state_replays_fixture_origin():
     bundle = ct.build_bundle()
     snapshot = seed_initial_state(bundle, {}, stub_port())
@@ -221,8 +254,8 @@ def test_integer_check_enum_probes_with_integers():
                     "BEGIN SELECT RAISE(ABORT, '[QUOTA] at most 3 tickets'); END;")
     bundle = packages.EnvironmentBundle.from_schema(
         schema_sql, triggers_sql, {"tickets": packages.READ_WRITE}, {})
-    with bundle.empty_snapshot.connect() as conn:
-        assert derive_probe_row(conn, bundle, "tickets") == {"urgent": 0}
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
+        assert derive_probe_row(env.read, bundle, "tickets") == {"urgent": 0}
     result = probe_boundary_adjacency(bundle, bundle.empty_snapshot, probe_budget=4)
     assert [(p["outcome"], p["code"]) for p in result.probes] == [("accepted", "")]
     assert result.adjacency_score == 0.0
