@@ -191,11 +191,18 @@ class EnvHandle:
         self.close()
 
     def reset(self) -> None:
-        """Restore the working state to the origin snapshot."""
+        """Restore the working state to the origin snapshot. A handle on a
+        pooled connection that took a hit loads the origin into it again; any
+        other untracked handle moves to a fresh connection onto the origin, so
+        that the images it writes next are those of a fresh engine (see
+        ``HandlePool``)."""
         if self._tracker is not None:
             self._tracker.reset(self.origin.data)
-        else:
+        elif self._reusable:
             load_image(self.connection, self.origin.data)
+        else:
+            used, self._conn = self.connection, open_handle(self.origin.data)
+            used.close()
 
     # -- introspection ------------------------------------------------------
 

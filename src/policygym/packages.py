@@ -157,6 +157,13 @@ class EnvironmentBundle:
         return sorted(t for t, m in self.permissions.items() if m == mode)
 
     @cached_property
+    def tools_json(self) -> str:
+        """The text of ``tools.json``: the tool catalog, one tool per line (an
+        indented dump takes the pure-Python encoder)."""
+        tools = ",\n".join(json.dumps(t.to_json()) for t in self.tool_catalog)
+        return f"[\n{tools}\n]\n"
+
+    @cached_property
     def _compiled(self) -> Compiled:
         """``compile_environment`` of this bundle's DDL; raises CompileFailure."""
         return compile_environment(self.schema, self.triggers)
@@ -811,8 +818,6 @@ def save_package(pkg: TaskPackage, path) -> None:
         (root / "triggers.sql").write_text(pkg.env.triggers, "utf-8")
         pkg.origin_snapshot.write_to(root / "origin.db")
         pkg.target_snapshot.write_to(root / "target.db")
-        # one tool per line: an indented dump takes the pure-Python encoder
-        tools = ",\n".join(json.dumps(t.to_json()) for t in pkg.env.tool_catalog)
-        (root / "tools.json").write_text(f"[\n{tools}\n]\n", "utf-8")
+        (root / "tools.json").write_text(pkg.env.tools_json, "utf-8")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc

@@ -17,6 +17,14 @@ TABLE u(b)`` both have cookie 1: after the ``u`` image is loaded, a cached
 ``SELECT * FROM t`` returns u's rows, while a new statement gets "no such
 table: t" (SQLite 3.40.1). So a connection serves an image only when the
 image's catalog is the one its statements were prepared on.
+
+A digest hashes one record per row (``row_record``): each value's token,
+framed by its length. An ``int``, ``str``, ``None`` or ``bytes`` value, what
+SQLite returns most, is encoded in the same pass; any other value goes
+through ``normalize_value`` and ``encode_value``, which stay the rule. A
+``TableInfo`` keeps its column names, its digest header and its full-row
+SELECT, and a ``SchemaInfo`` keeps the scan plans ``verify.scan_plan``
+builds on it, so a scan of a compiled catalog rebuilds none of them.
 """
 
 from __future__ import annotations
@@ -299,9 +307,19 @@ class TableInfo:
     foreign_keys: tuple[ForeignKey, ...]
     sql: str  # the CREATE TABLE statement as stored in sqlite_master
 
-    @property
+    @cached_property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
+
+    @cached_property
+    def record(self) -> bytes:
+        """This table's header in the digest input (``table_record``)."""
+        return table_record(self.name, self.column_names)
+
+    @cached_property
+    def select(self) -> str:
+        """The SELECT of every column, in schema order, from every row."""
+        return select_sql(self.name, self.column_names)
 
     @property
     def primary_key(self) -> str | None:
@@ -422,6 +440,11 @@ class SchemaInfo:
         info = self.table(table)
         return info.columns if info is not None else ()
 
+    @cached_property
+    def scan_plans(self) -> dict:
+        """``verify.scan_plan``'s memo for this catalog, by diff-config value."""
+        return {}
+
     def describes(self, conn: sqlite3.Connection) -> bool:
         """True when ``conn`` holds exactly these tables, created by the same DDL."""
         have = conn.execute(_TABLES_SQL).fetchall()
@@ -510,12 +533,37 @@ def encode_value(value) -> bytes:
     return b"o" + repr(value).encode()
 
 
-def row_sort_key(row: tuple) -> bytes:
+def _encoded(row, slow) -> bytes:
+    """The sort key of ``row``: each value's token, framed by its length. A
+    value of exact type ``int``, ``str``, ``None`` or ``bytes`` is its own
+    normalized value and is encoded here; any other (a float, a bool, an int
+    subclass) goes to ``slow``, which gives its token."""
     parts = []
     for v in row:
-        token = encode_value(v)
-        parts.append(str(len(token)).encode() + b":" + token)
+        t = type(v)
+        if t is int:
+            token = b"i%d" % v
+        elif t is str:
+            token = b"s" + v.encode("utf-8", "surrogatepass")
+        elif v is None:
+            parts.append(b"1:n")
+            continue
+        elif t is bytes:
+            token = b"b" + v
+        else:
+            token = slow(v)
+        parts.append(b"%d:%s" % (len(token), token))
     return b"|".join(parts)
+
+
+def row_sort_key(row: tuple) -> bytes:
+    """The order key of a row of normalized values: ``encode_value`` of each,
+    framed by its length."""
+    return _encoded(row, encode_value)
+
+
+def _normalized_token(value) -> bytes:
+    return encode_value(normalize_value(value))
 
 
 # --- content digest ---------------------------------------------------------------
@@ -526,9 +574,10 @@ def table_record(table: str, columns) -> bytes:
 
 
 def row_record(row) -> bytes:
-    """A row's record in the digest input: its sort key, framed. Framing keeps
-    the order of the keys, because every record ends in the same zero byte."""
-    return b"R" + row_sort_key(tuple(normalize_value(v) for v in row)) + b"\x00"
+    """A row's record in the digest input: the sort key of its normalized
+    values, framed. Framing keeps the order of the keys, because every record
+    ends in the same zero byte."""
+    return b"R" + _encoded(row, _normalized_token) + b"\x00"
 
 
 def state_digest(conn: sqlite3.Connection, schema: SchemaInfo | None = None) -> str:
@@ -542,8 +591,8 @@ def state_digest(conn: sqlite3.Connection, schema: SchemaInfo | None = None) -> 
     if schema is None:
         schema = read_schema(conn)
     h = hashlib.sha256()
-    for table, info in schema.tables.items():
-        h.update(table_record(table, info.column_names))
-        for record in sorted(map(row_record, conn.execute(select_sql(table, info.column_names)))):
+    for info in schema.tables.values():
+        h.update(info.record)
+        for record in sorted(map(row_record, conn.execute(info.select))):
             h.update(record)
     return h.hexdigest()

@@ -53,6 +53,11 @@ whose catalog they were prepared on. Untracked handles share one pool per
 compiled DDL instead (``snapshots.HandlePool``), which checks each image's
 catalog before a connection serves it.
 
+The tracker reads the full scan's own plan: ``verify.scan_plan`` keeps one
+per catalog and diff-config value (each table's columns, digest header,
+full-row SELECT and canonical positions), and the log's install statements
+are kept per plan, so a second package of one DDL and config rebuilds neither.
+
 The full-scan functions stay the reference, and some schemas keep them:
 
 * a schema that uses REPLACE conflict resolution, which deletes rows without
@@ -70,33 +75,30 @@ import sqlite3
 import threading
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import islice, pairwise
 from types import MappingProxyType
 
 from .snapshots import (
+    MEMO_SIZE,
     SchemaInfo,
     Snapshot,
     catalog_of,
     load_image,
-    normalize_value,
     open_handle,
     quote_ident,
     row_record,
-    select_sql,
     state_digest,
-    table_record,
     tokenize,
 )
 from .verify import (
     CanonicalRelationSet,
     DiffConfig,
-    canonical_columns,
+    ScanPlan,
     canonicalize,
     canonicalize_connection,
     diff_canonical,
-    validate_excluded_columns,
+    scan_plan,
 )
 
 LOG_TABLE = "policygym_changelog"
@@ -104,36 +106,13 @@ EPISODE = "policygym_episode"  # the savepoint a handle's episode runs in
 MARK = 8192  # bytes of digest input between two kept hash states
 
 
-@dataclass(frozen=True)
-class _Table:
-    """How one user table's rows become digest records and canonical rows."""
-
-    name: str
-    columns: tuple[str, ...]
-    header: bytes  # snapshots.table_record
-    select: str
-    kept: tuple[int, ...]  # positions of the canonical columns
-    decimals: int | None
-
-    def canonical(self, row) -> tuple:
-        return tuple(normalize_value(row[i], self.decimals) for i in self.kept)
-
-
-def _tables(schema: SchemaInfo, cfg: DiffConfig) -> tuple[_Table, ...]:
-    out = []
-    for name, info in schema.tables.items():
-        cols = info.column_names
-        out.append(_Table(
-            name=name, columns=cols, header=table_record(name, cols),
-            select=select_sql(name, cols), decimals=cfg.float_decimals,
-            kept=tuple(map(cols.index, canonical_columns(info, cfg))),
-        ))
-    return tuple(out)
-
-
-def _log_ddl(tables: tuple[_Table, ...]) -> list[str]:
-    """The statements that install the TEMP log and its triggers. A log row
-    is (table index, +1 for a new row or -1 for an old one, its values...)."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _log_ddl(plan: ScanPlan) -> tuple[str, ...]:
+    """The statements that install the TEMP log and its triggers for the
+    tables of ``plan``; memoized per plan object, of which ``scan_plan``
+    keeps one per catalog and diff config. A log row is (table index, +1 for
+    a new row or -1 for an old one, its values...)."""
+    tables = plan.tables
     width = max((len(t.columns) for t in tables), default=0)
     install = ["CREATE TEMP TABLE IF NOT EXISTS {} (tbl, sign{})".format(
         LOG_TABLE, "".join(f", c{i}" for i in range(width)))]
@@ -150,7 +129,7 @@ def _log_ddl(tables: tuple[_Table, ...]) -> list[str]:
             name = f"{LOG_TABLE}_{i}_{event}"
             install.append(f"CREATE TEMP TRIGGER {name} AFTER {event.upper()} "
                            f"ON main.{quote_ident(t.name)} BEGIN {body} END")
-    return install
+    return tuple(install)
 
 
 def _replaces(sql: str) -> bool:
@@ -170,7 +149,7 @@ def _ends_transactions(sql: str) -> bool:
 
 
 def _install_log(conn: sqlite3.Connection, schema: SchemaInfo, ddl: list[str],
-                 install_sql: list[str]) -> bool:
+                 install_sql: tuple[str, ...]) -> bool:
     """Install the log on ``conn``; False, and no log, where it could miss a
     change or where the schema refuses its triggers (a virtual table, say)."""
     if (any(name.lower() == LOG_TABLE for name in schema.tables)
@@ -211,9 +190,9 @@ class VerificationBase:
         conn = open_handle(self._origin.data)
         try:
             self.schema = catalog_of(conn, pkg.env.schema_info)
-            validate_excluded_columns(self.schema, self.cfg)
-            self.tables = _tables(self.schema, self.cfg)
-            self.install_sql = _log_ddl(self.tables)
+            plan = scan_plan(self.schema, self.cfg)  # raises for an unknown excluded column
+            self.tables = plan.tables
+            self.install_sql = _log_ddl(plan)
             ddl = ([t.sql for t in self.schema.tables.values()]
                    + [t.body for t in self.schema.triggers])
             self.tracked = _install_log(conn, self.schema, ddl, self.install_sql)

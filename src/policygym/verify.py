@@ -13,6 +13,7 @@ import re
 import sqlite3
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import SchemaMismatch, UnknownExcludedColumn
 from .snapshots import (
@@ -24,7 +25,6 @@ from .snapshots import (
     quote_ident,
     read_schema,
     row_sort_key,
-    select_sql,
 )
 
 DEFAULT_EPSILON = 1e-9
@@ -68,6 +68,13 @@ class DiffConfig:
             "excluded_columns",
             {t: frozenset(cols) for t, cols in self.excluded_columns.items()},
         )
+
+    @cached_property
+    def key(self) -> tuple:
+        """The value of the fields a ``ScanPlan`` depends on, hashable (the
+        config itself holds a dict)."""
+        excluded = tuple(sorted((t, tuple(sorted(c))) for t, c in self.excluded_columns.items()))
+        return excluded, self.fk_mode, self.float_compare
 
     @property
     def float_decimals(self) -> int | None:
@@ -163,6 +170,85 @@ def canonical_columns(info: TableInfo, cfg: DiffConfig) -> tuple[str, ...]:
     return tuple(c for c in info.column_names if c not in excluded)
 
 
+# exact types whose values normalize_value returns unchanged (a bool is not one)
+_PLAIN = frozenset({int, str, type(None), bytes})
+
+
+@dataclass(frozen=True)
+class TablePlan:
+    """How one user table's rows become digest records and canonical rows."""
+
+    name: str
+    columns: tuple[str, ...]  # every column, in schema order
+    header: bytes  # snapshots.table_record
+    select: str  # every column of every row
+    kept: tuple[int, ...]  # positions of the canonical columns
+    kept_columns: tuple[str, ...]
+    decimals: int | None
+    # canonical_remap: (position in the canonical row, (parent table, parent column))
+    # of each key into an excluded parent column
+    remapped: tuple[tuple[int, tuple[str, str]], ...]
+
+    def canonical(self, row) -> tuple:
+        """The canonical row of a full row (or of a longer sequence that starts with one)."""
+        out = []
+        for i in self.kept:
+            v = row[i]
+            out.append(v if type(v) in _PLAIN else normalize_value(v, self.decimals))
+        return tuple(out)
+
+
+class ScanPlan:
+    """What a full scan of one catalog under one diff config reads, per user
+    table in name order (``tables``), and the parent SELECTs that
+    ``canonical_remap`` hashes (``remap``: (parent table, parent column) ->
+    SELECT of that column, then of the parent's content columns). Built by
+    ``scan_plan``, once per catalog object and diff-config value, and only
+    read after that."""
+
+    def __init__(self, schema: SchemaInfo, cfg: DiffConfig):
+        validate_excluded_columns(schema, cfg)
+        decimals = cfg.float_decimals
+        targets = set()
+        if cfg.fk_mode == "canonical_remap":
+            targets = {(fk.ref_table, fk.ref_column)
+                       for info in schema.tables.values() for fk in _keys_to_excluded(info, cfg)}
+        tables = []
+        for name, info in schema.tables.items():
+            cols = info.column_names
+            kept = canonical_columns(info, cfg)
+            fk_by_column = {fk.column: (fk.ref_table, fk.ref_column) for fk in info.foreign_keys}
+            tables.append(TablePlan(
+                name=name, columns=cols, header=info.record, select=info.select,
+                kept=tuple(map(cols.index, kept)), kept_columns=kept, decimals=decimals,
+                remapped=tuple((j, fk_by_column[c]) for j, c in enumerate(kept)
+                               if fk_by_column.get(c) in targets)))
+        self.tables: tuple[TablePlan, ...] = tuple(tables)
+        self.decimals = decimals
+        self.remap: dict[tuple[str, str], str] = {}
+        for ref_table, ref_column in sorted(targets):
+            excluded = cfg.excluded_columns.get(ref_table, frozenset())
+            ref_info = schema.table(ref_table)
+            own_fks = {fk.column for fk in ref_info.foreign_keys}
+            keep = [c for c in ref_info.column_names if c not in excluded and c not in own_fks]
+            self.remap[ref_table, ref_column] = "SELECT {}, {} FROM {}".format(
+                quote_ident(ref_column),
+                ", ".join(quote_ident(c) for c in keep) if keep else "NULL",
+                quote_ident(ref_table),
+            )
+
+
+def scan_plan(schema: SchemaInfo, cfg: DiffConfig) -> ScanPlan:
+    """The ``ScanPlan`` of ``schema`` under ``cfg``, kept on the catalog object
+    per diff-config value (``DiffConfig.key``); UnknownExcludedColumn when
+    ``cfg`` excludes a column ``schema`` lacks, and then nothing is kept."""
+    plans = schema.scan_plans
+    plan = plans.get(cfg.key)
+    if plan is None:
+        plan = plans.setdefault(cfg.key, ScanPlan(schema, cfg))
+    return plan
+
+
 def _remap_digest(row: tuple) -> str:
     return hashlib.sha256(row_sort_key(row)).hexdigest()[:16]
 
@@ -176,56 +262,32 @@ def canonicalize_connection(
     """
     if schema is None:
         schema = read_schema(conn)
-    validate_excluded_columns(schema, cfg)
-    decimals = cfg.float_decimals
-    tables: dict[str, Counter] = {}
-    columns: dict[str, tuple[str, ...]] = {}
+    plan = scan_plan(schema, cfg)
+    columns = {t.name: t.kept_columns for t in plan.tables}
+    if not plan.remap:
+        tables = {t.name: Counter(map(t.canonical, conn.execute(t.select))) for t in plan.tables}
+        return CanonicalRelationSet(tables=tables, columns=columns)
 
-    # In canonical_remap mode, precompute ref-row hashes for every parent
-    # column that some foreign key points at through an excluded key.
+    # canonical_remap: a key into an excluded parent column becomes a content
+    # hash of the parent row it points at
+    decimals = plan.decimals
     remap: dict[tuple[str, str], dict] = {}
-    if cfg.fk_mode == "canonical_remap":
-        targets = {(fk.ref_table, fk.ref_column)
-                   for info in schema.tables.values() for fk in _keys_to_excluded(info, cfg)}
-        for ref_table, ref_column in targets:
-            excluded = cfg.excluded_columns.get(ref_table, frozenset())
-            ref_info = schema.table(ref_table)
-            own_fks = {fk.column for fk in ref_info.foreign_keys}
-            keep = [c for c in ref_info.column_names if c not in excluded and c not in own_fks]
-            mapping = {}
-            select = "SELECT {}, {} FROM {}".format(
-                quote_ident(ref_column),
-                ", ".join(quote_ident(c) for c in keep) if keep else "NULL",
-                quote_ident(ref_table),
-            )
-            for row in conn.execute(select):
-                key = normalize_value(row[0], decimals)
-                content = tuple(normalize_value(v, decimals) for v in row[1:])
-                mapping[key] = _remap_digest(content)
-            remap[(ref_table, ref_column)] = mapping
-
-    for table, info in schema.tables.items():
-        fk_by_column = {fk.column: fk for fk in info.foreign_keys}
-        kept = columns[table] = canonical_columns(info, cfg)
+    for target, select in plan.remap.items():
+        mapping = remap[target] = {}
+        for row in conn.execute(select):
+            key = normalize_value(row[0], decimals)
+            content = tuple(normalize_value(v, decimals) for v in row[1:])
+            mapping[key] = _remap_digest(content)
+    tables = {}
+    for t in plan.tables:
         counter: Counter = Counter()
-        # with every column excluded, each row is the empty tuple
-        for raw in conn.execute(select_sql(table, kept)):
-            values = []
-            for name, value in zip(kept, raw):
-                value = normalize_value(value, decimals)
-                fk = fk_by_column.get(name)
-                if (
-                    cfg.fk_mode == "canonical_remap"
-                    and fk is not None
-                    and (fk.ref_table, fk.ref_column) in remap
-                ):
-                    if value is not None:
-                        value = remap[(fk.ref_table, fk.ref_column)].get(
-                            value, f"unresolved:{value!r}"
-                        )
-                values.append(value)
+        for raw in conn.execute(t.select):
+            values = list(t.canonical(raw))
+            for j, target in t.remapped:
+                if values[j] is not None:
+                    values[j] = remap[target].get(values[j], f"unresolved:{values[j]!r}")
             counter[tuple(values)] += 1
-        tables[table] = counter
+        tables[t.name] = counter
     return CanonicalRelationSet(tables=tables, columns=columns)
 
 

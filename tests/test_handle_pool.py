@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policygym import load_package, save_package, snapshots
+from policygym import load_package, packages, save_package, snapshots, verify
 from policygym.executor import execute_tool, open_environment_at, open_pooled_at
 from policygym.fixtures import corporate_travel as ct
 from policygym.packages import ESCALATIONS_DDL, checked_canonical, compile_environment
@@ -212,6 +212,24 @@ def test_a_warm_stub_round_opens_at_most_two_connections(tmp_path, monkeypatch):
     assert opened == ["seed_initial_state", "explore_episode"]  # 8 when every stage opened its own
 
 
+def test_a_warm_stub_round_builds_no_scan_plan_and_serializes_no_tool_catalog(
+        tmp_path, monkeypatch):
+    """Scan plans are kept per compiled catalog and diff-config value, and
+    ``tools.json``'s text per bundle, so a round after the first rebuilds
+    neither (the scan's columns and SELECTs, and the ~31 KB catalog dump)."""
+    _stub_round(tmp_path / "warm-up")
+    plans, serialized = [], []
+    build, to_json = verify.ScanPlan, packages.ToolSpec.to_json
+    monkeypatch.setattr(verify, "ScanPlan", lambda *args: plans.append(args) or build(*args))
+    monkeypatch.setattr(packages.ToolSpec, "to_json",
+                        lambda self: serialized.append(self.name) or to_json(self))
+    pkg, loaded = _stub_round(tmp_path / "counted")
+    assert loaded == pkg
+    assert (tmp_path / "counted" / "tools.json").read_bytes() == (
+        tmp_path / "warm-up" / "tools.json").read_bytes()
+    assert plans == [] and serialized == []
+
+
 # --- exported bytes do not depend on what ran before -------------------------------------------
 
 def _replay_oracle(bundle, origin, handles: int = 1) -> list[bytes]:
@@ -230,6 +248,20 @@ def test_replayed_oracle_calls_write_the_bytes_of_the_target_every_time(travel_p
     connection wrote other bytes than the first (rows and digests equal)."""
     images = [_replay_oracle(travel_pkg.env, travel_pkg.origin_snapshot)[0] for _ in range(4)]
     assert images == [(fixture_dir / "target.db").read_bytes()] * 4
+
+
+def test_a_reset_handle_writes_the_bytes_of_a_fresh_one(travel_pkg, fixture_dir):
+    """``reset`` used to load the origin into the used connection, whose cached
+    write statements then stored 0 and 1 in serial type 1, so the replay after
+    a reset wrote other bytes than a fresh replay (rows and digests equal)."""
+    with open_environment_at(travel_pkg.env, travel_pkg.origin_snapshot) as env:
+        for replay in range(2):
+            for call in ct.oracle_tool_calls():
+                assert execute_tool(env, call).ok
+            image = env.snapshot().data
+            env.reset()
+            assert env.digest() == travel_pkg.origin_snapshot.digest()
+            assert image == (fixture_dir / "target.db").read_bytes(), replay
 
 
 def test_stub_rounds_with_writes_between_them_save_the_bytes_of_the_first(tmp_path):
