@@ -18,8 +18,8 @@ from .packages import (
     ToolSpec,
     split_error_code,
 )
-from .snapshots import (Snapshot, catalog_of, insert_sql, load_image, open_handle, quote_ident,
-                        select_sql, state_digest)
+from .snapshots import (Snapshot, catalog_of, insert_sql, open_handle, quote_ident, select_sql,
+                        state_digest)
 
 if TYPE_CHECKING:
     from .tracker import VerificationBase
@@ -119,24 +119,21 @@ class EnvHandle:
     the schema keeps the full scan, tracks digest and distance incrementally
     (see tracker.py); other handles digest by full scan and have no target.
 
-    A tracked handle takes an idle connection from the package's pool when
-    there is one, and ``close()`` gives it back reset to the origin, unless
-    it is inside a transaction or ran ``system_write`` (arbitrary SQL, TEMP
-    DDL included). An untracked handle of a package, or one from
-    ``open_pooled_at``, takes one from its bundle's pool
-    (``snapshots.HandlePool``), which loads the origin into it, and
-    ``close()`` gives it back under the same rule if the origin held the
-    bundle's compiled catalog. A handle from ``open_environment_at`` opens a
-    fresh connection and closes it: the bytes of an image written on a
-    pooled connection depend on what that connection ran before (see
-    ``HandlePool``). A closed handle no longer reaches its connection.
+    A handle takes its connection onto the origin from its base's pool, or
+    for ``open_pooled_at`` its bundle's (``snapshots.HandlePool``), and
+    ``close()`` gives it back unless it is inside a transaction, ran
+    ``system_write`` (arbitrary SQL, TEMP DDL included) or came from a pool
+    miss; ``reset()`` is that close followed by that take. A handle from
+    ``open_environment_at`` opens a fresh connection and closes it: the
+    bytes of an image written on a pooled connection depend on what that
+    connection ran before (see ``HandlePool``). A closed handle no longer
+    reaches its connection.
 
-    A tracked handle's first write opens an episode savepoint, and the
-    handle resets by rolling back to it (tracker.py). Handing out
-    ``connection`` ends that savepoint for the rest of the handle's life
-    (``snapshot()`` and ``system_write`` hand it out too), so the caller
-    gets an autocommit connection onto the live state; the handle's resets
-    then reload the origin image.
+    A tracked handle's first write opens an episode savepoint, and its close
+    rolls back to it (tracker.py). Handing out ``connection`` ends that
+    savepoint while the handle keeps that connection (``snapshot()`` and
+    ``system_write`` hand it out too), so the caller gets an autocommit
+    connection onto the live state; the close then reloads the origin image.
 
     Every write keeps or undoes its changes through ``savepoint``, so a probe
     undoes its write instead of calling ``reset()``.
@@ -149,40 +146,46 @@ class EnvHandle:
         self.closed = False
         self._tools = bundle.tools_by_name()
         self._base = base
-        # _reusable: the connection may go back to its pool; never after a miss
-        if base is not None and base.tracked:
-            self._tracker = base.take()
-            self._conn, self._reusable = self._tracker.conn, True
-        else:
-            self._tracker = None
-            if base is not None or _pooled:
-                self._conn, self._reusable = bundle.pool.take(origin.data)
-            else:
-                self._conn, self._reusable = open_handle(origin.data), False
+        self._pool = base.pool if base is not None else bundle.pool if _pooled else None
+        self._handed_out = None  # the connection ``connection`` last ended an episode on
+        self._acquire()
         self.schema_info = (base.schema if base is not None
                             else bundle.schema_info if self._reusable
                             else catalog_of(self._conn, bundle.schema_info))
 
     # -- lifecycle ----------------------------------------------------------
 
-    def close(self) -> None:
-        if self.closed:
-            return
-        conn, tracker = self._conn, self._tracker
+    def _acquire(self) -> None:
+        """Take a connection onto the origin; ``_reusable``: it may go back."""
+        data, pool = self.origin.data, self._pool
+        self._conn, self._reusable = pool.take(data) if pool else (open_handle(data), False)
+        base = self._base
+        self._tracker = base.tracker(self._conn) if base is not None and base.tracked else None
+        if self._tracker is not None and self._conn is self._handed_out:
+            self._tracker.settle()  # a caller may still hold it (``connection``)
+
+    def _release(self) -> None:
+        """Give the connection back (a tracked one at the origin) or close it."""
+        conn, tracker, pool, at = self._conn, self._tracker, self._pool, None
         self._conn = self._tracker = None
-        self.closed = True
-        if tracker is not None and self._reusable and not tracker.pending:
+        pending = tracker.pending if tracker is not None else conn.in_transaction
+        if pool is None or not self._reusable or pending:
+            conn.close()
+            return
+        if tracker is not None:
+            at = self.origin.data
             try:
-                tracker.rewind(self.origin.data)
-                tracker.settle()
+                if not tracker.rewind():
+                    pool.load(conn, at)
             except sqlite3.Error:
                 conn.close()
-            else:
-                self._base.give_back(conn)
-        elif tracker is None and self._reusable and not conn.in_transaction:
-            self.bundle.pool.give_back(conn)
-        else:
-            conn.close()
+                return
+        pool.give_back(conn, at)
+
+    def close(self) -> None:
+        if not self.closed:
+            self.closed = True
+            self._release()
 
     def __enter__(self):
         return self
@@ -191,18 +194,12 @@ class EnvHandle:
         self.close()
 
     def reset(self) -> None:
-        """Restore the working state to the origin snapshot. A handle on a
-        pooled connection that took a hit loads the origin into it again; any
-        other untracked handle moves to a fresh connection onto the origin, so
-        that the images it writes next are those of a fresh engine (see
-        ``HandlePool``)."""
-        if self._tracker is not None:
-            self._tracker.reset(self.origin.data)
-        elif self._reusable:
-            load_image(self.connection, self.origin.data)
-        else:
-            used, self._conn = self.connection, open_handle(self.origin.data)
-            used.close()
+        """Restore the working state to the origin snapshot: ``close()``'s
+        release of the connection, then ``__init__``'s take of one."""
+        if self.closed:
+            raise RuntimeError("environment is closed")
+        self._release()
+        self._acquire()
 
     # -- introspection ------------------------------------------------------
 
@@ -215,11 +212,12 @@ class EnvHandle:
         handle resets or closes: a pooled connection then loads another image,
         and ``deserialize`` under a part-read cursor crashes the process at
         that cursor's next use (SQLite 3.40.1). ``read`` returns fetched rows
-        and leaves no cursor."""
+        and leaves no cursor. A reset may move the handle to another connection."""
         if self.closed:
             raise RuntimeError("environment is closed")
         if self._tracker is not None:
             self._tracker.settle()
+            self._handed_out = self._conn
         return self._conn
 
     def read(self, sql: str, params=()) -> list[tuple]:

@@ -35,6 +35,7 @@ import math
 import re
 import sqlite3
 import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -117,24 +118,27 @@ def _header(data: bytes) -> bytes:
 
 class HandlePool:
     """Idle handle connections (``open_handle``) for the images of one
-    catalog: that of the database behind ``conn``, whose image is ``data``.
+    catalog (``_key``): that of the database behind ``conn``, whose image is
+    ``data``. Tracked handles' pools have ``install`` and ``clear``, which
+    create and empty the change log (tracker.py).
 
-    ``take`` loads the caller's image into an idle connection and checks that
-    the image holds this catalog: the same header fields (``_header``) and
-    every ``sqlite_master`` row (type, name, tbl_name, rootpage, sql) in
-    order. That check is what keeps cached statements right (module
-    docstring), not an optimisation. Its own statement is right on any
-    image, because ``sqlite_master`` is rooted at page 1 in every one. On a
-    miss the connection is closed and a fresh one opened on the image, as if
-    there were no pool.
+    ``take`` hands out, as it is, an idle connection that went back ``at``
+    the very image object asked for. Else it loads the image into an idle
+    connection (``load``) and checks that the image holds this catalog: the
+    same header fields (``_header``) and every ``sqlite_master`` row (type,
+    name, tbl_name, rootpage, sql) in order. That check is what keeps cached
+    statements right (module docstring), not an optimisation. Its own
+    statement is right on any image, because ``sqlite_master`` is rooted at
+    page 1 in every one. On a miss the connection is closed and a fresh one
+    opened on the image, as if there were no pool.
 
     Only a connection that took a hit may go back (``give_back``), and only
     outside a transaction, having run nothing but reads and writes of rows
     (so every statement it prepared was prepared on this catalog, and
     foreign keys are still on), with no cursor left part-read: loading an
     image under a running statement crashes the process at that statement's
-    next use (SQLite 3.40.1). The pool holds no more connections than were
-    ever out at the same time.
+    next use (SQLite 3.40.1). The pool keeps at most ``MEMO_SIZE`` idle
+    connections and closes the one idle longest beyond that.
 
     A pooled connection serves reads, and writes whose image never leaves the
     process. A write statement the sqlite3 module cached before a
@@ -149,41 +153,81 @@ class HandlePool:
     digests) take pooled ones.
     """
 
-    def __init__(self, conn: sqlite3.Connection, data: bytes):
-        self._header = _header(data)
-        self._catalog = conn.execute(_CATALOG_SQL).fetchall()
-        self._idle: list[sqlite3.Connection] = []
+    def __init__(self, conn: sqlite3.Connection, data: bytes,
+                 install: tuple[str, ...] = (), clear: tuple[str, ...] = ()):
+        self._key = _header(data), tuple(conn.execute(_CATALOG_SQL))
+        self._install, self._clear = install, clear
+        self._idle: list[tuple[sqlite3.Connection, bytes | None]] = []  # (connection, at)
         self._lock = threading.Lock()
 
     def _holds(self, conn: sqlite3.Connection, data: bytes) -> bool:
         """The image ``data``, loaded behind ``conn``, holds this pool's catalog."""
-        return (_header(data) == self._header
-                and conn.execute(_CATALOG_SQL).fetchall() == self._catalog)
+        header, catalog = self._key
+        return _header(data) == header and tuple(conn.execute(_CATALOG_SQL)) == catalog
 
     def take(self, data: bytes) -> tuple[sqlite3.Connection, bool]:
         """A handle connection onto a copy of the image ``data``, and whether
         the image holds this pool's catalog (a hit). When reading the image
         raises, no connection is kept."""
-        with self._lock:  # deserialize refuses an empty image
-            conn = self._idle.pop() if self._idle and data else None
+        with self._lock:
+            idle = self._idle
+            at = next((i for i in reversed(range(len(idle))) if idle[i][1] is data), None)
+            if at is not None:
+                return idle.pop(at)[0], True
+            conn = idle.pop()[0] if idle and data else None  # deserialize refuses b""
         try:
-            if conn is None:
-                conn = open_handle(data)
-                return conn, self._holds(conn, data)
-            load_image(conn, data)
-            if self._holds(conn, data):
-                return conn, True
-            conn.close()
-            return open_handle(data), False
+            if conn is not None:
+                self.load(conn, data)
+                if self._holds(conn, data):
+                    return conn, True
+                conn.close()
+            conn = open_handle(data)
+            for sql in self._install:
+                conn.execute(sql)
+            return conn, self._holds(conn, data)
         except BaseException:
             if conn is not None:  # closing twice is harmless
                 conn.close()
             raise
 
-    def give_back(self, conn: sqlite3.Connection) -> None:
-        """Pool ``conn``, which took a hit (see the class docstring)."""
+    def load(self, conn: sqlite3.Connection, data: bytes) -> None:
+        """Load the image ``data`` into ``conn``, a connection of this pool.
+
+        ``deserialize`` frees main's in-memory schema object, to which SQLite
+        binds each TEMP trigger; left bound to it, the triggers fire only
+        while the new object happens to get its address. So a pool with TEMP
+        objects bumps the TEMP schema version, which makes the next statement
+        that touches the TEMP schema, before any write (the first of
+        ``clear``), re-read it and bind the triggers to the new tables."""
+        load_image(conn, data)
+        if self._install:
+            (version,) = conn.execute("PRAGMA temp.schema_version").fetchone()
+            conn.execute(f"PRAGMA temp.schema_version = {version + 1}")
+            for sql in self._clear:
+                conn.execute(sql)
+
+    def give_back(self, conn: sqlite3.Connection, at: bytes | None = None) -> None:
+        """Pool ``conn``, which took a hit (see the class docstring); ``at``
+        is the image object it holds unchanged, if any."""
         with self._lock:
-            self._idle.append(conn)
+            self._idle.append((conn, at))
+            extra = self._idle.pop(0)[0] if len(self._idle) > MEMO_SIZE else None
+        if extra is not None:
+            extra.close()
+
+    @classmethod
+    def shared(cls, conn: sqlite3.Connection, data: bytes, install: tuple[str, ...],
+               clear: tuple[str, ...]) -> "HandlePool":
+        """The one pool of the catalog behind ``conn`` (which alone must decide
+        ``install``), kept while a caller holds it; ``conn``, a handle
+        connection onto ``data`` that has run ``install``, goes to it at ``data``."""
+        pool = cls(conn, data, install, clear)
+        pool = _SHARED.setdefault(pool._key, pool)
+        pool.give_back(conn, data)
+        return pool
+
+
+_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # pools by ``_key``
 
 
 @dataclass(frozen=True)

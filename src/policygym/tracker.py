@@ -19,39 +19,34 @@ call that changed nothing reuses the previous digest. The origin's blocks
 and the origin-minus-target multiset form a ``VerificationBase``: built once
 per package from one scan of each image, never mutated, and shared by every
 handle and thread; a handle copies a table's rows on its first write there.
+The base keeps the target's canonical rows from the first rescan on, after
+which a rescan reads only the live database.
 
 Installing the log costs more than a short episode's calls, so each
-connection installs it once and the base pools idle tracked connections,
-starting with the one it scanned the origin on. A pooled connection sits at
-the origin, outside any transaction, its log installed and empty.
+connection installs it once and goes back, log empty, to the one
+``snapshots.HandlePool`` of its catalog, shared by every package.
 
 A handle's first write opens an outer ``SAVEPOINT policygym_episode``, at
 the origin, inside which each call keeps or undoes its own nested savepoint
-(``executor.savepoint``). A reset, and the close that pools the connection,
-run ``ROLLBACK TO policygym_episode``: no image is reloaded, no schema is
-re-read, and prepared statements (the trigger programs inside them) survive.
-Opening a handle, and handing out its connection before any write, run no
-SQL, so a trace callback that a caller sets at open sees the same
-statements for every handle.
+(``executor.savepoint``). A close runs ``ROLLBACK TO policygym_episode`` and
+gives the connection back at the origin, where the next take of that origin
+finds it: no image is reloaded, no schema is re-read, and prepared
+statements (the trigger programs inside them) survive. Opening a handle, and
+handing out its connection before any write, run no SQL, so a trace
+callback that a caller sets at open sees the same statements for every
+handle.
 
-Two cases reset instead by reloading the origin image, then bumping the
-TEMP schema version (``StateTracker.rewind``):
+Two cases close instead by reloading the origin image (``HandlePool.load``,
+with no catalog check: its catalog is the one the connection has cached
+statements for):
 
 * a schema that can end a transaction or wait for a commit opens no
   episode: a ``ROLLBACK`` keyword (``RAISE(ROLLBACK)``, ``ON CONFLICT
   ROLLBACK``, ``OR ROLLBACK``) would undo the whole episode, and a
   ``DEFERRED`` key is checked only at a commit, which no call makes inside it;
 * a handle that hands out its raw connection first ends its episode
-  (``settle``) for the rest of its life: inside the savepoint ``serialize()``
-  returns the last committed image, not the live one.
-
-That reload is safe for the statements the connection has cached:
-``deserialize`` resets main's schema, yet a cached statement runs on the new
-image without being prepared again whenever the schema cookie is unchanged
-(see snapshots.py), and the image reloaded is always the handle's own origin,
-whose catalog they were prepared on. Untracked handles share one pool per
-compiled DDL instead (``snapshots.HandlePool``), which checks each image's
-catalog before a connection serves it.
+  (``settle``) for as long as it keeps that connection: inside the savepoint
+  ``serialize()`` returns the last committed image, not the live one.
 
 The tracker reads the full scan's own plan: ``verify.scan_plan`` keeps one
 per catalog and diff-config value (each table's columns, digest header,
@@ -72,7 +67,6 @@ from __future__ import annotations
 
 import hashlib
 import sqlite3
-import threading
 from bisect import bisect_left
 from collections import Counter
 from functools import cached_property, lru_cache
@@ -81,10 +75,9 @@ from types import MappingProxyType
 
 from .snapshots import (
     MEMO_SIZE,
+    HandlePool,
     SchemaInfo,
-    Snapshot,
     catalog_of,
-    load_image,
     open_handle,
     quote_ident,
     row_record,
@@ -166,39 +159,40 @@ def _install_log(conn: sqlite3.Connection, schema: SchemaInfo, ddl: list[str],
 class VerificationBase:
     """What every handle opened on one package starts from.
 
-    Built once from one scan of the origin image (and one of the target),
+    Built once from one scan of the origin image and one of the target,
     then only read, so any number of handles and threads share it.
     ``tracked`` is False for a schema the change log cannot follow; its
     handles use the full-scan reference for digest and distance alike.
     ``episodic`` is False for a schema whose DDL could end or outlive an
-    episode savepoint (``_ends_transactions``); its handles reset by
-    reloading the origin image.
+    episode savepoint (``_ends_transactions``); its handles close by
+    reloading the origin image. ``counted``: d_t counts against the target's
+    canonical rows (``fk_mode="drop"``, and the origin's catalog describes
+    the target); else it is a full scan.
 
-    The one mutable part is the pool of idle connections (``take`` and
-    ``give_back``, under a lock). It starts with the scan's connection and
-    gains only connections that handles gave back, so it holds no more than
-    one, or than were ever open at the same time. It holds connections, not
-    trackers, so nothing in it refers back to the base.
+    ``pool`` is where handles take connections: the bundle's, or the one
+    ``HandlePool.shared`` by every tracked base of the origin's catalog,
+    which gets the base's own connection, with the log, at the origin.
     """
 
     def __init__(self, pkg):  # a packages.TaskPackage
         self.cfg: DiffConfig = pkg.diff_config
-        self._origin: Snapshot = pkg.origin_snapshot
-        self._target: Snapshot = pkg.target_snapshot
-        self._idle: list[sqlite3.Connection] = []
-        self._lock = threading.Lock()
-        conn = open_handle(self._origin.data)
+        self._target = pkg.target_snapshot
+        env, origin = pkg.env, pkg.origin_snapshot.data
+        conn = open_handle(origin)
         try:
-            self.schema = catalog_of(conn, pkg.env.schema_info)
+            self.schema = catalog_of(conn, env.schema_info)
             plan = scan_plan(self.schema, self.cfg)  # raises for an unknown excluded column
             self.tables = plan.tables
-            self.install_sql = _log_ddl(plan)
+            install = _log_ddl(plan)
             ddl = ([t.sql for t in self.schema.tables.values()]
                    + [t.body for t in self.schema.triggers])
-            self.tracked = _install_log(conn, self.schema, ddl, self.install_sql)
+            self.tracked = _install_log(conn, self.schema, ddl, install)
             self.episodic = self.tracked and not any(map(_ends_transactions, ddl))
             if self.tracked:
-                rows, signed = self.scan(conn)
+                # a fresh engine: a pooled one would keep the target's image
+                with self._target.connect() as target:
+                    self.counted = self.cfg.fk_mode == "drop" and self.schema.describes(target)
+                    rows, signed = self.scan(conn, target)
                 # a handle's first write to a table copies the table's tuple
                 # into a list, in time independent of what the call changed
                 self.rows = MappingProxyType({name: tuple(keys) for name, keys in rows.items()})
@@ -210,30 +204,35 @@ class VerificationBase:
                 self.marks = tuple(marks)
                 self.signed = None if signed is None else MappingProxyType(signed)
                 self.distance = None if signed is None else sum(map(abs, signed.values()))
-                self._idle.append(conn)
-        finally:
-            if not self._idle:  # untracked, or the build raised
-                conn.close()
+        except BaseException:
+            conn.close()
+            raise
+        if self.tracked:
+            self.pool = HandlePool.shared(conn, origin, install, (f"DELETE FROM temp.{LOG_TABLE}",))
+        else:
+            conn.close()
+            self.pool = env.pool
 
-    def scan(self, live: sqlite3.Connection):
+    def scan(self, live: sqlite3.Connection, target: sqlite3.Connection | None = None):
         """(sorted digest records per table, live-minus-target canonical counts)
         of the database behind ``live``; the counts are None when d_t needs the
-        full-scan reference."""
+        full-scan reference. The target's rows come from ``target``, a
+        connection onto its image, else from the kept ``target`` set."""
         rows, signed = {}, {}
-        with self._target.connect() as target:
-            counted = self.cfg.fk_mode == "drop" and self.schema.describes(target)
-            for t in self.tables:
-                live_rows = live.execute(t.select).fetchall()
-                rows[t.name] = sorted(map(row_record, live_rows))
-                if counted:
-                    counts = Counter(map(t.canonical, live_rows))
-                    counts.subtract(map(t.canonical, target.execute(t.select)))
-                    signed.update(((t.name, row), n) for row, n in counts.items() if n)
-        return rows, signed if counted else None
+        for t in self.tables:
+            live_rows = live.execute(t.select).fetchall()
+            rows[t.name] = sorted(map(row_record, live_rows))
+            if self.counted:
+                counts = Counter(map(t.canonical, live_rows))
+                counts.subtract(self.target.tables[t.name] if target is None
+                                else map(t.canonical, target.execute(t.select)))
+                signed.update(((t.name, row), n) for row, n in counts.items() if n)
+        return rows, signed if self.counted else None
 
     @cached_property
     def target(self) -> CanonicalRelationSet:
-        """The target's canonical relation set, for full-scan distances."""
+        """The target's canonical relation set, for full-scan distances and
+        rescans, read at first use: a base that needs neither keeps no copy."""
         return canonicalize(self._target, self.cfg)
 
     def reference_distance(self, conn: sqlite3.Connection) -> int:
@@ -241,25 +240,9 @@ class VerificationBase:
         live = canonicalize_connection(conn, self.cfg, self.schema)
         return diff_canonical(live, self.target).total
 
-    def take(self) -> "StateTracker":
-        """A new tracker at the origin, on an idle connection from the pool or
-        on a new handle connection onto the origin with the log installed."""
-        with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            conn = open_handle(self._origin.data)
-            try:
-                for sql in self.install_sql:
-                    conn.execute(sql)
-            except sqlite3.Error:
-                conn.close()
-                raise
+    def tracker(self, conn: sqlite3.Connection) -> "StateTracker":
+        """A new tracker at the origin on ``conn``, taken from ``pool``."""
         return StateTracker(conn, self)
-
-    def give_back(self, conn: sqlite3.Connection) -> None:
-        """Pool ``conn``, which a closed handle's tracker has ``rewind``-ed."""
-        with self._lock:
-            self._idle.append(conn)
 
 
 def _hash(blocks, marks, start: int, mark: int) -> tuple[list, str]:
@@ -296,11 +279,6 @@ class StateTracker:
         self._base = base
         self._episodic = base.episodic  # writes run inside the episode savepoint
         self._episode = False  # the episode savepoint is open
-        self._restore()
-
-    def _restore(self) -> None:
-        """Back to the base: the origin state, nothing copied yet."""
-        base = self._base
         self._rows: dict[str, list[bytes]] = {}  # filled on a table's first write
         self._blocks = dict(base.blocks)
         self._dirty: dict[str, int] = {}  # table -> first record that may differ
@@ -309,7 +287,7 @@ class StateTracker:
         self._signed = None if base.signed is None else dict(base.signed)
         self._distance = base.distance
         self._stale = False
-        self._seen = self.conn.total_changes
+        self._seen = conn.total_changes
 
     @property
     def pending(self) -> bool:
@@ -366,38 +344,15 @@ class StateTracker:
             self._episode = False
             self.conn.execute(f"RELEASE {EPISODE}")
 
-    def reset(self, data: bytes) -> None:
-        """Return the connection to the origin image ``data`` and the tracker to
-        the base: ``ROLLBACK TO`` inside the episode, else (once the episode
-        is settled, or on a schema that runs none) a reload of ``data`` and
-        the TEMP schema bump (``rewind``)."""
-        self.rewind(data)
-        self._restore()
-
-    def rewind(self, data: bytes) -> None:
-        """Return the connection to the origin image ``data``, its log empty.
-
-        Inside the episode that is ``ROLLBACK TO`` its savepoint, which also
-        empties the log; a handle that runs one and has not written yet is
-        already there. Otherwise ``data`` is loaded again, and then the TEMP
-        schema version is bumped: SQLite binds a TEMP trigger to its ``main``
-        table through main's in-memory schema object, and ``deserialize``
-        frees that object and builds a new one. Left as they are, the
-        triggers point at the freed object and fire only if the new one
-        happens to get its address; after a run of other allocations they
-        stay silent. The bump makes SQLite re-read the TEMP schema at the
-        next statement that touches it, which binds the triggers to the new
-        tables. That statement must come before any write: here it is the
-        log clear."""
-        conn = self.conn
+    def rewind(self) -> bool:
+        """Undo and end the episode (``ROLLBACK TO``, which also empties the
+        log, then ``RELEASE``); True when that is back at the origin, as every
+        write since the origin ran inside the episode."""
+        at_origin = self._episodic
         if self._episode:
-            conn.execute(f"ROLLBACK TO {EPISODE}")
-        if self._episodic:  # each write since the origin ran inside the episode
-            return
-        load_image(conn, data)
-        (version,) = conn.execute("PRAGMA temp.schema_version").fetchone()
-        conn.execute(f"PRAGMA temp.schema_version = {version + 1}")
-        conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
+            self.conn.execute(f"ROLLBACK TO {EPISODE}")
+        self.settle()
+        return at_origin
 
     # -- folding the log -------------------------------------------------------------
 

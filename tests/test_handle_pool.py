@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from policygym import load_package, packages, save_package, snapshots, verify
-from policygym.executor import execute_tool, open_environment_at, open_pooled_at
+from policygym.executor import execute_tool, open_environment, open_environment_at, open_pooled_at
 from policygym.fixtures import corporate_travel as ct
 from policygym.packages import ESCALATIONS_DDL, checked_canonical, compile_environment
 from policygym.snapshots import state_digest
@@ -29,6 +29,7 @@ from policygym.verify import canonicalize
 from conftest import clear_memos
 from test_cli import _blob_package
 from test_packages import _stub_round
+from test_tracker import _with_extra_escalation
 
 T_DDL = "CREATE TABLE t (a);"
 
@@ -156,26 +157,43 @@ def test_pooled_reads_equal_fresh_reads_and_only_clean_handles_go_back(images, s
             assert _closed(conn)
 
 
-def test_threads_never_hold_one_connection_at_once(images):
-    """4 threads take and give back 50 times each, switching often: no
-    connection is out to two of them at once, and each reads its own image."""
+def test_threads_never_hold_one_connection_at_once(images, travel_pkg):
+    """4 threads, switching often, each take and give back 50 times and open
+    25 tracked handles of two packages that share one pool of tracked
+    connections (the fixture's DDL, two origins): no connection is out to two
+    of them at once, and each reads its own image."""
     bundle, _, origin = images[1]
     target = images[2][2]
-    digests = {origin.data: origin.digest(), target.data: target.digest()}
+    pkgs = [travel_pkg, _with_extra_escalation(travel_pkg)]
+    assert pkgs[0].verification_base.pool is pkgs[1].verification_base.pool
+    digests = {snap.data: snap.digest()
+               for snap in (origin, target, *(pkg.origin_snapshot for pkg in pkgs))}
+    call = ct.oracle_tool_calls()[0]
     held, guard = set(), threading.Lock()
 
     def work(index: int) -> bool:
         right = True
-        for i in range(50):
-            data = (origin, target)[(index + i) % 2].data
-            conn, hit = bundle.pool.take(data)
+        for i in range(75):
+            env = None
+            if i % 3 == 2:
+                pkg = pkgs[(index + i) % 2]
+                env = open_environment(pkg)
+                conn, hit, data = env._conn, env.tracked, pkg.origin_snapshot.data
+            else:
+                data = (origin, target)[(index + i) % 2].data
+                conn, hit = bundle.pool.take(data)
             with guard:
                 right &= hit and conn not in held
                 held.add(conn)
             right &= state_digest(conn, bundle.schema_info) == digests[data]
+            if env is not None:
+                right &= execute_tool(env, call).state_digest == state_digest(conn, env.schema_info)
             with guard:
                 held.discard(conn)
-            bundle.pool.give_back(conn)
+            if env is None:
+                bundle.pool.give_back(conn)
+            else:
+                env.close()
         return right
 
     interval = sys.getswitchinterval()

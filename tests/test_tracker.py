@@ -6,6 +6,7 @@ distance with ``diff_canonical(canonicalize_connection(..), target).total``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 import random
@@ -27,6 +28,7 @@ from policygym.executor import (
     safe_execute_tool,
 )
 from policygym.packages import (
+    ESCALATIONS_DDL,
     EnvironmentBundle,
     RolloutLimits,
     TaskPackage,
@@ -325,7 +327,7 @@ def test_pooled_oracle_episodes_reload_no_image(travel_pkg, monkeypatch):
     loaded and the TEMP schema version is never written."""
     loads, statements = [], []
     load_image = snapshots.load_image
-    for module in (snapshots, tracker, executor):
+    for module in (snapshots,):
         monkeypatch.setattr(module, "load_image",
                             lambda conn, data: (loads.append(data), load_image(conn, data)))
     connect = sqlite3.connect
@@ -574,6 +576,113 @@ def test_a_closed_handle_cannot_reach_the_pooled_connection(travel_pkg):
             with pytest.raises(RuntimeError, match="closed"):
                 use()
         assert env.digest() == digest == state_digest(env.connection, env.schema_info)
+
+
+def _with_extra_escalation(pkg):
+    """``pkg`` with one more ``escalations`` row in its origin: the same
+    catalog, another origin image."""
+    with pkg.origin_snapshot.connect() as conn:
+        conn.execute("INSERT INTO escalations (summary) VALUES ('already open')")
+        origin = Snapshot(conn.serialize())
+    return dataclasses.replace(pkg, origin_snapshot=origin,
+                               delta0=diff(origin, pkg.target_snapshot, pkg.diff_config).total)
+
+
+def _log_installs(monkeypatch) -> set:
+    """A token for each connection opened from now on that installs the
+    change log (runs ``CREATE TEMP TRIGGER``), seen by a trace callback."""
+    installs, connect = set(), sqlite3.connect
+
+    def traced(*args, **kwargs):
+        conn, token = connect(*args, **kwargs), object()
+        conn.set_trace_callback(
+            lambda sql: sql.startswith("CREATE TEMP TRIGGER") and installs.add(token))
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", traced)
+    return installs
+
+
+def test_rescans_read_only_the_live_database(travel_pkg, rescans, monkeypatch):
+    """A rescan (after ``system_write``, or a change the log missed) counts
+    against the target's canonical rows, which the base reads at its first
+    rescan and keeps: the next 50 rounds of invalidate, digest and distance
+    open no image (each opened the target image at the parent), and each
+    equals the full scan."""
+    pkg = dataclasses.replace(travel_pkg)
+    scan, opened, open_image = EpisodeScan(pkg), [], snapshots.open_image
+
+    def counting(*args, **kwargs):
+        opened.append(args)
+        return open_image(*args, **kwargs)
+
+    with open_environment(pkg) as env:
+        env._tracker.invalidate()
+        scan.check(env)  # the first rescan reads the target
+        monkeypatch.setattr(snapshots, "open_image", counting)
+        for i in range(50):
+            safe_execute_tool(env, (_ROUND_WRITES + [_ROUND_REJECTED])[i % 4])
+            env._tracker.invalidate()
+            scan.check(env)
+    assert len(rescans) == 51 and opened == []
+
+
+def test_packages_of_one_catalog_share_tracked_connections(travel_pkg, monkeypatch):
+    """Packages with the fixture's DDL and different origins share one pool
+    of tracked connections. Each base installs the log on a connection of
+    its own; after that, 20 episodes of two handles open at once, of either
+    package in every pairing and with their calls interleaved, install it on
+    no other connection (at the parent each package pooled alone, so two
+    handles of one package needed a third). Every digest and d_t equals the
+    full scan, also on a connection that held the other package's origin."""
+    installs = _log_installs(monkeypatch)
+    pkgs = [dataclasses.replace(travel_pkg), _with_extra_escalation(travel_pkg)]
+    assert pkgs[0].verification_base.pool is pkgs[1].verification_base.pool
+    assert len(installs) == 2
+    scans = [EpisodeScan(pkg) for pkg in pkgs]
+    for episode, pair in enumerate([(0, 1), (0, 0), (1, 1), (1, 0)] * 5):
+        with contextlib.ExitStack() as stack:
+            envs = [stack.enter_context(open_environment(pkgs[i])) for i in pair]
+            for env, i in zip(envs, pair):
+                scans[i].check(env)
+            for call in _ROUND_WRITES + [_ROUND_REJECTED]:
+                for env, i in zip(envs, pair):
+                    safe_execute_tool(env, call)
+                    scans[i].check(env)
+            if episode % 3 == 0:
+                assert envs[0].connection  # ends the episode: its close reloads the origin
+    assert len(installs) == 2
+
+
+def test_an_origin_with_other_ddl_text_pools_its_own_connections(monkeypatch):
+    """An origin with the bundle's tables under another ``sqlite_master``
+    text (other whitespace) misses the compiled catalog, so its base pools
+    over the origin's own: 20 episodes install the log once, and every
+    digest and d_t equals the full scan."""
+    installs = _log_installs(monkeypatch)
+    schema = _SCHEMA.format(unique="")
+    pkg = _package(schema, _ORIGIN, _TARGET,
+                   DiffConfig(excluded_columns={"parents": {"id"}, "children": {"id"}}))
+    conn = sqlite3.connect(":memory:")
+    try:
+        conn.executescript(schema.replace("name TEXT NOT NULL", "name  TEXT  NOT NULL"))
+        conn.execute(ESCALATIONS_DDL)
+        conn.executescript(_ORIGIN)
+        pkg = dataclasses.replace(pkg, origin_snapshot=Snapshot(conn.serialize()))
+    finally:
+        conn.close()
+    base = pkg.verification_base
+    assert base.tracked and base.schema is not pkg.env.schema_info
+    scan = EpisodeScan(pkg)
+    calls = [ToolCall("insert_children", {"parent_id": 2, "label": "c"}),
+             ToolCall("update_parents", {"filters": {"id": 1}, "set": {"name": "al"}})]
+    for _ in range(20):
+        with open_environment(pkg) as env:
+            scan.check(env)
+            for call in calls:
+                assert safe_execute_tool(env, call).ok
+                scan.check(env)
+    assert len(installs) == 1
 
 
 # --- schemas that keep the full scan ---------------------------------------------------------
