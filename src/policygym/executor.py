@@ -18,7 +18,7 @@ from .packages import (
     ToolSpec,
     split_error_code,
 )
-from .snapshots import (Snapshot, catalog_of, insert_sql, open_handle, quote_ident, select_sql,
+from .snapshots import (Snapshot, catalog, insert_sql, open_handle, quote_ident, select_sql,
                         state_digest)
 
 if TYPE_CHECKING:
@@ -151,7 +151,7 @@ class EnvHandle:
         self._acquire()
         self.schema_info = (base.schema if base is not None
                             else bundle.schema_info if self._reusable
-                            else catalog_of(self._conn, bundle.schema_info))
+                            else catalog(self._conn, origin.data))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -173,10 +173,10 @@ class EnvHandle:
             conn.close()
             return
         if tracker is not None:
-            at = self.origin.data
+            at = self.origin
             try:
                 if not tracker.rewind():
-                    pool.load(conn, at)
+                    pool.load(conn, at.data)
             except sqlite3.Error:
                 conn.close()
                 return

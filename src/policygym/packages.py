@@ -44,10 +44,9 @@ from .snapshots import (
     SchemaInfo,
     Snapshot,
     TableInfo,
-    catalog_of,
+    catalog,
     quote_ident,
     read_schema,
-    read_triggers,
     tokenize,
 )
 from .verify import (
@@ -164,7 +163,7 @@ class EnvironmentBundle:
         return f"[\n{tools}\n]\n"
 
     @cached_property
-    def _compiled(self) -> Compiled:
+    def _compiled(self) -> tuple[SchemaInfo, Snapshot]:
         """``compile_environment`` of this bundle's DDL; raises CompileFailure."""
         return compile_environment(self.schema, self.triggers)
 
@@ -181,17 +180,18 @@ class EnvironmentBundle:
     @property
     def pool(self) -> HandlePool:
         """Idle handle connections for images of this bundle's compiled catalog,
-        shared by every bundle of the same DDL."""
-        return self._compiled.pool
+        shared by every bundle of the same DDL (``SchemaInfo.pool``)."""
+        return self.schema_info.pool()
 
     @classmethod
     def from_schema(cls, schema_sql: str, triggers_sql: str, permissions: dict[str, str],
                     error_registry: dict[str, str] | None = None) -> "EnvironmentBundle":
         """The bundle of this DDL, permissions and registry (None: an empty rule per
-        harvested ``[CODE]``), shared by every call with the same arguments, dict
-        order included; raises CompileFailure or SchemaMismatch."""
-        registry = None if error_registry is None else tuple(error_registry.items())
-        return _shared_bundle(cls, schema_sql, triggers_sql, tuple(permissions.items()), registry)
+        harvested ``[CODE]``), shared by every call with the same arguments in any
+        dict order; raises CompileFailure or SchemaMismatch."""
+        registry = None if error_registry is None else tuple(sorted(error_registry.items()))
+        return _shared_bundle(cls, schema_sql, triggers_sql, tuple(sorted(permissions.items())),
+                              registry)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -240,23 +240,11 @@ class TaskPackage:
 
 # --- compilation ------------------------------------------------------------
 
-class Compiled(tuple):
-    """``(catalog, empty image)`` of one DDL pair, and ``pool``, the idle handle
-    connections for images of that catalog."""
-
-    pool: HandlePool
-
-    def __new__(cls, schema: SchemaInfo, empty: Snapshot, pool: HandlePool):
-        compiled = super().__new__(cls, (schema, empty))
-        compiled.pool = pool
-        return compiled
-
-
 @lru_cache(maxsize=MEMO_SIZE)
-def compile_environment(schema_sql: str, triggers_sql: str) -> Compiled:
-    """Execute the DDL on a scratch in-memory engine: its catalog and the
-    serialized empty engine, with the pool of handle connections for images
-    of that catalog; raise CompileFailure.
+def compile_environment(schema_sql: str, triggers_sql: str) -> tuple[SchemaInfo, Snapshot]:
+    """Execute the DDL on a scratch in-memory engine: its catalog, interned
+    like every image's (``snapshots.catalog``), and the serialized empty
+    engine; raise CompileFailure.
 
     The one place package DDL runs. The escalations log table is added when
     the schema does not declare it. Trigger bodies are force-compiled with
@@ -280,7 +268,7 @@ def compile_environment(schema_sql: str, triggers_sql: str) -> Compiled:
         _force_compile_triggers(conn, info)
         conn.commit()
         empty = Snapshot(conn.serialize())
-        return Compiled(info, empty, HandlePool(conn, empty.data))
+        return catalog(conn, empty.data, info), empty
     finally:
         conn.close()
 
@@ -654,11 +642,12 @@ _UNREADABLE = (sqlite3.DatabaseError, UnicodeDecodeError)
 def checked_canonical(snap: Snapshot, env: EnvironmentBundle, cfg: DiffConfig,
                       label: str, run: bool = False) -> CanonicalRelationSet:
     """``canonicalize(snap, cfg)`` under the catalog of ``snap``; SchemaMismatch unless
-    the same DDL made its tables or that catalog has the tables and column types of ``env``'s.
-    An image that handles ``run`` (an origin) must also carry exactly the triggers of
-    ``env``, in order; an image that is only compared needs the tables alone.
+    that catalog has the tables and column types of ``env``'s. An image that handles
+    ``run`` (an origin) must also carry exactly the triggers of ``env``, in order; an
+    image that is only compared needs the tables alone.
     The image is read on a connection from ``env.pool``; a hit there proves all of
-    this (the image holds the compiled catalog), so the checks run only on a miss.
+    this (the image holds the compiled catalog), so the checks run only on a miss,
+    under the image's own catalog (``snapshots.catalog``).
     CorruptArtifact when SQLite cannot read the image."""
     schema = env.schema_info
     try:
@@ -668,18 +657,17 @@ def checked_canonical(snap: Snapshot, env: EnvironmentBundle, cfg: DiffConfig,
     try:
         info = schema
         if not hit:
-            info = catalog_of(conn, schema)
-            if info is not schema:
-                have, want = _schema_shape(info), _schema_shape(schema)
-                for table, cols in want.items():
-                    if table not in have:
-                        raise SchemaMismatch(f"{label}: missing table {table}")
-                    if have[table] != cols:
-                        raise SchemaMismatch(f"{label}: column mismatch in table {table}")
-                extra = set(have) - set(want)
-                if extra:
-                    raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
-            if run and read_triggers(conn) != schema.triggers:
+            info = catalog(conn, snap.data)
+            have, want = _schema_shape(info), _schema_shape(schema)
+            for table, cols in want.items():
+                if table not in have:
+                    raise SchemaMismatch(f"{label}: missing table {table}")
+                if have[table] != cols:
+                    raise SchemaMismatch(f"{label}: column mismatch in table {table}")
+            extra = set(have) - set(want)
+            if extra:
+                raise SchemaMismatch(f"{label}: unexpected table {sorted(extra)[0]}")
+            if run and info.triggers != schema.triggers:
                 raise SchemaMismatch(f"{label}: its triggers are not those of triggers.sql")
         return canonicalize_connection(conn, cfg, info)
     except _UNREADABLE as exc:  # a damaged page past the catalog

@@ -7,9 +7,9 @@ touches the file system unless a caller writes the image out.
 
 Opening a connection is cheap, but the first statement prepared on an image
 makes SQLite parse its whole catalog. A ``HandlePool`` keeps idle connections
-for the images of one compiled catalog and loads the next image into one of
-them, where the statements it has prepared run without that parse. The rule
-that keeps this correct: ``deserialize`` resets main's schema, yet a prepared
+for the images of one catalog and loads the next image into one of them,
+where the statements it has prepared run without that parse. The rule that
+keeps this correct: ``deserialize`` resets main's schema, yet a prepared
 statement (the sqlite3 module caches them by SQL text) runs on the new image
 without being prepared again whenever the schema cookie is unchanged, reading
 the root pages it was prepared against. ``CREATE TABLE t(a)`` and ``CREATE
@@ -17,6 +17,10 @@ TABLE u(b)`` both have cookie 1: after the ``u`` image is loaded, a cached
 ``SELECT * FROM t`` returns u's rows, while a new statement gets "no such
 table: t" (SQLite 3.40.1). So a connection serves an image only when the
 image's catalog is the one its statements were prepared on.
+
+``catalog`` interns each image's ``SchemaInfo`` by the key a pool checks
+(``_catalog_key``), so images share a catalog object exactly when a cached
+statement may serve them all; each catalog owns its pools.
 
 A digest hashes one record per row (``row_record``): each value's token,
 framed by its length. An ``int``, ``str``, ``None`` or ``bytes`` value, what
@@ -36,7 +40,7 @@ import re
 import sqlite3
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -116,21 +120,25 @@ def _header(data: bytes) -> bytes:
     return data[40:48] + data[56:60]
 
 
+def _catalog_key(conn: sqlite3.Connection, data: bytes) -> tuple:
+    """What a statement prepared on the image ``data``, loaded behind ``conn``,
+    depends on: its ``_header`` and every ``sqlite_master`` row in order (a
+    statement right on any image: ``sqlite_master`` is rooted at page 1)."""
+    return _header(data), tuple(conn.execute(_CATALOG_SQL))
+
+
 class HandlePool:
     """Idle handle connections (``open_handle``) for the images of one
-    catalog (``_key``): that of the database behind ``conn``, whose image is
-    ``data``. Tracked handles' pools have ``install`` and ``clear``, which
-    create and empty the change log (tracker.py).
+    catalog (``SchemaInfo.pool``), whose ``_catalog_key`` is ``key``. Tracked
+    handles' pools have ``install`` and ``clear``, which create and empty
+    the change log (tracker.py).
 
     ``take`` hands out, as it is, an idle connection that went back ``at``
-    the very image object asked for. Else it loads the image into an idle
-    connection (``load``) and checks that the image holds this catalog: the
-    same header fields (``_header``) and every ``sqlite_master`` row (type,
-    name, tbl_name, rootpage, sql) in order. That check is what keeps cached
-    statements right (module docstring), not an optimisation. Its own
-    statement is right on any image, because ``sqlite_master`` is rooted at
-    page 1 in every one. On a miss the connection is closed and a fresh one
-    opened on the image, as if there were no pool.
+    the snapshot whose very image object is asked for. Else it loads the
+    image into an idle connection (``load``) and checks that the image has
+    the pool's ``key``, which is what keeps cached statements right (module
+    docstring), not an optimisation. On a miss the connection is closed and
+    a fresh one opened on the image, as if there were no pool.
 
     Only a connection that took a hit may go back (``give_back``), and only
     outside a transaction, having run nothing but reads and writes of rows
@@ -138,7 +146,8 @@ class HandlePool:
     foreign keys are still on), with no cursor left part-read: loading an
     image under a running statement crashes the process at that statement's
     next use (SQLite 3.40.1). The pool keeps at most ``MEMO_SIZE`` idle
-    connections and closes the one idle longest beyond that.
+    connections, closing the one idle longest beyond that, and holds each
+    ``at`` snapshot weakly, so that it keeps no dropped package's image.
 
     A pooled connection serves reads, and writes whose image never leaves the
     process. A write statement the sqlite3 module cached before a
@@ -153,17 +162,11 @@ class HandlePool:
     digests) take pooled ones.
     """
 
-    def __init__(self, conn: sqlite3.Connection, data: bytes,
-                 install: tuple[str, ...] = (), clear: tuple[str, ...] = ()):
-        self._key = _header(data), tuple(conn.execute(_CATALOG_SQL))
+    def __init__(self, key: tuple, install: tuple[str, ...], clear: tuple[str, ...]):
+        self._key = key
         self._install, self._clear = install, clear
-        self._idle: list[tuple[sqlite3.Connection, bytes | None]] = []  # (connection, at)
+        self._idle: list[tuple[sqlite3.Connection, weakref.ref | None]] = []  # (connection, at)
         self._lock = threading.Lock()
-
-    def _holds(self, conn: sqlite3.Connection, data: bytes) -> bool:
-        """The image ``data``, loaded behind ``conn``, holds this pool's catalog."""
-        header, catalog = self._key
-        return _header(data) == header and tuple(conn.execute(_CATALOG_SQL)) == catalog
 
     def take(self, data: bytes) -> tuple[sqlite3.Connection, bool]:
         """A handle connection onto a copy of the image ``data``, and whether
@@ -171,20 +174,21 @@ class HandlePool:
         raises, no connection is kept."""
         with self._lock:
             idle = self._idle
-            at = next((i for i in reversed(range(len(idle))) if idle[i][1] is data), None)
+            at = next((i for i in reversed(range(len(idle)))
+                       if getattr(idle[i][1] and idle[i][1](), "data", None) is data), None)
             if at is not None:
                 return idle.pop(at)[0], True
             conn = idle.pop()[0] if idle and data else None  # deserialize refuses b""
         try:
             if conn is not None:
                 self.load(conn, data)
-                if self._holds(conn, data):
+                if _catalog_key(conn, data) == self._key:
                     return conn, True
                 conn.close()
             conn = open_handle(data)
             for sql in self._install:
                 conn.execute(sql)
-            return conn, self._holds(conn, data)
+            return conn, _catalog_key(conn, data) == self._key
         except BaseException:
             if conn is not None:  # closing twice is harmless
                 conn.close()
@@ -206,28 +210,14 @@ class HandlePool:
             for sql in self._clear:
                 conn.execute(sql)
 
-    def give_back(self, conn: sqlite3.Connection, at: bytes | None = None) -> None:
+    def give_back(self, conn: sqlite3.Connection, at: Snapshot | None = None) -> None:
         """Pool ``conn``, which took a hit (see the class docstring); ``at``
-        is the image object it holds unchanged, if any."""
+        is the snapshot whose image it holds unchanged, if any."""
         with self._lock:
-            self._idle.append((conn, at))
+            self._idle.append((conn, None if at is None else weakref.ref(at)))
             extra = self._idle.pop(0)[0] if len(self._idle) > MEMO_SIZE else None
         if extra is not None:
             extra.close()
-
-    @classmethod
-    def shared(cls, conn: sqlite3.Connection, data: bytes, install: tuple[str, ...],
-               clear: tuple[str, ...]) -> "HandlePool":
-        """The one pool of the catalog behind ``conn`` (which alone must decide
-        ``install``), kept while a caller holds it; ``conn``, a handle
-        connection onto ``data`` that has run ``install``, goes to it at ``data``."""
-        pool = cls(conn, data, install, clear)
-        pool = _SHARED.setdefault(pool._key, pool)
-        pool.give_back(conn, data)
-        return pool
-
-
-_SHARED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # pools by ``_key``
 
 
 @dataclass(frozen=True)
@@ -468,10 +458,13 @@ _TABLES_SQL = (
 @dataclass(frozen=True)
 class SchemaInfo:
     """Immutable catalog of one schema: user tables in name order and the
-    parsed triggers in creation order."""
+    parsed triggers in creation order. ``key`` is the ``_catalog_key`` it
+    was interned by (``catalog``); a catalog from ``read_schema`` alone has
+    the empty key, which no image holds."""
 
     tables: Mapping[str, TableInfo]
     triggers: tuple[TriggerInfo, ...]
+    key: tuple = field(default=(), repr=False, compare=False)
 
     def table(self, name: str) -> TableInfo | None:
         """Lookup that folds case like SQLite does for identifiers."""
@@ -489,15 +482,31 @@ class SchemaInfo:
         """``verify.scan_plan``'s memo for this catalog, by diff-config value."""
         return {}
 
-    def describes(self, conn: sqlite3.Connection) -> bool:
-        """True when ``conn`` holds exactly these tables, created by the same DDL."""
-        have = conn.execute(_TABLES_SQL).fetchall()
-        return have == [(t.name, t.sql) for t in self.tables.values()]
+    @cached_property
+    def _pools(self) -> dict:
+        return {}
+
+    def pool(self, install: tuple[str, ...] = (), clear: tuple[str, ...] = ()) -> HandlePool:
+        """This catalog's one pool whose new connections run ``install`` (which
+        alone decides ``clear``); it keeps the key, not the catalog."""
+        pools = self._pools
+        return pools.get(install) or pools.setdefault(install, HandlePool(self.key, install, clear))
 
 
-def catalog_of(conn: sqlite3.Connection, schema: SchemaInfo) -> SchemaInfo:
-    """``schema`` if the same DDL made the tables of ``conn``, else their own catalog."""
-    return schema if schema.describes(conn) else read_schema(conn)
+_CATALOGS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # by ``_catalog_key``
+_CATALOGS_LOCK = threading.Lock()
+
+
+def catalog(conn: sqlite3.Connection, data: bytes, schema: SchemaInfo | None = None) -> SchemaInfo:
+    """The catalog of the image ``data``, loaded behind ``conn``: one object per
+    ``_catalog_key`` while anything holds it. On first sight it is ``schema``,
+    when the caller has read it from ``conn`` already, else ``read_schema``."""
+    key = _catalog_key(conn, data)
+    with _CATALOGS_LOCK:
+        info = _CATALOGS.get(key)
+        if info is None:
+            info = _CATALOGS[key] = replace(schema or read_schema(conn), key=key)
+    return info
 
 
 def read_schema(conn: sqlite3.Connection) -> SchemaInfo:
@@ -529,13 +538,9 @@ def read_schema(conn: sqlite3.Connection) -> SchemaInfo:
             fks.append(ForeignKey(column=r[3], ref_table=r[2], ref_column=ref_col))
         tables[name] = TableInfo(name=name, columns=columns[name], foreign_keys=tuple(fks),
                                  sql=sql)
-    return SchemaInfo(tables=MappingProxyType(tables), triggers=read_triggers(conn))
-
-
-def read_triggers(conn: sqlite3.Connection) -> tuple[TriggerInfo, ...]:
-    """The triggers of the database behind ``conn``, parsed, in creation order."""
-    return tuple(parse_trigger(sql) for (sql,) in conn.execute(
+    triggers = tuple(parse_trigger(sql) for (sql,) in conn.execute(
         "SELECT sql FROM sqlite_master WHERE type = 'trigger' ORDER BY rowid"))
+    return SchemaInfo(tables=MappingProxyType(tables), triggers=triggers)
 
 
 # --- value normalization -------------------------------------------------------

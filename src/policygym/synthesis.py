@@ -662,7 +662,8 @@ def assemble_package(
     """Final package assembly with the two-view separation kept structural:
     the task text never references target-state internals, and the target is
     exactly the episode's executed final snapshot. SchemaMismatch unless both
-    images conform to the bundle's schema, as ``load_package`` requires."""
+    images conform to the bundle's schema and the origin carries exactly its
+    triggers, as ``load_package`` requires."""
     if not policy_doc.strip():
         raise SynthesisError("policy_doc must be non-empty")
     cfg = diff_config or default_diff_config(bundle)
@@ -670,7 +671,7 @@ def assemble_package(
     if leak is not None:
         raise SpoilerLeak(f"task text mentions {leak!r}")
     delta0 = diff_canonical(
-        checked_canonical(s_origin, bundle, cfg, "origin.db"),
+        checked_canonical(s_origin, bundle, cfg, "origin.db", run=True),
         checked_canonical(ep.s_target, bundle, cfg, "target.db")).total
     if delta0 == 0:
         warnings.warn(f"package {name!r} is trivial: origin already equals target")

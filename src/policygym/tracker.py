@@ -23,8 +23,8 @@ The base keeps the target's canonical rows from the first rescan on, after
 which a rescan reads only the live database.
 
 Installing the log costs more than a short episode's calls, so each
-connection installs it once and goes back, log empty, to the one
-``snapshots.HandlePool`` of its catalog, shared by every package.
+connection installs it once and goes back, log empty, to the tracked pool of
+the origin's own catalog (``snapshots.catalog``), shared by every package.
 
 A handle's first write opens an outer ``SAVEPOINT policygym_episode``, at
 the origin, inside which each call keeps or undoes its own nested savepoint
@@ -75,9 +75,8 @@ from types import MappingProxyType
 
 from .snapshots import (
     MEMO_SIZE,
-    HandlePool,
     SchemaInfo,
-    catalog_of,
+    catalog,
     open_handle,
     quote_ident,
     row_record,
@@ -165,22 +164,22 @@ class VerificationBase:
     handles use the full-scan reference for digest and distance alike.
     ``episodic`` is False for a schema whose DDL could end or outlive an
     episode savepoint (``_ends_transactions``); its handles close by
-    reloading the origin image. ``counted``: d_t counts against the target's
-    canonical rows (``fk_mode="drop"``, and the origin's catalog describes
-    the target); else it is a full scan.
+    reloading the origin image. Both follow ``schema``, the origin's own
+    catalog. ``counted``: d_t counts against the target's canonical rows
+    (``fk_mode="drop"``, and the target holds that catalog); else it is a
+    full scan.
 
-    ``pool`` is where handles take connections: the bundle's, or the one
-    ``HandlePool.shared`` by every tracked base of the origin's catalog,
-    which gets the base's own connection, with the log, at the origin.
+    ``pool`` is where handles take connections: that catalog's plain pool,
+    or its tracked one, which gets the base's own connection at the origin.
     """
 
     def __init__(self, pkg):  # a packages.TaskPackage
         self.cfg: DiffConfig = pkg.diff_config
         self._target = pkg.target_snapshot
-        env, origin = pkg.env, pkg.origin_snapshot.data
-        conn = open_handle(origin)
+        origin = pkg.origin_snapshot
+        conn = open_handle(origin.data)
         try:
-            self.schema = catalog_of(conn, env.schema_info)
+            self.schema = catalog(conn, origin.data)
             plan = scan_plan(self.schema, self.cfg)  # raises for an unknown excluded column
             self.tables = plan.tables
             install = _log_ddl(plan)
@@ -191,7 +190,8 @@ class VerificationBase:
             if self.tracked:
                 # a fresh engine: a pooled one would keep the target's image
                 with self._target.connect() as target:
-                    self.counted = self.cfg.fk_mode == "drop" and self.schema.describes(target)
+                    self.counted = (self.cfg.fk_mode == "drop"
+                                    and catalog(target, self._target.data) is self.schema)
                     rows, signed = self.scan(conn, target)
                 # a handle's first write to a table copies the table's tuple
                 # into a list, in time independent of what the call changed
@@ -199,7 +199,6 @@ class VerificationBase:
                 self.blocks = MappingProxyType(
                     {t.name: t.header + b"".join(rows[t.name]) for t in self.tables})
                 del rows
-                self.mark = MARK
                 marks, self.digest = _hash(self.blocks.values(), (hashlib.sha256(),), 0, MARK)
                 self.marks = tuple(marks)
                 self.signed = None if signed is None else MappingProxyType(signed)
@@ -208,10 +207,11 @@ class VerificationBase:
             conn.close()
             raise
         if self.tracked:
-            self.pool = HandlePool.shared(conn, origin, install, (f"DELETE FROM temp.{LOG_TABLE}",))
+            self.pool = self.schema.pool(install, (f"DELETE FROM temp.{LOG_TABLE}",))
+            self.pool.give_back(conn, origin)
         else:
             conn.close()
-            self.pool = env.pool
+            self.pool = self.schema.pool()
 
     def scan(self, live: sqlite3.Connection, target: sqlite3.Connection | None = None):
         """(sorted digest records per table, live-minus-target canonical counts)
@@ -315,7 +315,7 @@ class StateTracker:
                 offset += len(self._blocks[t.name])
             self._dirty.clear()
             self._marks, self._digest = _hash(
-                self._blocks.values(), self._marks, start, self._base.mark)
+                self._blocks.values(), self._marks, start, MARK)
         return self._digest
 
     def distance(self) -> int:

@@ -52,7 +52,7 @@ def _warm_pool(ddl: str):
     """The pool of ``ddl``, holding one connection that ran ``SELECT * FROM t``
     on an image of ``ddl``."""
     clear_memos()
-    pool = compile_environment(ddl, "").pool
+    pool = compile_environment(ddl, "")[0].pool()
     conn, hit = pool.take(_image(ddl, "INSERT INTO t VALUES ('t-row');"))
     assert hit
     assert conn.execute("SELECT * FROM t").fetchall() == [("t-row",)]
@@ -285,7 +285,7 @@ def test_a_reset_handle_writes_the_bytes_of_a_fresh_one(travel_pkg, fixture_dir)
 def test_stub_rounds_with_writes_between_them_save_the_bytes_of_the_first(tmp_path):
     """Between two in-process stub rounds the oracle calls run 4 times on the
     round's DDL; every saved file and the synthesis log stay those of round 1."""
-    clear_memos()  # a new pool, which only these rounds use
+    clear_memos()  # cold memos; the DDL's catalog and pools live while any bundle holds them
     rounds = []
     for index in range(3):
         port = StubGenerationPort(ct.canned_generation_outputs())

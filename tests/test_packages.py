@@ -39,7 +39,7 @@ from policygym.packages import (
     harvest_error_codes,
     trigger_annotations,
 )
-from policygym.snapshots import read_schema
+from policygym.snapshots import catalog, read_schema
 from policygym.synthesis import StubGenerationPort, synthesize_package
 from policygym.verify import diff
 
@@ -366,9 +366,9 @@ def test_an_image_of_the_same_shape_from_other_ddl_is_accepted(fixture_dir, trav
     shutil.copytree(fixture_dir, other)
     _recreate_with_other_ddl(other / "target.db")
     pkg = load_package(other)
-    with pkg.target_snapshot.connect() as conn:
-        assert not pkg.env.schema_info.describes(conn)
     assert len(read_schema_calls) == 2  # the compile, then the target's own catalog
+    with pkg.target_snapshot.connect() as conn:
+        assert catalog(conn, pkg.target_snapshot.data) is not pkg.env.schema_info
     assert pkg.delta0 == diff(travel_pkg.origin_snapshot, pkg.target_snapshot,
                               pkg.diff_config).total == 4
 
@@ -405,6 +405,22 @@ def test_loading_one_package_twice_shares_one_bundle(fixture_dir, travel_pkg):
     a, b = load_package(fixture_dir), load_package(fixture_dir)
     assert a.env is b.env
     assert a is not b and a == b == travel_pkg
+
+
+def test_permissions_and_registry_in_any_order_share_one_bundle(fixture_dir):
+    """The bundle memo keys permissions and registry in sorted order, so the
+    fixture's own bundle is the one its loaded package gets (whose manifest
+    lists both sorted); a registry of None stays a bundle of its own."""
+    reordered = [dict(reversed(d.items())) for d in (corporate_travel.PERMISSIONS,
+                                                     corporate_travel.ERROR_HINTS)]
+    assert list(reordered[0]) != list(corporate_travel.PERMISSIONS)
+    bundle = corporate_travel.build_bundle()
+    assert EnvironmentBundle.from_schema(corporate_travel.SCHEMA_SQL,
+                                         corporate_travel.TRIGGERS_SQL, *reordered) is bundle
+    assert load_package(fixture_dir).env is bundle
+    harvested = EnvironmentBundle.from_schema(corporate_travel.SCHEMA_SQL,
+                                              corporate_travel.TRIGGERS_SQL, reordered[0])
+    assert harvested is not bundle
 
 
 def test_threads_loading_one_package_at_once_get_equal_packages(fixture_dir, travel_pkg):

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import re
 import sqlite3
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from policygym.errors import CompileFailure
+from policygym.executor import open_environment_at
 from policygym.packages import compile_environment, derive_tools
-from policygym.snapshots import TriggerInfo, parse_trigger, quote_ident, read_schema
+from policygym.snapshots import TriggerInfo, catalog, parse_trigger, quote_ident, read_schema
 
 from conftest import snapshot_from_sql
 from test_savepoints import _SCHEMA as ACCOUNTS_SCHEMA, _TRIGGERS as ACCOUNTS_TRIGGERS
@@ -54,7 +58,7 @@ def test_fixture_catalog_matches_pragmas(travel_pkg):
     schema = travel_pkg.env.schema_info
     with travel_pkg.origin_snapshot.connect() as conn:
         assert _catalog(schema) == _pragma_catalog(conn)
-        assert schema.describes(conn)
+        assert catalog(conn, travel_pkg.origin_snapshot.data) is schema
         assert read_schema(conn) == schema
         sql = dict(conn.execute("SELECT name, sql FROM sqlite_master WHERE type = 'table'"))
     assert list(schema.tables) == sorted(schema.tables)
@@ -83,7 +87,54 @@ def test_canonical_remap_schema_catalog_matches_pragmas():
 def test_describes_rejects_other_ddl(travel_pkg):
     other = snapshot_from_sql([PAIR_SCHEMA])
     with other.connect() as conn:
-        assert not travel_pkg.env.schema_info.describes(conn)
+        assert catalog(conn, other.data) is not travel_pkg.env.schema_info
+
+
+def test_images_of_one_ddl_share_one_catalog(travel_pkg):
+    """``catalog`` interns by what a cached statement depends on, so the
+    compiled catalog is the one object of the empty image, an origin, a
+    target and a fresh handle's image; other DDL text or one more trigger
+    gets another, which serves each image of its own."""
+    env = travel_pkg.env
+    schema = env.schema_info
+    for snap in (env.empty_snapshot, travel_pkg.origin_snapshot, travel_pkg.target_snapshot):
+        with snap.connect() as conn:
+            assert catalog(conn, snap.data) is schema
+    with open_environment_at(env, travel_pkg.origin_snapshot) as handle:
+        assert handle.schema_info is schema
+    with travel_pkg.origin_snapshot.connect() as conn:
+        conn.execute("CREATE TRIGGER one_more AFTER INSERT ON escalations BEGIN SELECT 1; END")
+        one_more = conn.serialize()
+        assert catalog(conn, one_more) is not schema
+        assert catalog(conn, one_more) is catalog(conn, one_more)
+    other_text, empty = compile_environment(env.schema.replace("(", "(\n", 1), env.triggers)
+    assert other_text is not schema and other_text.tables.keys() == schema.tables.keys()
+    with empty.connect() as conn:
+        assert catalog(conn, empty.data) is other_text
+
+
+def test_threads_reading_one_new_catalog_at_once_get_one_object():
+    """20 times over, 8 threads on two cores, switching often, each read the
+    catalog of one new image on a connection of their own, all at once,
+    before any catalog of it exists: every thread gets the same object."""
+    start = threading.Barrier(8)
+
+    def read(snap):
+        with snap.connect() as conn:
+            start.wait(timeout=60)
+            return catalog(conn, snap.data)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            for race in range(20):
+                snap = snapshot_from_sql([f"CREATE TABLE raced_{race} (a, b);"])
+                found = list(pool.map(read, [snap] * 8, timeout=60))
+                assert all(info is found[0] for info in found)
+                assert list(found[0].tables) == [f"raced_{race}"]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _TRIGGER_CASES = [

@@ -457,17 +457,25 @@ def test_assemble_package_round_trips_and_flags_trivial(tmp_path):
 
 def test_assemble_package_refuses_an_image_that_does_not_conform():
     """A target whose table has the bundle's column names but not its column
-    types fails the check that ``load_package`` makes, before any diff."""
+    types, and an origin with one trigger more than the bundle's, fail the
+    checks that ``load_package`` makes, before any diff."""
     bundle = ct.build_bundle()
     origin = ct.build_origin_snapshot(bundle)
     with origin.connect() as conn:
         conn.executescript("DROP TABLE escalations; CREATE TABLE escalations "
                            "(id INTEGER PRIMARY KEY AUTOINCREMENT, summary BLOB NOT NULL);")
-        other = snapshots.Snapshot.from_connection(conn)
-    episode = RawEpisode(transcript=(EpisodeMessage("client", "nothing"),), actions=(),
-                         s_target=other, goal="noop")
-    with pytest.raises(SchemaMismatch, match="target.db: column mismatch in table escalations"):
-        assemble_package(bundle, ct.POLICY_MD, origin, episode, "GOAL: noop\n")
+        other_types = snapshots.Snapshot.from_connection(conn)
+    with origin.connect() as conn:
+        conn.execute("CREATE TRIGGER no_escalations BEFORE INSERT ON escalations BEGIN "
+                     "SELECT RAISE(ROLLBACK, 'closed'); END")
+        one_more_trigger = snapshots.Snapshot.from_connection(conn)
+    for s_origin, s_target, error in [
+            (origin, other_types, "target.db: column mismatch in table escalations"),
+            (one_more_trigger, origin, "origin.db: its triggers are not those of triggers.sql")]:
+        episode = RawEpisode(transcript=(EpisodeMessage("client", "nothing"),), actions=(),
+                             s_target=s_target, goal="noop")
+        with pytest.raises(SchemaMismatch, match=error):
+            assemble_package(bundle, ct.POLICY_MD, s_origin, episode, "GOAL: noop\n")
 
 
 def test_synthesize_package_end_to_end_ground_truth_non_drift(tmp_path):

@@ -627,6 +627,50 @@ def test_rescans_read_only_the_live_database(travel_pkg, rescans, monkeypatch):
     assert len(rescans) == 51 and opened == []
 
 
+def test_an_idle_connection_keeps_no_dropped_origin_image(travel_pkg):
+    """A package copy with its own origin opens and closes one handle, whose
+    connection goes back to its catalog's tracked pool at that origin, and
+    is dropped: no idle entry then holds its image bytes, directly or
+    through a snapshot it still reaches (at the parent the idle entry held
+    the bytes until the connection was taken for another image)."""
+    pkg = _with_extra_escalation(travel_pkg)
+    data, pool = pkg.origin_snapshot.data, pkg.verification_base.pool
+    with open_environment(pkg) as env:
+        assert env.tracked and safe_execute_tool(env, _ROUND_WRITES[0]).ok
+    assert pool._idle
+    del pkg, env
+    gc.collect()
+    held = [obj for entry in pool._idle for obj in gc.get_referents(entry)]
+    held += [ref() for ref in held if isinstance(ref, weakref.ref)]
+    assert not [obj for obj in held if obj is data or getattr(obj, "data", None) is data]
+
+
+def test_an_origin_with_one_more_trigger_runs_episodes_by_its_own_triggers(travel_pkg):
+    """The fixture's origin plus one ``BEFORE INSERT ON escalations`` trigger
+    that raises ROLLBACK holds every table of the bundle, but its catalog is
+    its own, so its base opens no episode savepoint (which the trigger would
+    undo whole). After the oracle calls, the refused escalation undoes only
+    itself: digest and d_t equal the full scan (at the parent the base took
+    the compiled catalog and its triggers, and the tracker kept the oracle
+    writes that the ROLLBACK had undone, reading d_t 0 against 4)."""
+    with travel_pkg.origin_snapshot.connect() as conn:
+        conn.execute("CREATE TRIGGER no_escalations BEFORE INSERT ON escalations BEGIN "
+                     "SELECT RAISE(ROLLBACK, '[NO_ESCALATION] escalations are closed'); END")
+        origin = Snapshot(conn.serialize())
+    pkg = dataclasses.replace(travel_pkg, origin_snapshot=origin)
+    base = pkg.verification_base
+    assert base.tracked and not base.episodic
+    assert base.schema is not travel_pkg.env.schema_info
+    with open_environment(pkg) as env:
+        for call in ct.oracle_tool_calls():
+            assert safe_execute_tool(env, call).ok
+        refused = safe_execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "x"}))
+        assert refused.error.code == "NO_ESCALATION"
+        conn = _live(env)
+        assert env.digest() == state_digest(conn, env.schema_info) == refused.state_digest
+        assert env.distance() == base.reference_distance(conn) == 0
+
+
 def test_packages_of_one_catalog_share_tracked_connections(travel_pkg, monkeypatch):
     """Packages with the fixture's DDL and different origins share one pool
     of tracked connections. Each base installs the log on a connection of
