@@ -307,7 +307,10 @@ def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHan
     """Live environment starting from an arbitrary snapshot (seeding, the
     explorer, fixture builds). It has no target and digests by full scan,
     once per call. Its connection is a fresh engine, so the images it writes
-    are the same bytes in any process state."""
+    are the same bytes in any process state. A synthesized task opens one at
+    the empty image, seeds on it and runs its explorer on it from there: an
+    engine that loads no image after its first statement writes the bytes
+    of a fresh engine at each of its states (see ``snapshots.HandlePool``)."""
     return EnvHandle(bundle, snapshot)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..executor import ToolCall, open_environment_at
+from ..executor import EnvHandle, ToolCall, open_environment_at
 from ..packages import (
     READ_ONLY,
     READ_WRITE,
@@ -25,10 +25,10 @@ from ..packages import (
 from ..snapshots import Snapshot
 from ..synthesis import (
     StubGenerationPort,
+    _explore_on,
     apply_seed_proposals,
     assemble_package,
     build_redaction_list,
-    explore_episode,
     project_user_view,
 )
 from ..verify import DiffConfig
@@ -827,10 +827,15 @@ def build_origin_snapshot(bundle: EnvironmentBundle | None = None) -> Snapshot:
     """Seed the boundary-adjacent origin state through the live engine."""
     bundle = bundle or build_bundle()
     with open_environment_at(bundle, bundle.empty_snapshot) as env:
-        committed, rejected = apply_seed_proposals(env, SEED_PROPOSALS)
-        if rejected:
-            raise RuntimeError(f"fixture seed rejected: {rejected[0]}")
-        return env.snapshot()
+        return _seed_origin(env)
+
+
+def _seed_origin(env: EnvHandle) -> Snapshot:
+    """Seed the origin on ``env``, an open handle at the bundle's empty image."""
+    committed, rejected = apply_seed_proposals(env, SEED_PROPOSALS)
+    if rejected:
+        raise RuntimeError(f"fixture seed rejected: {rejected[0]}")
+    return env.snapshot()
 
 
 def oracle_tool_calls() -> list[ToolCall]:
@@ -843,11 +848,13 @@ def oracle_tool_calls() -> list[ToolCall]:
 
 def build_task_package() -> TaskPackage:
     """Assemble the full in-memory package through the synthesis stages; the
-    target is the explorer scripts' episode, run for real from the origin."""
+    target is the explorer scripts' episode, run for real from the origin on
+    the engine that seeded it (as in ``synthesis.synthesize_package``)."""
     bundle = build_bundle()
-    origin = build_origin_snapshot(bundle)
     port = StubGenerationPort(canned_generation_outputs())
-    episode = explore_episode(bundle, origin, port, port, LIMITS)
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
+        origin = _seed_origin(env)
+        episode = _explore_on(env, port, port, LIMITS)
     for call, result in episode.actions:
         if result.status != "success":
             raise RuntimeError(f"oracle action {call.tool_name} failed: {result.error}")

@@ -159,7 +159,10 @@ class HandlePool:
     builds: ``executor.open_environment_at``) write on fresh connections,
     while boundary probes (every write undone), ``checked_canonical`` and the
     untracked handles of a package (whose images leave the process only as
-    digests) take pooled ones.
+    digests) take pooled ones. A synthesized task seeds its origin and runs
+    its explorer on one fresh connection, which loads no image after its
+    first statement, so every statement it caches was prepared on its own
+    history and its images are the bytes of a fresh connection for each.
     """
 
     def __init__(self, key: tuple, install: tuple[str, ...], clear: tuple[str, ...]):
@@ -249,8 +252,9 @@ class Snapshot:
             conn.close()
 
     def digest(self) -> str:
+        """``state_digest`` of the image, read through its interned catalog."""
         with self.connect() as conn:
-            return state_digest(conn)
+            return state_digest(conn, catalog(conn, self.data))
 
 
 # --- SQL tokens ------------------------------------------------------------------

@@ -383,7 +383,16 @@ def seed_initial_state(
     port: GenerationPort,
     seed: int = 0,
 ) -> Snapshot:
-    """Build the origin snapshot from port-proposed rows filtered by triggers."""
+    """Build the origin snapshot from port-proposed rows filtered by triggers,
+    on a fresh engine of its own (``synthesize_package`` seeds on the engine
+    its explorer then continues on)."""
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
+        return _seed_on(env, strategy_cfg, port, seed)
+
+
+def _seed_on(env: EnvHandle, strategy_cfg: dict, port: GenerationPort, seed: int) -> Snapshot:
+    """``seed_initial_state`` on ``env``, an open handle at its bundle's empty image."""
+    bundle = env.bundle
     context = {
         "strategies": strategy_cfg.get("strategies",
                                        ["trade-offs", "distractors", "substitutes", "noise"]),
@@ -406,14 +415,13 @@ def seed_initial_state(
             raise SynthesisError(f"seed_state proposal {i} must be an object with a string "
                                  "'table' and a list of row objects under 'rows'")
 
-    with open_environment_at(bundle, bundle.empty_snapshot) as env:
-        committed, rejected = apply_seed_proposals(env, proposals)
-        proposed_tables = {p["table"] for p in proposals if p.get("rows")}
-        for table in strategy_cfg.get("required_tables", sorted(proposed_tables)):
-            if committed.get(table, 0) == 0:
-                detail = next((r["error"] for r in rejected if r["table"] == table), "no proposals")
-                raise SeedRejected(f"table {table}: {detail}")
-        return env.snapshot()
+    committed, rejected = apply_seed_proposals(env, proposals)
+    proposed_tables = {p["table"] for p in proposals if p.get("rows")}
+    for table in strategy_cfg.get("required_tables", sorted(proposed_tables)):
+        if committed.get(table, 0) == 0:
+            detail = next((r["error"] for r in rejected if r["table"] == table), "no proposals")
+            raise SeedRejected(f"table {table}: {detail}")
+    return env.snapshot()
 
 
 # --- boundary probing ------------------------------------------------------------------
@@ -496,8 +504,17 @@ def explore_episode(
     Consultant writes feed their structured error payloads back into the
     next generation context; the episode diverges after
     ``repetition_threshold`` consecutive identical rejected writes or when
-    the turn budget runs out before the client confirms the goal.
+    the turn budget runs out before the client confirms the goal. It runs on
+    a fresh engine at ``s_origin`` (``synthesize_package`` continues on the
+    engine that seeded ``s_origin`` instead).
     """
+    with open_environment_at(bundle, s_origin) as env:
+        return _explore_on(env, client_port, consultant_port, limits, seed, repetition_threshold)
+
+
+def _explore_on(env: EnvHandle, client_port: GenerationPort, consultant_port: GenerationPort,
+                limits: RolloutLimits, seed: int = 0, repetition_threshold: int = 3) -> RawEpisode:
+    """``explore_episode`` on ``env``, an open handle at the origin."""
     transcript: list[EpisodeMessage] = []
     actions: list[tuple[ToolCall, ToolResult]] = []
     goal = ""
@@ -506,59 +523,56 @@ def explore_episode(
     repeat_count = 0
     confirmed = False
 
-    with open_environment_at(bundle, s_origin) as env:
-        for _ in range(limits.max_turns):
-            context = {
-                "transcript": [{"speaker": m.speaker, "text": m.text} for m in transcript],
-                "goal": goal,
-                "last_error": last_error,
-            }
-            client_doc = _parse_port_doc(client_port.generate("client", context, seed), "client")
-            message = str(client_doc.get("message", ""))
-            if client_doc.get("goal"):
-                goal = str(client_doc["goal"])
-            transcript.append(EpisodeMessage(speaker="client", text=message))
-            if client_doc.get("stop"):
-                confirmed = True
-                break
+    for _ in range(limits.max_turns):
+        context = {
+            "transcript": [{"speaker": m.speaker, "text": m.text} for m in transcript],
+            "goal": goal,
+            "last_error": last_error,
+        }
+        client_doc = _parse_port_doc(client_port.generate("client", context, seed), "client")
+        message = str(client_doc.get("message", ""))
+        if client_doc.get("goal"):
+            goal = str(client_doc["goal"])
+        transcript.append(EpisodeMessage(speaker="client", text=message))
+        if client_doc.get("stop"):
+            confirmed = True
+            break
 
-            context["transcript"] = [{"speaker": m.speaker, "text": m.text} for m in transcript]
-            consultant_doc = _parse_port_doc(
-                consultant_port.generate("consultant", context, seed), "consultant"
-            )
-            call_docs = consultant_doc.get("tool_calls", [])
-            if not isinstance(call_docs, list) or not all(
-                isinstance(doc, dict) and "tool_name" in doc
-                and isinstance(doc.get("arguments", {}), dict) for doc in call_docs
-            ):
-                raise SynthesisError("consultant port: tool_calls must be a list of objects "
-                                     "with a 'tool_name' and an 'arguments' object")
-            for call_doc in call_docs:
-                call = ToolCall.from_json(call_doc)
-                result = safe_execute_tool(env, call)
-                actions.append((call, result))
-                if result.status == "error":
-                    last_error = result.error.to_json()
-                    key = (call.tool_name, json.dumps(call.arguments, sort_keys=True, default=str))
-                    repeat_count = repeat_count + 1 if key == repeat_key else 1
-                    repeat_key = key
-                    if repeat_count >= repetition_threshold:
-                        raise ExplorationDiverged(
-                            f"{repeat_count} consecutive identical rejected writes: {call.tool_name}"
-                        )
-                else:
-                    last_error = None
-                    repeat_key = None
-                    repeat_count = 0
-            transcript.append(
-                EpisodeMessage(speaker="consultant", text=str(consultant_doc.get("message", "")))
-            )
-        if not confirmed:
-            raise ExplorationDiverged("turn limit reached without goal confirmation")
-        s_target = env.snapshot()
-
+        context["transcript"] = [{"speaker": m.speaker, "text": m.text} for m in transcript]
+        consultant_doc = _parse_port_doc(
+            consultant_port.generate("consultant", context, seed), "consultant"
+        )
+        call_docs = consultant_doc.get("tool_calls", [])
+        if not isinstance(call_docs, list) or not all(
+            isinstance(doc, dict) and "tool_name" in doc
+            and isinstance(doc.get("arguments", {}), dict) for doc in call_docs
+        ):
+            raise SynthesisError("consultant port: tool_calls must be a list of objects "
+                                 "with a 'tool_name' and an 'arguments' object")
+        for call_doc in call_docs:
+            call = ToolCall.from_json(call_doc)
+            result = safe_execute_tool(env, call)
+            actions.append((call, result))
+            if result.status == "error":
+                last_error = result.error.to_json()
+                key = (call.tool_name, json.dumps(call.arguments, sort_keys=True, default=str))
+                repeat_count = repeat_count + 1 if key == repeat_key else 1
+                repeat_key = key
+                if repeat_count >= repetition_threshold:
+                    raise ExplorationDiverged(
+                        f"{repeat_count} consecutive identical rejected writes: {call.tool_name}"
+                    )
+            else:
+                last_error = None
+                repeat_key = None
+                repeat_count = 0
+        transcript.append(
+            EpisodeMessage(speaker="consultant", text=str(consultant_doc.get("message", "")))
+        )
+    if not confirmed:
+        raise ExplorationDiverged("turn limit reached without goal confirmation")
     return RawEpisode(transcript=tuple(transcript), actions=tuple(actions),
-                      s_target=s_target, goal=goal)
+                      s_target=env.snapshot(), goal=goal)
 
 
 # --- user-view projection --------------------------------------------------------------
@@ -706,6 +720,12 @@ def synthesize_package(
 ) -> tuple[TaskPackage, dict]:
     """Architect -> verify -> seed -> probe -> explore -> project -> assemble.
 
+    Seeding and the explorer share one fresh engine (``open_environment_at``
+    at the empty image), so a task pays one schema parse; the probes run in
+    between on a pooled copy of ``s_origin``, never on that engine. Its
+    images are the bytes that ``seed_initial_state`` and ``explore_episode``
+    write, each on an engine of its own (see ``snapshots.HandlePool``).
+
     Returns the package plus a stage log (reports, adjacency score and the
     executed episode actions for ground-truth replay checks).
     """
@@ -717,13 +737,14 @@ def synthesize_package(
         raise CompilationExhausted(
             f"environment failed physical verification: {gate.physical_message}", report=gate
         )
-    s_origin = seed_initial_state(result.bundle, strategy_cfg, port, seed=seed)
-    probe = probe_boundary_adjacency(
-        result.bundle, s_origin, probe_budget, strategy_cfg.get("probe_specs")
-    )
     limits = limits or RolloutLimits()
-    episode = explore_episode(result.bundle, s_origin, port, port, limits, seed=seed,
-                              repetition_threshold=strategy_cfg.get("repetition_threshold", 3))
+    with open_environment_at(result.bundle, result.bundle.empty_snapshot) as env:
+        s_origin = _seed_on(env, strategy_cfg, port, seed)
+        probe = probe_boundary_adjacency(
+            result.bundle, s_origin, probe_budget, strategy_cfg.get("probe_specs")
+        )
+        episode = _explore_on(env, port, port, limits, seed,
+                              strategy_cfg.get("repetition_threshold", 3))
     redaction = build_redaction_list(result.bundle, episode,
                                      strategy_cfg.get("redaction_extra", ()))
     task_text = project_user_view(episode, redaction)

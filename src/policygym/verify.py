@@ -21,6 +21,7 @@ from .snapshots import (
     SchemaInfo,
     Snapshot,
     TableInfo,
+    catalog,
     normalize_value,
     quote_ident,
     read_schema,
@@ -292,9 +293,11 @@ def canonicalize_connection(
 
 
 def canonicalize(snapshot: Snapshot, cfg: DiffConfig) -> CanonicalRelationSet:
-    """Canonical relation set of a snapshot (NULL equals only NULL)."""
+    """Canonical relation set of a snapshot (NULL equals only NULL). Its
+    catalog is the image's interned one (``snapshots.catalog``), so the scan
+    plan is built once per catalog, not once per call."""
     with snapshot.connect() as conn:
-        return canonicalize_connection(conn, cfg)
+        return canonicalize_connection(conn, cfg, catalog(conn, snapshot.data))
 
 
 def diff_canonical(a: CanonicalRelationSet, b: CanonicalRelationSet) -> SnapshotDiff:

@@ -207,15 +207,16 @@ def test_threads_never_hold_one_connection_at_once(images, travel_pkg):
 
 # --- count guard: connections a warm stub round opens -----------------------------------------
 
-_STAGES = ("verify_environment", "seed_initial_state", "probe_boundary_adjacency",
-           "explore_episode", "assemble_package", "load_package")
+_STAGES = ("synthesize_package", "verify_environment", "seed_initial_state",
+           "probe_boundary_adjacency", "explore_episode", "assemble_package", "load_package")
 
 
-def test_a_warm_stub_round_opens_at_most_two_connections(tmp_path, monkeypatch):
-    """Seeding and the explorer write the images a package saves, so each opens
-    a fresh engine (``open_environment_at``). Probing, ``assemble_package`` and
-    ``load_package`` load their images into the DDL's warm connection, and the
-    gate's report is kept from the first round."""
+def test_a_warm_stub_round_opens_one_connection(tmp_path, monkeypatch):
+    """Seeding and the explorer write the images a package saves, so they run
+    on a fresh engine (``open_environment_at``), one they share: the explorer
+    continues on the engine that seeded its origin. Probing,
+    ``assemble_package`` and ``load_package`` load their images into the
+    DDL's warm connection, and the gate's report is kept from the first round."""
     _stub_round(tmp_path / "warm-up")
     opened, open_image = [], snapshots.open_image
 
@@ -227,7 +228,7 @@ def test_a_warm_stub_round_opens_at_most_two_connections(tmp_path, monkeypatch):
     monkeypatch.setattr(snapshots, "open_image", counting)
     pkg, loaded = _stub_round(tmp_path / "counted")
     assert loaded == pkg
-    assert opened == ["seed_initial_state", "explore_episode"]  # 8 when every stage opened its own
+    assert opened == ["synthesize_package"]  # 8 when every stage opened its own, then 2
 
 
 def test_a_warm_stub_round_builds_no_scan_plan_and_serializes_no_tool_catalog(

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from policygym import load_package
+from policygym import load_package, snapshots, verify
 from policygym.packages import compile_environment
 from policygym.snapshots import (
     Snapshot,
@@ -37,6 +37,7 @@ from policygym.verify import (
     CanonicalRelationSet,
     DiffConfig,
     TablePlan,
+    canonicalize,
     canonicalize_connection,
     scan_plan,
 )
@@ -193,6 +194,29 @@ def test_the_fixture_scans_as_the_references_do(travel_pkg, fk_mode, float_compa
                      fk_mode=fk_mode, float_compare=float_compare)
     for image in (travel_pkg.origin_snapshot, travel_pkg.target_snapshot):
         _assert_scans_equal(image, cfg, travel_pkg.env.schema_info)
+
+
+def test_canonicalize_and_snapshot_digest_read_the_interned_catalog(travel_pkg, monkeypatch):
+    """``canonicalize`` and ``Snapshot.digest`` take an image's catalog from
+    ``snapshots.catalog``, which the package's bundle holds, so a second call
+    on the image reads no catalog with ``read_schema`` and builds no scan
+    plan; both still equal the ``read_schema`` path they replace."""
+    cfg = travel_pkg.diff_config
+    images = (travel_pkg.env.empty_snapshot, travel_pkg.origin_snapshot,
+              travel_pkg.target_snapshot)
+    first = [(canonicalize(image, cfg), image.digest()) for image in images]
+    reads, plans, read, build = [], [], snapshots.read_schema, verify.ScanPlan
+    monkeypatch.setattr(snapshots, "read_schema", lambda conn: reads.append(conn) or read(conn))
+    monkeypatch.setattr(verify, "read_schema", snapshots.read_schema)
+    monkeypatch.setattr(verify, "ScanPlan", lambda *args: plans.append(args) or build(*args))
+    again = [(canonicalize(image, cfg), image.digest()) for image in images]
+    assert reads == [] and plans == []
+    monkeypatch.undo()
+    for image, pair in zip(images, first):
+        with image.connect() as conn:
+            schema = read_schema(conn)
+            assert pair == (canonicalize_connection(conn, cfg, schema), state_digest(conn, schema))
+    assert again == first
 
 
 @pytest.mark.parametrize("fk_mode, float_compare", CONFIG_MODES)

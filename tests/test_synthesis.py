@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sqlite3
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from policygym.synthesis import (
     EpisodeMessage,
     RawEpisode,
     StubGenerationPort,
+    apply_seed_proposals,
     architect_compile,
     assemble_package,
     build_redaction_list,
@@ -582,3 +584,92 @@ def test_stages_on_a_compiled_bundle_do_not_compile(compiles):
     origin = seed_initial_state(bundle, {}, stub_port())
     probe_boundary_adjacency(bundle, origin, probe_budget=8)
     assert compiles() == 1
+
+
+# --- seeding and the explorer share one engine ------------------------------------------------
+
+def _with_rejected_seed_rows() -> dict:
+    """The stub's outputs with two more proposed seed rows, which the engine
+    rejects: a CHECK failure and a trigger's RAISE."""
+    proposals = json.loads(ct.canned_generation_outputs()["seed_state"][0])
+    rows = {p["table"]: p["rows"] for p in proposals}
+    rows["companies"].append({"id": "comp_gamma", "name": "Gamma", "active": 7})
+    rows["flight_bookings"].append({"travel_request_id": 1, "flight_code": "FL-BAD", "cost": 50,
+                                    "class": "ECONOMY", "departure_step": 30,
+                                    "booking_step": 12})
+    bundle = ct.build_bundle()
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
+        assert len(apply_seed_proposals(env, proposals)[1]) == 2
+    return {**ct.canned_generation_outputs(), "seed_state": [json.dumps(proposals)]}
+
+
+def _two_engine_round(outputs: dict) -> tuple[packages.TaskPackage, dict]:
+    """``synthesize_package`` as its public stages run it, seeding and the
+    explorer each on a fresh engine of its own."""
+    port = StubGenerationPort(outputs)
+    result = architect_compile(ct.SEED_DOMAIN_TEXT, port, 3)
+    gate = verify_environment(result.bundle)
+    origin = seed_initial_state(result.bundle, {}, port)
+    probe = probe_boundary_adjacency(result.bundle, origin, 32)
+    episode = explore_episode(result.bundle, origin, port, port, ct.LIMITS)
+    redaction = build_redaction_list(result.bundle, episode)
+    pkg = assemble_package(result.bundle, result.policy_doc, origin, episode,
+                           project_user_view(episode, redaction), name="x", limits=ct.LIMITS,
+                           redaction_list=redaction)
+    return pkg, {
+        "stages": [r.to_json() for r in result.reports] + [gate.to_json()],
+        "adjacency_score": probe.adjacency_score,
+        "probes": list(probe.probes),
+        "goal": episode.goal,
+        "actions": [{"tool_call": call.to_json(), "result": res.to_json()}
+                    for call, res in episode.actions],
+        "delta0": pkg.delta0,
+    }
+
+
+@pytest.mark.parametrize("outputs", [ct.canned_generation_outputs, _with_rejected_seed_rows],
+                         ids=["stub", "rejected-seed-rows"])
+def test_the_shared_engine_saves_the_bytes_of_two_engines(tmp_path, outputs):
+    """The explorer continues on the engine that seeded its origin; the saved
+    package (every file, ``origin.db`` and ``target.db`` included) and the
+    synthesis log are those of a fresh engine for each, rounds alternating
+    from cold memos."""
+    clear_memos()
+    rounds = []
+    for index in range(4):
+        if index % 2:
+            pkg, log = _two_engine_round(outputs())
+        else:
+            pkg, log = synthesize_package(ct.SEED_DOMAIN_TEXT, StubGenerationPort(outputs()),
+                                          name="x", limits=ct.LIMITS)
+        save_package(pkg, tmp_path / str(index))
+        rounds.append(({f.name: f.read_bytes() for f in (tmp_path / str(index)).iterdir()},
+                       json.dumps(log, sort_keys=True)))
+    assert rounds[1:] == [rounds[0]] * 3
+
+
+def _diverging() -> dict:
+    """The stub's outputs with a client that never confirms its goal."""
+    return {**ct.canned_generation_outputs(),
+            "client": [json.dumps({"message": f"still thinking {i}", "stop": False})
+                       for i in range(4)],
+            "consultant": [json.dumps({"message": "ok", "tool_calls": []})] * 4}
+
+
+@pytest.mark.parametrize("outputs, cfg, error", [
+    (ct.canned_generation_outputs, {"required_tables": ["escalations"]}, SeedRejected),
+    (_diverging, {}, ExplorationDiverged),
+], ids=["seed-rejected", "diverged"])
+def test_a_failed_round_closes_its_shared_engine(monkeypatch, outputs, cfg, error):
+    """The one fresh engine of a round (``open_environment_at`` opens it with
+    ``executor.open_handle``; pooled probes do not) is closed when seeding or
+    the explorer raises, so nothing is left for ``python -X dev`` to warn of."""
+    engines, open_handle = [], executor.open_handle
+    monkeypatch.setattr(executor, "open_handle", lambda data: engines.append(open_handle(data))
+                        or engines[-1])
+    with pytest.raises(error):
+        synthesize_package(ct.SEED_DOMAIN_TEXT, StubGenerationPort(outputs()), strategy_cfg=cfg,
+                           name="x", limits=packages.RolloutLimits(max_turns=3))
+    assert len(engines) == 1
+    with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+        engines[0].execute("SELECT 1")
