@@ -207,7 +207,8 @@ def _shared_bundle(cls, schema_sql: str, triggers_sql: str, permissions: tuple,
 
 @dataclass(frozen=True)
 class TaskPackage:
-    """Self-contained task unit: policy, task text, environment and both snapshots."""
+    """Self-contained task unit: policy, task text, environment and both
+    snapshots; ``checked_package`` builds every one."""
 
     name: str
     domain: str
@@ -680,6 +681,28 @@ def checked_canonical(snap: Snapshot, env: EnvironmentBundle, cfg: DiffConfig,
             conn.close()
 
 
+def checked_package(env: EnvironmentBundle, origin: Snapshot, target: Snapshot,
+                    diff_config: DiffConfig, policy_doc: str, task_description: str, *,
+                    name: str, domain: str, limits: RolloutLimits,
+                    redaction_list: tuple[str, ...]) -> TaskPackage:
+    """The one way to build a ``TaskPackage``, loaded or assembled: the policy
+    text is non-empty (MissingArtifact), both images conform to ``env``
+    (``checked_canonical``, the origin with ``run=True``), the task text names no tool
+    and no redacted token (SpoilerLeak), and ``delta0`` is their diff total."""
+    if not policy_doc.strip():
+        raise MissingArtifact("policy.md is empty")
+    canonical_origin = checked_canonical(origin, env, diff_config, "origin.db", run=True)
+    canonical_target = checked_canonical(target, env, diff_config, "target.db")
+    leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)
+    if leak is not None:
+        raise SpoilerLeak(f"task description mentions {leak!r}")
+    return TaskPackage(name=name, domain=domain, policy_doc=policy_doc,
+                       task_description=task_description, env=env, origin_snapshot=origin,
+                       target_snapshot=target, diff_config=diff_config, limits=limits,
+                       redaction_list=redaction_list,
+                       delta0=diff_canonical(canonical_origin, canonical_target).total)
+
+
 def _manifest_field(doc: dict, key: str, kind: type, default, prefix: str = "",
                     of_strings: bool = False):
     """``doc[key]``, or ``default`` when absent; InvalidManifest unless it is a
@@ -745,8 +768,6 @@ def load_package(path) -> TaskPackage:
 
     policy_doc, task_description, schema_sql, triggers_sql = (
         _read_text(root / name) for name in ("policy.md", "task.md", "schema.sql", "triggers.sql"))
-    if not policy_doc.strip():
-        raise MissingArtifact("policy.md is empty")
 
     info = compile_environment(schema_sql, triggers_sql)[0]
     for table in info.tables:
@@ -758,29 +779,10 @@ def load_package(path) -> TaskPackage:
     except UnknownExcludedColumn as exc:
         raise InvalidManifest(f"manifest.json: diff_config: {exc}") from exc
 
-    origin = Snapshot.from_file(root / "origin.db")
-    target = Snapshot.from_file(root / "target.db")
-    canonical_origin = checked_canonical(origin, env, diff_config, "origin.db", run=True)
-    canonical_target = checked_canonical(target, env, diff_config, "target.db")
-
-    leak = find_spoiler(task_description, [t.name for t in env.tool_catalog], redaction_list)
-    if leak is not None:
-        raise SpoilerLeak(f"task description mentions {leak!r}")
-
-    delta0 = diff_canonical(canonical_origin, canonical_target).total
-    return TaskPackage(
-        name=name,
-        domain=domain,
-        policy_doc=policy_doc,
-        task_description=task_description,
-        env=env,
-        origin_snapshot=origin,
-        target_snapshot=target,
-        diff_config=diff_config,
-        limits=limits,
-        redaction_list=redaction_list,
-        delta0=delta0,
-    )
+    return checked_package(env, Snapshot.from_file(root / "origin.db"),
+                           Snapshot.from_file(root / "target.db"), diff_config, policy_doc,
+                           task_description, name=name, domain=domain, limits=limits,
+                           redaction_list=redaction_list)
 
 
 def save_package(pkg: TaskPackage, path) -> None:

@@ -147,7 +147,9 @@ class HandlePool:
     image under a running statement crashes the process at that statement's
     next use (SQLite 3.40.1). The pool keeps at most ``MEMO_SIZE`` idle
     connections, closing the one idle longest beyond that, and holds each
-    ``at`` snapshot weakly, so that it keeps no dropped package's image.
+    ``at`` snapshot weakly, so that it keeps no dropped package's image:
+    ``give_back`` closes every idle connection whose ``at`` has died, which
+    would otherwise hold that image and crowd out live packages' connections.
 
     A pooled connection serves reads, and writes whose image never leaves the
     process. A write statement the sqlite3 module cached before a
@@ -217,10 +219,15 @@ class HandlePool:
         """Pool ``conn``, which took a hit (see the class docstring); ``at``
         is the snapshot whose image it holds unchanged, if any."""
         with self._lock:
-            self._idle.append((conn, None if at is None else weakref.ref(at)))
-            extra = self._idle.pop(0)[0] if len(self._idle) > MEMO_SIZE else None
-        if extra is not None:
-            extra.close()
+            idle, closing = [], []
+            for entry in self._idle:
+                (closing if entry[1] is not None and entry[1]() is None else idle).append(entry)
+            idle.append((conn, None if at is None else weakref.ref(at)))
+            if len(idle) > MEMO_SIZE:
+                closing.append(idle.pop(0))
+            self._idle = idle
+        for old, _ in closing:
+            old.close()
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .errors import (
     ExplorationDiverged,
     RedactionIncomplete,
     SeedRejected,
-    SpoilerLeak,
     SynthesisError,
 )
 from .executor import (EnvHandle, ToolCall, ToolResult, _dispatch_undone, open_environment_at,
@@ -37,7 +36,7 @@ from .packages import (
     EnvironmentBundle,
     RolloutLimits,
     TaskPackage,
-    checked_canonical,
+    checked_package,
     compile_environment,
     find_spoiler,
     token_pattern,
@@ -45,7 +44,7 @@ from .packages import (
 )
 from .snapshots import (SchemaInfo, Snapshot, insert_sql, is_number, quote_ident, table_tags,
                         tokenize)
-from .verify import DiffConfig, diff_canonical
+from .verify import DiffConfig
 
 
 ARCHITECT_STAGES = ("analyze", "policy", "tables", "triggers")
@@ -675,33 +674,15 @@ def assemble_package(
 ) -> TaskPackage:
     """Final package assembly with the two-view separation kept structural:
     the task text never references target-state internals, and the target is
-    exactly the episode's executed final snapshot. SchemaMismatch unless both
-    images conform to the bundle's schema and the origin carries exactly its
-    triggers, as ``load_package`` requires."""
-    if not policy_doc.strip():
-        raise SynthesisError("policy_doc must be non-empty")
+    exactly the episode's executed final snapshot. The package passes the
+    checks of a loaded one (``packages.checked_package``)."""
     cfg = diff_config or default_diff_config(bundle)
-    leak = find_spoiler(task_text, [t.name for t in bundle.tool_catalog], redaction_list)
-    if leak is not None:
-        raise SpoilerLeak(f"task text mentions {leak!r}")
-    delta0 = diff_canonical(
-        checked_canonical(s_origin, bundle, cfg, "origin.db", run=True),
-        checked_canonical(ep.s_target, bundle, cfg, "target.db")).total
-    if delta0 == 0:
+    pkg = checked_package(bundle, s_origin, ep.s_target, cfg, policy_doc, task_text, name=name,
+                          domain=domain, limits=limits or RolloutLimits(),
+                          redaction_list=tuple(redaction_list))
+    if pkg.trivial:
         warnings.warn(f"package {name!r} is trivial: origin already equals target")
-    return TaskPackage(
-        name=name,
-        domain=domain,
-        policy_doc=policy_doc,
-        task_description=task_text,
-        env=bundle,
-        origin_snapshot=s_origin,
-        target_snapshot=ep.s_target,
-        diff_config=cfg,
-        limits=limits or RolloutLimits(),
-        redaction_list=tuple(redaction_list),
-        delta0=delta0,
-    )
+    return pkg
 
 
 # --- end-to-end orchestration -------------------------------------------------------------

@@ -16,9 +16,11 @@ from policygym import executor, packages, snapshots, tracker
 from policygym.errors import (
     CompilationExhausted,
     ExplorationDiverged,
+    MissingArtifact,
     RedactionIncomplete,
     SchemaMismatch,
     SeedRejected,
+    SpoilerLeak,
     SynthesisError,
 )
 from policygym.executor import ToolCall, execute_tool, open_environment_at
@@ -478,6 +480,47 @@ def test_assemble_package_refuses_an_image_that_does_not_conform():
                              s_target=s_target, goal="noop")
         with pytest.raises(SchemaMismatch, match=error):
             assemble_package(bundle, ct.POLICY_MD, s_origin, episode, "GOAL: noop\n")
+
+
+def _with_sql(snap, sql: str):
+    with snap.connect() as conn:
+        conn.executescript(sql)
+        return snapshots.Snapshot.from_connection(conn)
+
+
+@pytest.mark.parametrize("defect, error", [
+    ("empty-policy", MissingArtifact), ("tool-name-in-task", SpoilerLeak),
+    ("origin-extra-trigger", SchemaMismatch), ("target-missing-table", SchemaMismatch)])
+def test_load_and_assemble_refuse_each_defect_alike(travel_pkg, tmp_path, defect, error):
+    """The same defective parts, saved as a directory for ``load_package`` and
+    handed to ``assemble_package``, raise the same error class with the same
+    message on both paths (at the parent an empty policy was a SynthesisError
+    when assembled and a spoiler had two messages)."""
+    parts = dict(policy_doc=travel_pkg.policy_doc, task_description=travel_pkg.task_description,
+                 origin_snapshot=travel_pkg.origin_snapshot,
+                 target_snapshot=travel_pkg.target_snapshot)
+    if defect == "empty-policy":
+        parts["policy_doc"] = " \n"
+    elif defect == "tool-name-in-task":
+        parts["task_description"] += "\nUse insert_flight_bookings now.\n"
+    elif defect == "origin-extra-trigger":
+        parts["origin_snapshot"] = _with_sql(
+            travel_pkg.origin_snapshot, "CREATE TRIGGER no_escalations BEFORE INSERT ON "
+            "escalations BEGIN SELECT RAISE(ROLLBACK, 'closed'); END")
+    else:
+        parts["target_snapshot"] = _with_sql(travel_pkg.target_snapshot, "DROP TABLE approvals")
+    save_package(dataclasses.replace(travel_pkg, **parts), tmp_path / "defective")
+    with pytest.raises(error) as loaded:
+        load_package(tmp_path / "defective")
+    episode = RawEpisode(transcript=(EpisodeMessage("client", "nothing"),), actions=(),
+                         s_target=parts["target_snapshot"], goal="noop")
+    with pytest.raises(Exception) as assembled:
+        assemble_package(travel_pkg.env, parts["policy_doc"], parts["origin_snapshot"], episode,
+                         parts["task_description"], name=travel_pkg.name,
+                         domain=travel_pkg.domain, diff_config=travel_pkg.diff_config,
+                         limits=travel_pkg.limits, redaction_list=travel_pkg.redaction_list)
+    assert type(assembled.value) is type(loaded.value)
+    assert str(assembled.value) == str(loaded.value)
 
 
 def test_synthesize_package_end_to_end_ground_truth_non_drift(tmp_path):

@@ -698,6 +698,63 @@ def test_packages_of_one_catalog_share_tracked_connections(travel_pkg, monkeypat
     assert len(installs) == 2
 
 
+def _own_origin(pkg):
+    """``pkg`` with an equal origin image in a bytes object of its own."""
+    return dataclasses.replace(
+        pkg, origin_snapshot=Snapshot(bytes(bytearray(pkg.origin_snapshot.data))))
+
+
+def _oracle_episode(pkg):
+    return run_episode(pkg, ScriptedAgentPort(ct.ORACLE_AGENT_SCRIPT),
+                       ScriptedUserPort(ct.ORACLE_USER_SCRIPT))
+
+
+def _image_loads(monkeypatch) -> list:
+    """The image of each ``snapshots.load_image`` call from now on."""
+    loads, load_image = [], snapshots.load_image
+    monkeypatch.setattr(snapshots, "load_image",
+                        lambda conn, data: (loads.append(data), load_image(conn, data)))
+    return loads
+
+
+def test_dropped_packages_leave_no_idle_tracked_connection(travel_pkg, monkeypatch):
+    """20 package copies, each with its own origin bytes, open and close one
+    handle and are dropped: the pool closes their idle connections when it
+    is next used, so it holds at most one more (the last copy's), and the
+    live package's next oracle episode loads no image (at the parent the
+    pool kept 16 dead connections, which evicted the live package's own)."""
+    pkg = _own_origin(travel_pkg)
+    assert _oracle_episode(pkg).r_final == 1
+    pool = pkg.verification_base.pool
+    idle = len(pool._idle)
+    for _ in range(20):
+        other = _own_origin(pkg)
+        with open_environment(other):
+            pass
+    del other
+    gc.collect()
+    assert len(pool._idle) <= idle + 1
+    loads = _image_loads(monkeypatch)
+    assert _oracle_episode(pkg).r_final == 1
+    assert loads == []
+    assert all(at is None or at() is not None for _, at in pool._idle)
+
+
+def test_alternating_packages_of_one_catalog_reload_no_image(travel_pkg, monkeypatch):
+    """100 oracle episodes that alternate between two live packages with the
+    fixture's DDL and distinct origin bytes load no image: each base keeps
+    the connection it installed the log on, at its own origin. (A base that
+    took its connection from the shared pool would leave the two packages
+    one connection to reload every episode.)"""
+    pkgs = [_own_origin(travel_pkg) for _ in range(2)]
+    for pkg in pkgs:
+        assert _oracle_episode(pkg).r_final == 1
+    loads = _image_loads(monkeypatch)
+    for episode in range(100):
+        assert _oracle_episode(pkgs[episode % 2]).r_final == 1
+    assert loads == []
+
+
 def test_an_origin_with_other_ddl_text_pools_its_own_connections(monkeypatch):
     """An origin with the bundle's tables under another ``sqlite_master``
     text (other whitespace) misses the compiled catalog, so its base pools
