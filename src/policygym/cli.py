@@ -151,6 +151,8 @@ def cmd_rollout(args) -> dict:
 
     if args.k < 1:
         raise _Failure("--k must be >= 1", EXIT_USAGE)
+    if args.parallel < 1:
+        raise _Failure("--parallel must be >= 1", EXIT_USAGE)
     _check_package_dir(args.package)
 
     limits: dict = {}  # shared by every port; filled in once the package loads
@@ -199,7 +201,7 @@ def cmd_rollout(args) -> dict:
     try:
         # the first episodes' ports start up on another core while this
         # process imports the runtime and loads the package
-        for _ in range(min(max(args.parallel, 1), args.k)):
+        for _ in range(min(args.parallel, args.k)):
             fresh.append(spawn_pair())
         pkg = _load_package_arg(args.package, args)
         limits.update(pkg.limits.to_json())
@@ -470,17 +472,30 @@ def _emit(report: dict, as_json: bool) -> None:
             print(line)
 
 
+def _port_timeout(flag: float | None) -> float:
+    """``--port-timeout``, else the ``POLICYGYM_PORT_TIMEOUT`` default; a
+    value that is not a number > 0 is a usage error."""
+    if flag is None:
+        from .ports import default_port_timeout
+
+        try:
+            return default_port_timeout()
+        except ValueError as exc:
+            raise _Failure(str(exc), EXIT_USAGE) from None
+    if not flag > 0:
+        raise _Failure("--port-timeout must be > 0", EXIT_USAGE)
+    return flag
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage to stderr
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "port_timeout", None) is None and hasattr(args, "port_timeout"):
-        from .ports import DEFAULT_PORT_TIMEOUT
-
-        args.port_timeout = DEFAULT_PORT_TIMEOUT
     try:
+        if hasattr(args, "port_timeout"):
+            args.port_timeout = _port_timeout(args.port_timeout)
         report = args.func(args)
     except (_Failure, PolicygymError) as exc:
         if isinstance(exc, _Failure):

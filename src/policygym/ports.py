@@ -16,9 +16,22 @@ import sys
 
 from .errors import PortFailure
 
-DEFAULT_PORT_TIMEOUT = float(os.environ.get("POLICYGYM_PORT_TIMEOUT", "120"))
 STDERR_TAIL = 4096  # bytes of a port's stderr that a PortFailure quotes
 MAX_REPLY_BYTES = 16 << 20  # a longer reply line is a PortFailure, not a growing buffer
+
+
+def default_port_timeout() -> float:
+    """The subprocess-port timeout in seconds when none is given:
+    ``POLICYGYM_PORT_TIMEOUT``, else 120. Read by the spawning side each time
+    it takes the default, never by a served port; a value that is not a
+    number > 0 raises ValueError."""
+    text = os.environ.get("POLICYGYM_PORT_TIMEOUT", "120")
+    try:
+        if (timeout := float(text)) > 0:
+            return timeout
+    except ValueError:
+        pass
+    raise ValueError(f"POLICYGYM_PORT_TIMEOUT must be a number > 0, not {text!r}")
 
 
 class AgentPort:
@@ -150,14 +163,14 @@ class SubprocessTransport:
     (``main``), which needs none of them.
     """
 
-    def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT):
+    def __init__(self, cmd: str, timeout: float | None = None):
         import selectors
         import shlex
         import subprocess
         import tempfile
 
         self.cmd = cmd
-        self.timeout = timeout
+        self.timeout = default_port_timeout() if timeout is None else timeout
         self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
@@ -271,8 +284,8 @@ class SubprocessTransport:
         import subprocess
 
         self._selector.close()
-        # closing stdin first lets a worker that reads to end of input exit
-        # by itself before it is terminated
+        # the poll right after closing stdin gives the worker no time to see
+        # end of input, so a worker still running is terminated, not awaited
         try:
             self._proc.stdin.close()
         except BrokenPipeError:
@@ -295,7 +308,7 @@ def _history_json(history) -> list[dict]:
 
 
 class SubprocessAgentPort(AgentPort):
-    def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT, limits: dict | None = None):
+    def __init__(self, cmd: str, timeout: float | None = None, limits: dict | None = None):
         self.transport = SubprocessTransport(cmd, timeout)
         self.limits = {} if limits is None else limits
         self._catalog = self._tools = None  # the last catalog and its JSON tuple
@@ -319,7 +332,7 @@ class SubprocessAgentPort(AgentPort):
 
 
 class SubprocessUserPort(UserPort):
-    def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT, limits: dict | None = None):
+    def __init__(self, cmd: str, timeout: float | None = None, limits: dict | None = None):
         self.transport = SubprocessTransport(cmd, timeout)
         self.limits = {} if limits is None else limits
 
@@ -343,7 +356,7 @@ class SubprocessUserPort(UserPort):
 class SubprocessGenerationPort:
     """Generation-port shim mirroring the rollout protocol with type=generate."""
 
-    def __init__(self, cmd: str, timeout: float = DEFAULT_PORT_TIMEOUT):
+    def __init__(self, cmd: str, timeout: float | None = None):
         self.transport = SubprocessTransport(cmd, timeout)
 
     def generate(self, stage: str, context: dict, seed: int) -> str:
@@ -361,8 +374,33 @@ class SubprocessGenerationPort:
 
 # --- scripted port as a subprocess ------------------------------------------------------
 
+# a request line that ends with one of these names its type by its last member
+_ROUTED = tuple((f' "type": "{rtype}"}}'.encode(), rtype)
+                for rtype in ("agent_turn", "user_turn", "episode_start"))
+
+
+def _request_type(line: bytes) -> str | None:
+    """The type of request ``line`` if it ends with ``' "type": "<t>"}'`` for
+    ``t`` in ``agent_turn``, ``user_turn`` and ``episode_start``, read without
+    decoding the line; else None, and the line must be decoded.
+
+    ``json.dumps(request, sort_keys=True)`` puts ``"type"`` last, so every
+    such request the transport sends ends this way (a ``generate`` request
+    needs its ``stage`` and is decoded). For valid JSON the answer is exact:
+    the final ``}`` closes the top-level object, and the ``"`` before
+    ``type`` follows a space, so it is an unescaped string delimiter and the
+    match is the object's last ``"type"`` member, the one ``json.loads``
+    keeps. A line routed by its end is not validated any further."""
+    for suffix, rtype in _ROUTED:
+        if line.endswith(suffix):
+            return rtype
+    return None
+
+
 def _serve_script(role: str, script) -> None:
-    """Answer protocol requests from stdin with scripted responses.
+    """Answer protocol requests from stdin with scripted responses, one reply
+    line per request line; a request that fails, such as a line that is not
+    a JSON object, is answered with an ``error`` reply and serving goes on.
 
     ``episode_start`` re-arms the script, so the next episode replays it from
     the start. Each arming copies the script's lists, which serving drains."""
@@ -372,37 +410,46 @@ def _serve_script(role: str, script) -> None:
                 {stage: list(queue) for stage, queue in script.items()}
                 if role == "generate" else {})
 
-    agent_steps, user_lines, gen_outputs = arm()
-    for raw in sys.stdin:
-        raw = raw.strip()
-        if not raw:
-            continue
-        request = json.loads(raw)
+    def respond(line: bytes) -> dict:
+        nonlocal agent_steps, user_lines, gen_outputs
+        request = {"type": _request_type(line)}
+        if request["type"] is None:
+            try:
+                request = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+                raise PortFailure(f"request is not JSON: {exc}") from None
+            if not isinstance(request, dict):
+                raise PortFailure("request must be a JSON object")
         rtype = request.get("type")
         if rtype == "episode_start":
             agent_steps, user_lines, gen_outputs = arm()
-            response = {"type": "episode_start"}
-        elif rtype == "agent_turn":
+            return {"type": "episode_start"}
+        if rtype == "agent_turn":
             if not agent_steps:
-                response = {"type": "error", "message": "agent script exhausted"}
-            else:
-                try:
-                    response = {"type": "agent_turn", "content": _step_content(agent_steps.pop(0))}
-                except PortFailure as exc:  # the step ScriptedAgentPort refuses
-                    response = {"type": "error", "message": str(exc)}
-        elif rtype == "user_turn":
+                raise PortFailure("agent script exhausted")
+            # raises for the step ScriptedAgentPort refuses
+            return {"type": "agent_turn", "content": _step_content(agent_steps.pop(0))}
+        if rtype == "user_turn":
             if not user_lines:
-                response = {"type": "error", "message": "user script exhausted"}
-            else:
-                response = {"type": "user_turn", "content": str(user_lines.pop(0))}
-        elif rtype == "generate":
-            queue = gen_outputs.get(request.get("stage"), [])
+                raise PortFailure("user script exhausted")
+            return {"type": "user_turn", "content": str(user_lines.pop(0))}
+        if rtype == "generate":
+            stage = request.get("stage")
+            queue = gen_outputs.get(stage) if isinstance(stage, str) else None
             if not queue:
-                response = {"type": "error", "message": "no canned output for stage"}
-            else:
-                response = {"type": "generate", "content": queue.pop(0)}
-        else:
-            response = {"type": "error", "message": f"unknown request type {rtype!r}"}
+                raise PortFailure("no canned output for stage")
+            return {"type": "generate", "content": queue.pop(0)}
+        raise PortFailure(f"unknown request type {rtype!r}")
+
+    agent_steps, user_lines, gen_outputs = arm()
+    for raw in sys.stdin.buffer:
+        raw = raw.strip()
+        if not raw:
+            continue
+        try:
+            response = respond(raw)
+        except PortFailure as exc:
+            response = {"type": "error", "message": str(exc)}
         sys.stdout.write(json.dumps(response) + "\n")
         sys.stdout.flush()
 

@@ -610,17 +610,37 @@ def _marker_port(tmp_path, role: str) -> tuple[str, Path]:
     return shlex.join([sys.executable, "-c", code]), marker
 
 
-@pytest.mark.parametrize("extra", [("--k", "0"), ("--seed", "1")], ids=["k-zero", "no-package"])
-def test_a_usage_error_starts_no_port(fixture_dir, tmp_path, capsys, extra):
+@pytest.mark.parametrize("extra, env_timeout", [
+    (("--k", "0"), None),
+    (("--seed", "1"), None),
+    (("--parallel", "0"), None),
+    (("--port-timeout", "0"), None),
+    (("--port-timeout", "nan"), None),
+    ((), "abc"),
+    ((), "-1"),
+], ids=["k-zero", "no-package", "parallel-zero", "port-timeout-zero", "port-timeout-nan",
+        "env-timeout-not-a-number", "env-timeout-negative"])
+def test_a_usage_error_starts_no_port(fixture_dir, tmp_path, capsys, monkeypatch, extra,
+                                      env_timeout):
+    """Each usage error exits 2 with one JSON document before any port starts;
+    ``POLICYGYM_PORT_TIMEOUT`` is checked only where the CLI takes the default."""
+    if env_timeout is not None:
+        monkeypatch.setenv("POLICYGYM_PORT_TIMEOUT", env_timeout)
     agent, agent_marker = _marker_port(tmp_path, "agent")
     user, user_marker = _marker_port(tmp_path, "user")
-    package = fixture_dir if extra[0] == "--k" else tmp_path / "no-such-package"
-    code, out, _ = run_cli(capsys, "rollout", str(package), "--agent-cmd", agent,
-                           "--user-cmd", user, "--out-dir", str(tmp_path / "r"), "--json",
-                           *extra)
+    package = tmp_path / "no-such-package" if extra[:1] == ("--seed",) else fixture_dir
+    code, out, err = run_cli(capsys, "rollout", str(package), "--agent-cmd", agent,
+                             "--user-cmd", user, "--out-dir", str(tmp_path / "r"), "--json",
+                             *extra)
     assert code == 2
+    assert len(out.splitlines()) == 1
     assert "error" in json.loads(out)
+    assert "Traceback" not in err
     assert not agent_marker.exists() and not user_marker.exists()
+    if env_timeout is not None:
+        # an explicit flag wins over the variable, which is then never read
+        code, doc, _ = _rollout(fixture_dir, tmp_path, capsys, "--port-timeout", "30")
+        assert code == 0 and doc["successes"] == 1
 
 
 def test_the_marker_port_serves_a_rollout(fixture_dir, tmp_path, capsys):

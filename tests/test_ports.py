@@ -1,16 +1,18 @@
-"""Port transport and the scripted port server: request bytes, re-arming, reply
-size cap and the cost of starting a port."""
+"""Port transport and the scripted port server: request bytes, re-arming, routing,
+error replies, the reply size cap, the timeout default and the cost of starting a
+port."""
 
 from __future__ import annotations
 
 import json
+import os
 import shlex
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import policygym
@@ -22,6 +24,7 @@ from policygym.ports import (
     SubprocessGenerationPort,
     SubprocessTransport,
     SubprocessUserPort,
+    _request_type,
 )
 
 
@@ -217,3 +220,124 @@ def test_a_request_with_keys_that_are_not_strings_is_still_json_dumps():
             assert transport.request(doc)["content"] == json.dumps(doc, sort_keys=True)
     finally:
         transport.close()
+
+
+# --- the scripted server's routing rule ---------------------------------------------------
+
+ROUTED = ("agent_turn", "user_turn", "episode_start")
+# string text that spells out, or nearly, the end of a routed line
+_tricky = st.sampled_from(['"type": "agent_turn"}', ' "type": "user_turn"}', 'x"type', ' "type',
+                           '\\" "type": "agent_turn"}', '\\\\", "type": "episode_start"}',
+                           "\\", '"', '\\"', '"}', ", "])
+_text = _tricky | st.text(max_size=6)
+_key = st.sampled_from(["type", "type", "types", "typ", "u", "tools", "a"]) | _text
+_value = st.recursive(
+    st.sampled_from([*ROUTED, "generate", "agent_turns"]) | _text | _json,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_key, inner, max_size=3)
+                   | st.builds(lambda doc, rtype: {**doc, "type": rtype},  # last member type
+                               st.dictionaries(_key, inner, max_size=2), st.sampled_from(ROUTED))),
+    max_leaves=6,
+)
+_members = st.lists(st.tuples(_key, st.sampled_from(ROUTED) | _value), max_size=5)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(members=_members, tail=st.sampled_from([None, *ROUTED]),
+       layout=st.sampled_from(["sorted", "as drawn"]), compact=st.booleans(),
+       ascii_only=st.booleans())
+@example([("tools", [1]), ("history", [])], "agent_turn", "sorted", False, True)  # a request
+@example([("u", 1)], "episode_start", "sorted", False, True)  # a key after type
+@example([("type", "user_turn"), ("seed", 1)], "agent_turn", "as drawn", False, True)
+@example([("a", 1), ("z", {"b": 2, "type": "agent_turn"})], None, "as drawn", False, True)
+@example([("a", 1), ("z", 'x\\" "type": "agent_turn"}')], None, "as drawn", False, False)
+@example([("a", 1), ('x"type', "agent_turn")], None, "as drawn", False, True)
+@example([("a", 1)], "user_turn", "as drawn", True, True)  # compact
+def test_request_type_is_the_type_json_loads_keeps(members, tail, layout, compact, ascii_only):
+    """Whenever ``_request_type`` routes a line without decoding it, its answer
+    is ``json.loads(line).get("type")``, for lines written by ``json.dumps(...,
+    sort_keys=True)`` as the transport writes them and for members in any
+    order, duplicate ``type`` keys and compact separators; and it routes every
+    line whose last member is a routed ``"type"`` after a ``", "``."""
+    if tail is not None:  # a last type member, maybe after another
+        members = [*members, ("type", tail)]
+    if layout == "sorted":
+        members = sorted(dict(members).items())
+    item_sep, key_sep = (",", ":") if compact else (", ", ": ")
+    dump = {"ensure_ascii": ascii_only, "separators": (item_sep, key_sep)}
+    line = "{" + item_sep.join(
+        json.dumps(key, **dump) + key_sep + json.dumps(value, sort_keys=True, **dump)
+        for key, value in members) + "}"
+    if layout == "sorted":
+        assert line == json.dumps(dict(members), sort_keys=True, **dump)
+    routed = _request_type(line.encode())
+    if routed is not None:
+        assert routed == json.loads(line).get("type")
+    last_key, last_value = members[-1] if members else (None, None)
+    assert routed == (last_value if not compact and len(members) > 1 and last_key == "type"
+                      and last_value in ROUTED else None)
+
+
+def _serve(tmp_path, lines: list[bytes], **env) -> list[dict]:
+    """The replies of ``python -m policygym.ports --role agent`` to ``lines``,
+    serving a two-step script under the extra environment ``env``."""
+    script = tmp_path / "agent.json"
+    script.write_text(json.dumps(["first", "second"]), "utf-8")
+    served = subprocess.run(
+        [sys.executable, "-m", "policygym.ports", "--role", "agent", "--script", str(script)],
+        input=b"".join(line + b"\n" for line in lines), env={**os.environ, **env},
+        check=True, capture_output=True, timeout=60)
+    return [json.loads(line) for line in served.stdout.splitlines()]
+
+
+def test_served_port_routes_a_request_by_its_last_member(tmp_path):
+    """A line that ends with its ``"type"`` member is answered without being
+    decoded, so even one that is no JSON before that member is; an
+    ``episode_start`` re-arms the script; a compact line takes the decode
+    path. The port never reads ``POLICYGYM_PORT_TIMEOUT``."""
+    tools = tuple({"name": f"tool_{i}", "parameters": {"type": "object"}} for i in range(3))
+    lines = [
+        json.dumps({"type": "agent_turn", "tools": tools, "history": [], "seed": 1},
+                   sort_keys=True).encode(),
+        b'not JSON up to here, "type": "agent_turn"}',
+        json.dumps({"type": "episode_start", "episode": 1, "seed": 2}, sort_keys=True).encode(),
+        b'{"type":"agent_turn"}',
+    ]
+    assert [_request_type(line) for line in lines] == [
+        "agent_turn", "agent_turn", "episode_start", None]
+    assert _serve(tmp_path, lines, POLICYGYM_PORT_TIMEOUT="abc") == [
+        {"type": "agent_turn", "content": {"text": "first"}},
+        {"type": "agent_turn", "content": {"text": "second"}},
+        {"type": "episode_start"},
+        {"type": "agent_turn", "content": {"text": "first"}},
+    ]
+
+
+def test_served_port_answers_a_line_it_cannot_read_and_goes_on(tmp_path):
+    replies = _serve(tmp_path, [b"not json", b"[1]", b'{"seed": "\xff"}',
+                                b'{"type": "generate", "stage": [1]}', b'{"type": 5}',
+                                b'{"type": "agent_turn"}'])
+    assert [reply["type"] for reply in replies] == ["error"] * 5 + ["agent_turn"]
+    assert [reply["message"].split(":")[0] for reply in replies[:5]] == [
+        "request is not JSON", "request must be a JSON object", "request is not JSON",
+        "no canned output for stage", "unknown request type 5"]
+    assert replies[-1]["content"] == {"text": "first"}
+
+
+def test_the_default_port_timeout_is_read_where_a_transport_takes_it(monkeypatch):
+    cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(ECHO_PORT)}"
+
+    def timeout_of(**kwargs) -> float:
+        transport = SubprocessTransport(cmd, **kwargs)
+        transport.close()
+        return transport.timeout
+
+    for value in ("abc", "0", "-2", "nan"):
+        monkeypatch.setenv("POLICYGYM_PORT_TIMEOUT", value)
+        with pytest.raises(ValueError, match="POLICYGYM_PORT_TIMEOUT must be a number > 0"):
+            SubprocessTransport(cmd)
+        assert timeout_of(timeout=3) == 3  # a given timeout never reads the variable
+    monkeypatch.setenv("POLICYGYM_PORT_TIMEOUT", "7.5")
+    assert timeout_of() == 7.5
+    monkeypatch.delenv("POLICYGYM_PORT_TIMEOUT")
+    assert timeout_of() == 120
