@@ -11,6 +11,7 @@ start its first port processes before the runtime and the package load.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import threading
@@ -21,6 +22,7 @@ from .errors import (
     CompilationExhausted,
     ExplorationDiverged,
     InsufficientTrials,
+    IoFailure,
     MixedPackages,
     PolicygymError,
     PortFailure,
@@ -206,7 +208,10 @@ def cmd_rollout(args) -> dict:
         pkg = _load_package_arg(args.package, args)
         limits.update(pkg.limits.to_json())
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoFailure(str(exc)) from exc
         if args.parallel > 1:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -519,5 +524,19 @@ def main(argv=None) -> int:
     return report.pop("_exit_code", EXIT_OK)
 
 
+def entry() -> int:
+    """The process entry of ``policygym`` and ``python -m policygym.cli``.
+
+    It runs ``main()``, then freezes the heap: the interpreter's exit then
+    skips the collector's full passes over the objects the run leaves behind,
+    which find almost nothing to collect, while atexit handlers, the stdio
+    flush and reference-count teardown still run. ``main`` itself leaves the
+    collector as it found it, for tests and other in-process callers.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

@@ -171,10 +171,16 @@ class SubprocessTransport:
 
         self.cmd = cmd
         self.timeout = default_port_timeout() if timeout is None else timeout
+        try:
+            argv = shlex.split(cmd)
+        except ValueError as exc:  # an unclosed quote or a trailing escape
+            raise PortFailure(f"cannot spawn port command {cmd!r}: {exc}") from exc
+        if not argv:
+            raise PortFailure(f"cannot spawn port command {cmd!r}: empty command")
         self._stderr = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
-                shlex.split(cmd),
+                argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=self._stderr,

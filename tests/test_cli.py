@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import shlex
 import shutil
 import sqlite3
+import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -325,6 +328,19 @@ def test_synthesize_missing_port_command(tmp_path, capsys):
     assert "spawn" in err
 
 
+@pytest.mark.parametrize("command", ["", "python 'x"], ids=["empty", "unclosed-quote"])
+def test_a_generation_port_command_that_cannot_be_split_is_a_usage_error(tmp_path, capsys,
+                                                                         command):
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text("travel", "utf-8")
+    code, out, err = run_cli(capsys, "synthesize", str(seed_file), command, str(tmp_path / "o"),
+                             "--json")
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert "cannot spawn port command" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
 def test_synthesize_exhausted_names_stage(tmp_path, capsys, monkeypatch):
     import policygym.fixtures.corporate_travel as fixture_module
 
@@ -538,6 +554,27 @@ def test_an_unspawnable_user_port_closes_the_agent_port(fixture_dir, tmp_path, c
     assert "cannot spawn port command" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("role, command", [("agent", ""), ("user", "python 'x")],
+                         ids=["empty-agent", "unclosed-quote-user"])
+def test_a_port_command_that_cannot_be_split_fails_the_rollout(fixture_dir, tmp_path, capsys,
+                                                               transports, role, command):
+    """Such a command is a port failure, as a command naming no program is;
+    an agent port spawned before it is closed."""
+    commands = {"agent": scripted_port_cmd(fixture_dir, "agent"),
+                "user": scripted_port_cmd(fixture_dir, "user"), role: command}
+    code, out, err = run_cli(
+        capsys, "rollout", str(fixture_dir), "--agent-cmd", commands["agent"],
+        "--user-cmd", commands["user"], "--out-dir", str(tmp_path / "r"), "--json",
+    )
+    gc.collect()  # a port or stderr file left open warns here, failing the test
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert "cannot spawn port command" in json.loads(out)["error"]
+    assert "Traceback" not in err
+    assert len(transports) == (role == "user")
+    assert all(t._proc.poll() is not None for t in transports)
+
+
 # --- reward overrides ----------------------------------------------------------------
 
 @pytest.mark.parametrize("flag, value", [
@@ -693,6 +730,19 @@ def test_a_package_that_fails_to_load_closes_its_spawned_pair(
     assert not (tmp_path / "r").exists()
 
 
+def test_an_out_dir_that_cannot_be_made_is_an_io_failure(fixture_dir, tmp_path, capsys,
+                                                         transports):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", "utf-8")
+    code, doc, _ = _rollout(fixture_dir, tmp_path, capsys, "--k", "3", out="taken")
+    gc.collect()  # a port left open warns here, and the warning fails the test
+    assert code == 1
+    assert doc["error"].startswith("IoFailure: ")
+    assert len(transports) == 2  # the pair started before the directory was made
+    assert all(t._proc.poll() is not None for t in transports)
+    assert taken.read_text("utf-8") == "not a directory"
+
+
 # --- malformed tool calls --------------------------------------------------------------
 
 def test_malformed_tool_calls_are_feedback_and_keep_the_pair(fixture_dir, tmp_path, capsys,
@@ -811,3 +861,74 @@ def test_synthesis_log_writes_bytes_by_the_bytes_rule(tmp_path, capsys, monkeypa
     assert code == 0, err
     log = json.loads((tmp_path / "o" / "synthesis_log.json").read_text("utf-8"))
     assert log["blob"] == {"__bytes__": "AP8Q"}
+
+
+# --- the process entry -------------------------------------------------------------------
+
+def test_main_leaves_the_collector_as_it_found_it(fixture_dir, tmp_path, capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, "validate", str(fixture_dir), "--json")
+    assert code == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+    code, doc, _ = _rollout(fixture_dir, tmp_path, capsys, "--k", "2")
+    assert code == 0 and doc["successes"] == 2
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+@pytest.mark.parametrize("case, expected_code", [
+    ("validate", 0),
+    ("usage-error", 2),
+    ("out-dir-is-a-file", 1),
+    ("empty-agent-cmd", 1),
+])
+def test_python_m_exits_as_main_returns(fixture_dir, tmp_path, capsys, case, expected_code):
+    """``python -m policygym.cli`` runs through the process entry; each case
+    exits with main's code and prints exactly one JSON line."""
+    taken = tmp_path / "taken"
+    taken.write_text("", "utf-8")
+    agent, user = scripted_port_cmd(fixture_dir, "agent"), scripted_port_cmd(fixture_dir, "user")
+    rollout = ["rollout", str(fixture_dir), "--user-cmd", user]
+    out_dir = str(taken if case == "out-dir-is-a-file" else tmp_path / "r")
+    argv = {
+        "validate": ["validate", str(fixture_dir)],
+        "usage-error": [*rollout, "--agent-cmd", agent, "--k", "0", "--out-dir", out_dir],
+        "out-dir-is-a-file": [*rollout, "--agent-cmd", agent, "--out-dir", out_dir],
+        "empty-agent-cmd": [*rollout, "--agent-cmd", "", "--out-dir", out_dir],
+    }[case] + ["--json"]
+    proc = subprocess.run([sys.executable, "-m", "policygym.cli", *argv], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == expected_code, proc.stderr
+    assert len(proc.stdout.splitlines()) == 1
+    assert ("error" in json.loads(proc.stdout)) == (expected_code != 0)
+    assert "Traceback" not in proc.stderr
+    if case == "validate":
+        assert run_cli(capsys, *argv)[1] == proc.stdout
+
+
+def test_the_process_entry_freezes_the_heap_before_exit_handlers_run(fixture_dir):
+    """The entry of ``python -m`` leaves the collector enabled, the heap frozen
+    and atexit handlers still to run."""
+    code = ("import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('exit', gc.isenabled(), gc.get_freeze_count(),"
+            " file=sys.stderr))\n"
+            "runpy.run_module('policygym.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code, "validate", str(fixture_dir), "--json"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["delta0"] == 4
+    _, enabled, frozen = proc.stderr.splitlines()[-1].split()
+    assert enabled == "True"
+    assert int(frozen) > 0
+
+
+def test_the_console_script_names_the_function_python_m_calls():
+    from policygym import cli
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["policygym"]
+    tree = ast.parse(Path(cli.__file__).read_text("utf-8"))
+    guard, = [node for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = [node.func.id for node in ast.walk(guard) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id != "SystemExit"]
+    assert [script] == [f"policygym.cli:{name}" for name in called]

@@ -324,6 +324,13 @@ def test_served_port_answers_a_line_it_cannot_read_and_goes_on(tmp_path):
     assert replies[-1]["content"] == {"text": "first"}
 
 
+@pytest.mark.parametrize("cmd", ["", "   ", "python 'x", "python x\\"],
+                         ids=["empty", "blank", "unclosed-quote", "trailing-escape"])
+def test_a_command_that_cannot_be_split_is_a_port_failure(cmd):
+    with pytest.raises(PortFailure, match="^cannot spawn port command"):
+        SubprocessTransport(cmd, timeout=5)
+
+
 def test_the_default_port_timeout_is_read_where_a_transport_takes_it(monkeypatch):
     cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(ECHO_PORT)}"
 
