@@ -119,6 +119,15 @@ class EnvHandle:
     the schema keeps the full scan, tracks digest and distance incrementally
     (see tracker.py); other handles digest by full scan and have no target.
 
+    Every handle keeps one no-change rule: a digest or distance read after
+    calls that changed nothing (the connection's ``total_changes`` has not
+    moved) reuses the last value, save a tracked handle's full-scan distance
+    under ``fk_mode="canonical_remap"``. An untracked handle takes a
+    full-scan value afresh instead inside a transaction, after ``reset()`` or
+    ``system_write``, and for as long as it keeps a connection that
+    ``connection`` has handed out, through which a caller may run DDL or
+    ``deserialize``, neither of which moves ``total_changes``.
+
     A handle takes its connection onto the origin from its base's pool, or
     for ``open_pooled_at`` its bundle's (``snapshots.HandlePool``), and
     ``close()`` gives it back unless it is inside a transaction, ran
@@ -131,7 +140,7 @@ class EnvHandle:
 
     A tracked handle's first write opens an episode savepoint, and its close
     rolls back to it (tracker.py). Handing out ``connection`` ends that
-    savepoint while the handle keeps that connection (``snapshot()`` and
+    savepoint while the handle keeps that connection (its ``snapshot()`` and
     ``system_write`` hand it out too), so the caller gets an autocommit
     connection onto the live state; the close then reloads the origin image.
 
@@ -147,7 +156,7 @@ class EnvHandle:
         self._tools = bundle.tools_by_name()
         self._base = base
         self._pool = base.pool if base is not None else bundle.pool if _pooled else None
-        self._handed_out = None  # the connection ``connection`` last ended an episode on
+        self._handed_out = None  # the connection ``connection`` last handed out
         self._acquire()
         self.schema_info = (base.schema if base is not None
                             else bundle.schema_info if self._reusable
@@ -161,6 +170,7 @@ class EnvHandle:
         self._conn, self._reusable = pool.take(data) if pool else (open_handle(data), False)
         base = self._base
         self._tracker = base.tracker(self._conn) if base is not None and base.tracked else None
+        self._kept = {}  # an untracked handle's full-scan values: name -> (total_changes, value)
         if self._tracker is not None and self._conn is self._handed_out:
             self._tracker.settle()  # a caller may still hold it (``connection``)
 
@@ -217,8 +227,16 @@ class EnvHandle:
             raise RuntimeError("environment is closed")
         if self._tracker is not None:
             self._tracker.settle()
-            self._handed_out = self._conn
+        self._handed_out = self._conn
         return self._conn
+
+    def _own(self) -> sqlite3.Connection:
+        """The live connection for the handle's own reads and writes of the
+        whole state: a tracked handle's through ``connection``, which ends its
+        episode; an untracked one's without handing it out."""
+        if self.closed:
+            raise RuntimeError("environment is closed")
+        return self._conn if self._tracker is None else self.connection
 
     def read(self, sql: str, params=()) -> list[tuple]:
         """Every row of the query ``sql`` on the live state, fetched; unlike
@@ -238,7 +256,7 @@ class EnvHandle:
     def digest(self) -> str:
         if self._tracker is not None:
             return self._tracker.digest()
-        return state_digest(self.connection, self.schema_info)
+        return self._full_scan("digest", lambda conn: state_digest(conn, self.schema_info))
 
     def distance(self) -> int:
         """d_t: symmetric-difference distance from the live state to the package target."""
@@ -246,11 +264,23 @@ class EnvHandle:
             return self._tracker.distance()
         if self._base is None:
             raise RuntimeError("no target: open the environment with open_environment(pkg)")
-        return self._base.reference_distance(self.connection)
+        return self._full_scan("distance", self._base.reference_distance)
+
+    def _full_scan(self, name: str, scan):
+        """``scan`` of the live connection, or the value it gave under ``name``
+        at the same ``total_changes`` (the no-change rule, class docstring)."""
+        conn = self._own()
+        if conn.in_transaction or conn is self._handed_out:
+            return scan(conn)
+        changes = conn.total_changes
+        kept = self._kept.get(name)
+        if kept is None or kept[0] != changes:
+            kept = self._kept[name] = (changes, scan(conn))
+        return kept[1]
 
     def snapshot(self) -> Snapshot:
         """Immutable copy of the current state; later writes do not affect it."""
-        return Snapshot.from_connection(self.connection)
+        return Snapshot.from_connection(self._own())
 
     # -- privileged writes ----------------------------------------------------
 
@@ -259,11 +289,13 @@ class EnvHandle:
 
         Used by seeding and probing; agent traffic must go through
         execute_tool. Raises sqlite3.Error on rejection; fully rolled back.
-        A tracked handle rescans at its next read, since ``sql`` may be DDL,
-        and its connection is not pooled at close.
+        Since ``sql`` may be DDL, the next digest or distance read is a full
+        scan (a tracked handle rescans), and the connection is not pooled at
+        close.
         """
-        conn = self.connection
+        conn = self._own()
         self._reusable = False
+        self._kept = {}  # ``sql`` may be DDL, which moves no ``total_changes``
         with savepoint(conn):
             rowcount = conn.execute(sql, params).rowcount
         if self._tracker is not None:
@@ -305,12 +337,13 @@ def open_environment(pkg: TaskPackage) -> EnvHandle:
 
 def open_environment_at(bundle: EnvironmentBundle, snapshot: Snapshot) -> EnvHandle:
     """Live environment starting from an arbitrary snapshot (seeding, the
-    explorer, fixture builds). It has no target and digests by full scan,
-    once per call. Its connection is a fresh engine, so the images it writes
-    are the same bytes in any process state. A synthesized task opens one at
-    the empty image, seeds on it and runs its explorer on it from there: an
-    engine that loads no image after its first statement writes the bytes
-    of a fresh engine at each of its states (see ``snapshots.HandlePool``)."""
+    explorer, fixture builds). It has no target and digests by full scan
+    after each call that changed the state. Its connection is a fresh
+    engine, so the images it writes are the same bytes in any process state.
+    A synthesized task opens one at the empty image, seeds on it and runs its
+    explorer on it from there: an engine that loads no image after its first
+    statement writes the bytes of a fresh engine at each of its states (see
+    ``snapshots.HandlePool``)."""
     return EnvHandle(bundle, snapshot)
 
 

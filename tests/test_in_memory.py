@@ -32,6 +32,14 @@ ORACLE_TURN_DIGESTS = (
        ("agent_text", TARGET_DIGEST), ("user", TARGET_DIGEST)]
 )
 
+# (tool, state_digest) of every explorer action in the stub synthesis round's
+# synthesis_log.json; the log's readers check a package against these
+SYNTH_EXPLORER_DIGESTS = [
+    ("query_users", ORIGIN_DIGEST), ("query_travel_requests", ORIGIN_DIGEST),
+    ("insert_flight_bookings", AFTER_CALL_3), ("query_preferred_vendors", AFTER_CALL_3),
+    ("insert_hotel_bookings", TARGET_DIGEST),
+]
+
 
 def _oracle_episode(pkg):
     return run_episode(pkg, ScriptedAgentPort(ct.ORACLE_AGENT_SCRIPT),
@@ -44,6 +52,14 @@ def test_fixture_digests_are_pinned(travel_pkg):
     trajectory = _oracle_episode(travel_pkg)
     assert [(t.role, t.state_digest) for t in trajectory.turns] == ORACLE_TURN_DIGESTS
     assert trajectory.r_final == 1
+
+
+def test_stub_synthesis_explorer_digests_are_pinned():
+    _, log = synthesize_package("corporate travel portal",
+                                StubGenerationPort(ct.canned_generation_outputs()),
+                                name="travel-synth", limits=ct.LIMITS)
+    assert [(a["tool_call"]["tool_name"], a["result"]["state_digest"])
+            for a in log["actions"]] == SYNTH_EXPLORER_DIGESTS
 
 
 @pytest.fixture()

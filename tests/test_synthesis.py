@@ -294,11 +294,14 @@ def digest_calls(monkeypatch):
 
 
 def test_only_recorded_explorer_actions_take_a_digest(digest_calls):
-    """A synthesis round digests once per explorer action, the digest its log
-    records; boundary probes are undone and take none."""
+    """A synthesis round scans for the digests its log records only where the
+    state may have changed: the explorer's first call and its two writes; its
+    two queries reuse the digest before them. Boundary probes are undone and
+    take none."""
     _, log = synthesize_package("corporate travel portal", stub_port(),
                                 name="travel-synth", limits=ct.LIMITS)
-    assert len(digest_calls) == len(log["actions"]) == 5
+    assert len(log["actions"]) == 5
+    assert len(digest_calls) == 3
     digest_calls.clear()
     bundle = ct.build_bundle()
     origin = ct.build_origin_snapshot(bundle)
