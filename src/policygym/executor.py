@@ -7,7 +7,7 @@ One EnvHandle is single-writer; distinct handles are fully independent.
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import MalformedArguments, ReadOnlyTable, UnknownTool
@@ -18,8 +18,8 @@ from .packages import (
     ToolSpec,
     split_error_code,
 )
-from .snapshots import (Snapshot, catalog, insert_sql, open_handle, quote_ident, select_sql,
-                        state_digest)
+from .snapshots import (Snapshot, TableInfo, catalog, changes_schema, insert_sql, open_handle,
+                        quote_ident, read_schema, state_digest)
 
 if TYPE_CHECKING:
     from .tracker import VerificationBase
@@ -158,9 +158,6 @@ class EnvHandle:
         self._pool = base.pool if base is not None else bundle.pool if _pooled else None
         self._handed_out = None  # the connection ``connection`` last handed out
         self._acquire()
-        self.schema_info = (base.schema if base is not None
-                            else bundle.schema_info if self._reusable
-                            else catalog(self._conn, origin.data))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -170,6 +167,9 @@ class EnvHandle:
         self._conn, self._reusable = pool.take(data) if pool else (open_handle(data), False)
         base = self._base
         self._tracker = base.tracker(self._conn) if base is not None and base.tracked else None
+        self.schema_info = (base.schema if base is not None
+                            else self.bundle.schema_info if self._reusable
+                            else catalog(self._conn, data))
         self._kept = {}  # an untracked handle's full-scan values: name -> (total_changes, value)
         if self._tracker is not None and self._conn is self._handed_out:
             self._tracker.settle()  # a caller may still hold it (``connection``)
@@ -250,9 +250,6 @@ class EnvHandle:
         """True when digest and distance follow the change log (tracker.py)."""
         return self._tracker is not None
 
-    def columns(self, table: str):
-        return self.schema_info.columns(table)
-
     def digest(self) -> str:
         if self._tracker is not None:
             return self._tracker.digest()
@@ -291,13 +288,16 @@ class EnvHandle:
         execute_tool. Raises sqlite3.Error on rejection; fully rolled back.
         Since ``sql`` may be DDL, the next digest or distance read is a full
         scan (a tracked handle rescans), and the connection is not pooled at
-        close.
+        close. DDL that changes the catalog (``changes_schema``) swaps it in;
+        a tracked handle, whose base has the old one, stops tracking till reset.
         """
         conn = self._own()
         self._reusable = False
         self._kept = {}  # ``sql`` may be DDL, which moves no ``total_changes``
         with savepoint(conn):
             rowcount = conn.execute(sql, params).rowcount
+        if changes_schema(sql) and (schema := read_schema(conn)) != self.schema_info:
+            self.schema_info, self._tracker = schema, None
         if self._tracker is not None:
             self._tracker.invalidate()
         return rowcount
@@ -390,8 +390,10 @@ def _lookup_tool(env: EnvHandle, name: str) -> ToolSpec:
 
 
 def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
-    """Execute one tool call in its own savepoint (see ``savepoint``). Here
-    and in safe_execute_tool the result gets the post-call digest, read once.
+    """Execute one tool call in its own savepoint (see ``savepoint``). A call
+    reads what the catalog fixes (spec, validator, a query's columns and
+    SELECT, an INSERT's text per column set), builds its other SQL, and reads
+    the post-call digest once into its one result (also in safe_execute_tool).
 
     Engine aborts (trigger RAISEs, constraint failures) become error results
     with the state fully rolled back; UnknownTool / MalformedArguments /
@@ -399,7 +401,7 @@ def execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
     satisfy the tool's ``parameter_schema``; past that check only NULL
     filters are limited to = and !=.
     """
-    return replace(_dispatch(env, call), state_digest=env.digest())
+    return _dispatch(env, call, env.digest)
 
 
 def safe_execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
@@ -408,19 +410,20 @@ def safe_execute_tool(env: EnvHandle, call: ToolCall) -> ToolResult:
     Rollout loops use this so an agent's malformed call becomes feedback
     instead of a crash; the state is untouched in every error case.
     """
-    return replace(_dispatch_folded(env, call), state_digest=env.digest())
+    return _dispatch_folded(env, call, env.digest)
 
 
-def _dispatch(env: EnvHandle, call: ToolCall) -> ToolResult:
+def _dispatch(env: EnvHandle, call: ToolCall, digest=str) -> ToolResult:
+    """``call``'s result, built once with ``digest()`` read after it; ``str``: no digest."""
     if env.closed:
         raise RuntimeError("environment is closed")
     spec = _lookup_tool(env, call.tool_name)
     spec.validate(call.arguments)
     if spec.kind == "query":
-        return _run_query(env, spec, call.arguments)
+        return _run_query(env, spec, call.arguments, digest)
     if spec.kind == "update":
-        return _run_write(env, *_update_sql(spec, call.arguments))
-    return _run_write(env, *insert_sql(spec.table, call.arguments))  # inserts and escalations
+        return _run_write(env, *_update_sql(spec, call.arguments), digest)
+    return _run_write(env, *insert_sql(spec.table, call.arguments), digest)  # inserts, escalations
 
 
 def _dispatch_undone(env: EnvHandle, call: ToolCall) -> ToolResult:
@@ -430,9 +433,9 @@ def _dispatch_undone(env: EnvHandle, call: ToolCall) -> ToolResult:
         return _dispatch_folded(env, call)
 
 
-def _dispatch_folded(env: EnvHandle, call: ToolCall) -> ToolResult:
+def _dispatch_folded(env: EnvHandle, call: ToolCall, digest=str) -> ToolResult:
     try:
-        return _dispatch(env, call)
+        return _dispatch(env, call, digest)
     except UnknownTool as exc:
         payload = ErrorPayload(code="UNKNOWN_TOOL", message=f"unknown tool: {exc}",
                                hint="use a tool from the provided catalog")
@@ -442,13 +445,15 @@ def _dispatch_folded(env: EnvHandle, call: ToolCall) -> ToolResult:
     except MalformedArguments as exc:
         payload = ErrorPayload(code="MALFORMED_ARGUMENTS", message=str(exc),
                                hint="check the tool parameter schema")
-    return ToolResult(status="error", error=payload)
+    return ToolResult(status="error", error=payload, state_digest=digest())
 
 
-def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
-    columns = [c.name for c in env.columns(spec.table)]
+def _run_query(env: EnvHandle, spec: ToolSpec, args: dict, digest=str) -> ToolResult:
+    # a table the catalog lacks selects NULL, which the engine refuses
+    info = env.schema_info.table(spec.table) or TableInfo(spec.table, (), (), "")
+    columns = info.column_names
     where, params = _filters_to_sql(spec, args.get("filters"))
-    sql = select_sql(spec.table, columns) + where
+    sql = info.select + where
     order = args.get("order_by")
     if order is not None:
         direction = order.get("direction", "asc").upper()
@@ -458,7 +463,7 @@ def _run_query(env: EnvHandle, spec: ToolSpec, args: dict) -> ToolResult:
         sql += " LIMIT ?"
         params.append(limit)
     rows = tuple(dict(zip(columns, row)) for row in env._conn.execute(sql, params))
-    return ToolResult(status="success", rows=rows)
+    return ToolResult(status="success", rows=rows, state_digest=digest())
 
 
 def _update_sql(spec: ToolSpec, args: dict) -> tuple[str, list]:
@@ -478,7 +483,7 @@ def _update_sql(spec: ToolSpec, args: dict) -> tuple[str, list]:
     return sql, list(setter.values()) + where_params
 
 
-def _run_write(env: EnvHandle, sql: str, params: list) -> ToolResult:
+def _run_write(env: EnvHandle, sql: str, params: list, digest=str) -> ToolResult:
     conn = env._conn  # not ``connection``, which would end the episode
     if env._tracker is not None:
         env._tracker.begin()
@@ -487,5 +492,5 @@ def _run_write(env: EnvHandle, sql: str, params: list) -> ToolResult:
             affected = max(conn.execute(sql, params).rowcount, 0)
     except sqlite3.Error as exc:
         payload = parse_engine_error(str(exc), env.bundle.error_registry)
-        return ToolResult(status="error", error=payload)
-    return ToolResult(status="success", affected=affected)
+        return ToolResult(status="error", error=payload, state_digest=digest())
+    return ToolResult(status="success", affected=affected, state_digest=digest())

@@ -18,6 +18,7 @@ from .errors import PortFailure
 
 STDERR_TAIL = 4096  # bytes of a port's stderr that a PortFailure quotes
 MAX_REPLY_BYTES = 16 << 20  # a longer reply line is a PortFailure, not a growing buffer
+_ToolCall = None  # executor.ToolCall, bound by the first ``_tool_call``, which no served port runs
 
 
 def default_port_timeout() -> float:
@@ -56,11 +57,12 @@ def _tool_call(doc) -> "ToolCall":
     ``tool_name`` is None, so a malformed call scores as UNKNOWN_TOOL
     feedback (the executor's answer to any name that is not a string), not as
     a port failure, and its export still replays."""
-    from .executor import ToolCall
-
+    global _ToolCall
+    if _ToolCall is None:
+        from .executor import ToolCall as _ToolCall
     if not isinstance(doc, dict):
-        return ToolCall(tool_name=None, arguments=doc)
-    return ToolCall(tool_name=doc.get("tool_name"), arguments=doc.get("arguments", {}))
+        return _ToolCall(tool_name=None, arguments=doc)
+    return _ToolCall(tool_name=doc.get("tool_name"), arguments=doc.get("arguments", {}))
 
 
 def _step_content(doc) -> dict:

@@ -55,9 +55,13 @@ def quote_ident(name: str) -> str:
 
 def insert_sql(table: str, row: dict) -> tuple[str, list]:
     """The INSERT of ``row`` (column -> value) into ``table``, and its parameters."""
+    return _insert_text(table, tuple(row)), list(row.values())
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _insert_text(table: str, columns: tuple) -> str:
     return "INSERT INTO {} ({}) VALUES ({})".format(
-        quote_ident(table), ", ".join(quote_ident(c) for c in row), ", ".join("?" * len(row))
-    ), list(row.values())
+        quote_ident(table), ", ".join(map(quote_ident, columns)), ", ".join("?" * len(columns)))
 
 
 def select_sql(table: str, columns) -> str:
@@ -287,6 +291,11 @@ def tokenize(sql: str) -> list[str]:
     tokens = _TOKEN.findall(sql)
     del tokens[tokens.index(""):]  # the end of the text
     return tokens
+
+
+def changes_schema(sql: str) -> bool:
+    """``sql`` opens with ALTER, CREATE or DROP, as every statement that can change a catalog."""
+    return (_TOKEN.match(sql).group(1) or "").upper() in ("ALTER", "CREATE", "DROP")
 
 
 def is_number(token: str) -> bool:

@@ -4,21 +4,26 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from policygym.errors import MalformedArguments
+from policygym.errors import MalformedArguments, ReadOnlyTable, UnknownTool
 from policygym.executor import (
+    ErrorPayload,
     ToolCall,
     ToolResult,
+    _filters_to_sql,
+    _lookup_tool,
+    _run_write,
     open_environment,
     open_environment_at,
     safe_execute_tool,
 )
 from policygym.packages import compile_validator
-from policygym.snapshots import state_digest
+from policygym.snapshots import quote_ident, select_sql, state_digest
 
 # derandomized, so that CI sees the same corpus on every run
 FUZZ = settings(derandomize=True, max_examples=50, deadline=None,
@@ -115,22 +120,28 @@ def _arguments(spec):
     return _mostly(shaped)
 
 
-@pytest.mark.parametrize("opened_at", [False, True], ids=["tracked", "open_environment_at"])
-@FUZZ
-@given(data=st.data())
-def test_arbitrary_calls_are_total_and_match_the_published_contract(
-        travel_pkg, published, opened_at, data):
-    tools = travel_pkg.env.tools_by_name()
+def _draw_calls(data, pkg) -> list[ToolCall]:
+    """One to six calls of ``pkg``'s tools and odd names, arguments from ``_arguments``."""
+    tools = pkg.env.tools_by_name()
     calls = []
     for name in data.draw(st.lists(st.sampled_from(sorted(tools) + _ODD_NAMES),
                                    min_size=1, max_size=6)):
         spec = tools.get(name) if isinstance(name, str) else None
         calls.append(ToolCall(name, data.draw(_arguments(spec) if spec else _JSON_LIKE)))
-    if opened_at:
-        handle = open_environment_at(travel_pkg.env, travel_pkg.origin_snapshot)
-    else:
-        handle = open_environment(travel_pkg)
-    with handle as env:
+    return calls
+
+
+def _open(pkg, opened_at: bool):
+    return open_environment_at(pkg.env, pkg.origin_snapshot) if opened_at else open_environment(pkg)
+
+
+@pytest.mark.parametrize("opened_at", [False, True], ids=["tracked", "open_environment_at"])
+@FUZZ
+@given(data=st.data())
+def test_arbitrary_calls_are_total_and_match_the_published_contract(
+        travel_pkg, published, opened_at, data):
+    calls = _draw_calls(data, travel_pkg)
+    with _open(travel_pkg, opened_at) as env:
         assert env.tracked is not opened_at
         for call in calls:
             before = env.digest()
@@ -145,6 +156,63 @@ def test_arbitrary_calls_are_total_and_match_the_published_contract(
                 accepted = _contract_accepts(published[call.tool_name], call.tool_name,
                                              call.arguments)
                 assert malformed is not accepted, call
+
+
+# --- the slow reference --------------------------------------------------------------
+
+def _reference_result(env, call: ToolCall) -> ToolResult:
+    """``safe_execute_tool``'s result built the slow way: each call rebuilds
+    its SQL text (a query's columns from ``env.schema_info``), and the digest is
+    attached to a digest-less result with ``dataclasses.replace``."""
+    try:
+        spec = _lookup_tool(env, call.tool_name)
+        spec.validate(call.arguments)
+        args, table = call.arguments, quote_ident(spec.table)
+        if spec.kind == "query":
+            columns = [c.name for c in env.schema_info.columns(spec.table)]
+            where, params = _filters_to_sql(spec, args.get("filters"))
+            sql = select_sql(spec.table, columns) + where
+            order = args.get("order_by")
+            if order is not None:
+                direction = order.get("direction", "asc").upper()
+                sql += f" ORDER BY {quote_ident(order['column'])} {direction}"
+            if args.get("limit") is not None:
+                sql += " LIMIT ?"
+                params.append(args["limit"])
+            rows = tuple(dict(zip(columns, row)) for row in env.read(sql, params))
+            result = ToolResult(status="success", rows=rows)
+        elif spec.kind == "update":
+            where, params = _filters_to_sql(spec, args["filters"])
+            setter = ", ".join(f"{quote_ident(c)} = ?" for c in args["set"])
+            result = _run_write(env, f"UPDATE {table} SET {setter}{where}",
+                                [*args["set"].values(), *params])
+        else:
+            names = ", ".join(map(quote_ident, args))
+            result = _run_write(env, f"INSERT INTO {table} ({names}) VALUES"
+                                     f" ({', '.join('?' * len(args))})", list(args.values()))
+    except UnknownTool as exc:
+        result = ToolResult(status="error", error=ErrorPayload(
+            code="UNKNOWN_TOOL", message=f"unknown tool: {exc}",
+            hint="use a tool from the provided catalog"))
+    except ReadOnlyTable as exc:
+        result = ToolResult(status="error", error=ErrorPayload(
+            code="READ_ONLY_TABLE", message=str(exc), hint="this table only supports query tools"))
+    except MalformedArguments as exc:
+        result = ToolResult(status="error", error=ErrorPayload(
+            code="MALFORMED_ARGUMENTS", message=str(exc), hint="check the tool parameter schema"))
+    return replace(result, state_digest=env.digest())
+
+
+@pytest.mark.parametrize("opened_at", [False, True], ids=["tracked", "open_environment_at"])
+@FUZZ
+@given(data=st.data())
+def test_each_result_equals_the_slow_reference_field_by_field(travel_pkg, opened_at, data):
+    calls = _draw_calls(data, travel_pkg)
+    with _open(travel_pkg, opened_at) as env, _open(travel_pkg, opened_at) as twin:
+        for call in calls:
+            result, expected = safe_execute_tool(env, call), _reference_result(twin, call)
+            for f in fields(ToolResult):
+                assert getattr(result, f.name) == getattr(expected, f.name), (call, f.name)
 
 
 # --- the validator -------------------------------------------------------------------

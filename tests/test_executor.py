@@ -15,7 +15,7 @@ from policygym.executor import (
     safe_execute_tool,
 )
 from policygym.packages import READ_ONLY, EnvironmentBundle
-from policygym.snapshots import quote_ident
+from policygym.snapshots import quote_ident, state_digest
 from policygym.verify import canonicalize, canonicalize_connection, diff_canonical
 
 
@@ -288,6 +288,34 @@ def test_snapshot_isolation_and_reset(env, travel_pkg):
     ).total == 1
     env.reset()
     assert _diff_to_origin(env, travel_pkg) == 0
+
+
+@pytest.mark.parametrize("ddl, column", [
+    ("ALTER TABLE escalations ADD COLUMN extra TEXT DEFAULT 'x'", "extra"),
+    ("/* a note */ alter table escalations rename column summary to note", "note"),
+    ("-- a table\nCREATE TABLE notes (id INTEGER PRIMARY KEY)", "summary"),
+], ids=["add-column", "rename-column", "create-table"])
+@pytest.mark.parametrize("opened_at", [False, True], ids=["tracked", "open_environment_at"])
+def test_a_schema_change_is_digested_under_the_new_catalog(travel_pkg, opened_at, ddl, column):
+    """A ``system_write`` of DDL re-reads the handle's catalog, and a tracked
+    handle stops tracking until ``reset()``: the digest is the live state's,
+    before and after a call, and ``reset()`` brings back the origin's."""
+    origin = travel_pkg.origin_snapshot
+    with (open_environment_at(travel_pkg.env, origin) if opened_at
+          else open_environment(travel_pkg)) as env:
+        env.system_write(ddl)
+        assert not env.tracked
+        assert env.schema_info.columns("escalations")[-1].name == column
+        assert env.digest() == state_digest(env.connection) == env.snapshot().digest()
+        assert env.digest() != origin.digest()
+        # refused by the engine after the rename, which leaves no column "summary"
+        result = execute_tool(env, ToolCall("transfer_to_human_agents", {"summary": "s"}))
+        assert result.ok is (column != "note")
+        assert result.state_digest == state_digest(env.connection)
+        env.reset()
+        assert env.tracked is not opened_at
+        assert env.schema_info.columns("escalations")[-1].name == "summary"
+        assert env.digest() == state_digest(env.connection) == origin.digest()
 
 
 def test_reset_after_error_restores_origin(env, travel_pkg):

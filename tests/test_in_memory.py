@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import tempfile
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from policygym.executor import ToolCall, execute_tool, open_environment
 from policygym.fixtures import corporate_travel as ct
 from policygym.ports import ScriptedAgentPort, ScriptedUserPort
-from policygym.rollout import run_episode
+from policygym.rollout import export_trajectory, run_episode
 from policygym.synthesis import StubGenerationPort, synthesize_package
 from policygym.verify import canonicalize, diff
 
@@ -32,6 +33,10 @@ ORACLE_TURN_DIGESTS = (
        ("agent_text", TARGET_DIGEST), ("user", TARGET_DIGEST)]
 )
 
+# SHA-256 of the fixture oracle episode's ``export_trajectory`` bytes: every
+# result field and the JSON layout of a recorded trajectory
+ORACLE_EXPORT_SHA256 = "2c1026ea2df93d2d482ff64deac668afcb423b75dfe3b67e80532555df4afa70"
+
 # (tool, state_digest) of every explorer action in the stub synthesis round's
 # synthesis_log.json; the log's readers check a package against these
 SYNTH_EXPLORER_DIGESTS = [
@@ -52,6 +57,12 @@ def test_fixture_digests_are_pinned(travel_pkg):
     trajectory = _oracle_episode(travel_pkg)
     assert [(t.role, t.state_digest) for t in trajectory.turns] == ORACLE_TURN_DIGESTS
     assert trajectory.r_final == 1
+
+
+def test_fixture_oracle_export_is_pinned(travel_pkg, tmp_path):
+    export_trajectory(_oracle_episode(travel_pkg), tmp_path / "oracle.jsonl")
+    assert hashlib.sha256((tmp_path / "oracle.jsonl").read_bytes()).hexdigest() == (
+        ORACLE_EXPORT_SHA256)
 
 
 def test_stub_synthesis_explorer_digests_are_pinned():
