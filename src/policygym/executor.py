@@ -116,15 +116,18 @@ class EnvHandle:
     for parallel rollouts. The origin snapshot bytes are never mutated.
 
     A handle opened on a package (``base`` given) knows its target and, unless
-    the schema keeps the full scan, tracks digest and distance incrementally
-    (see tracker.py); other handles digest by full scan and have no target.
+    the schema keeps the full scan, tracks digest and distance from a change
+    log (see tracker.py) until a ``system_write``; other handles have no
+    target. The handle owns every full-scan value: it reads its tracker only
+    where the tracker can answer (not ``pending``, and for d_t a ``counted``
+    base), and the full scan everywhere else.
 
     Every handle keeps one no-change rule: a digest or distance read after
     calls that changed nothing (the connection's ``total_changes`` has not
-    moved) reuses the last value, save a tracked handle's full-scan distance
-    under ``fk_mode="canonical_remap"``. An untracked handle takes a
-    full-scan value afresh instead inside a transaction, after ``reset()`` or
-    ``system_write``, and for as long as it keeps a connection that
+    moved) reuses the last value. A full-scan value is taken afresh instead
+    inside a transaction whose changes may still roll back (on a tracked
+    handle, one other than its episode), after ``reset()`` or
+    ``system_write``, and for as long as the handle keeps a connection that
     ``connection`` has handed out, through which a caller may run DDL or
     ``deserialize``, neither of which moves ``total_changes``.
 
@@ -170,15 +173,22 @@ class EnvHandle:
         self.schema_info = (base.schema if base is not None
                             else self.bundle.schema_info if self._reusable
                             else catalog(self._conn, data))
-        self._kept = {}  # an untracked handle's full-scan values: name -> (total_changes, value)
+        self._kept = {}  # full-scan values: name -> (total_changes, value)
         if self._tracker is not None and self._conn is self._handed_out:
             self._tracker.settle()  # a caller may still hold it (``connection``)
 
+    @property
+    def _pending(self) -> bool:
+        """The connection is inside a transaction whose changes may still roll
+        back: for a tracked handle, one other than its episode."""
+        tracker = self._tracker
+        return tracker.pending if tracker is not None else self._conn.in_transaction
+
     def _release(self) -> None:
         """Give the connection back (a tracked one at the origin) or close it."""
+        pending = self._pending
         conn, tracker, pool, at = self._conn, self._tracker, self._pool, None
         self._conn = self._tracker = None
-        pending = tracker.pending if tracker is not None else conn.in_transaction
         if pool is None or not self._reusable or pending:
             conn.close()
             return
@@ -231,9 +241,9 @@ class EnvHandle:
         return self._conn
 
     def _own(self) -> sqlite3.Connection:
-        """The live connection for the handle's own reads and writes of the
-        whole state: a tracked handle's through ``connection``, which ends its
-        episode; an untracked one's without handing it out."""
+        """The live connection for ``snapshot()`` and ``system_write``: a
+        tracked handle's through ``connection``, which ends its episode; an
+        untracked one's without handing it out."""
         if self.closed:
             raise RuntimeError("environment is closed")
         return self._conn if self._tracker is None else self.connection
@@ -251,23 +261,29 @@ class EnvHandle:
         return self._tracker is not None
 
     def digest(self) -> str:
-        if self._tracker is not None:
-            return self._tracker.digest()
+        tracker = self._tracker
+        if tracker is not None and not tracker.pending:
+            return tracker.digest()
         return self._full_scan("digest", lambda conn: state_digest(conn, self.schema_info))
 
     def distance(self) -> int:
         """d_t: symmetric-difference distance from the live state to the package target."""
-        if self._tracker is not None:
-            return self._tracker.distance()
-        if self._base is None:
+        base, tracker = self._base, self._tracker
+        if base is None:
             raise RuntimeError("no target: open the environment with open_environment(pkg)")
-        return self._full_scan("distance", self._base.reference_distance)
+        if tracker is not None and not tracker.pending and base.counted:
+            return tracker.distance()
+        return self._full_scan("distance",
+                               lambda conn: base.reference_distance(conn, self.schema_info))
 
     def _full_scan(self, name: str, scan):
         """``scan`` of the live connection, or the value it gave under ``name``
-        at the same ``total_changes`` (the no-change rule, class docstring)."""
-        conn = self._own()
-        if conn.in_transaction or conn is self._handed_out:
+        at the same ``total_changes`` (the no-change rule, class docstring).
+        It reads the connection in place: a tracked handle keeps its episode."""
+        if self.closed:
+            raise RuntimeError("environment is closed")
+        conn = self._conn
+        if self._pending or conn is self._handed_out:
             return scan(conn)
         changes = conn.total_changes
         kept = self._kept.get(name)
@@ -286,20 +302,18 @@ class EnvHandle:
 
         Used by seeding and probing; agent traffic must go through
         execute_tool. Raises sqlite3.Error on rejection; fully rolled back.
-        Since ``sql`` may be DDL, the next digest or distance read is a full
-        scan (a tracked handle rescans), and the connection is not pooled at
-        close. DDL that changes the catalog (``changes_schema``) swaps it in;
-        a tracked handle, whose base has the old one, stops tracking till reset.
+        Since ``sql`` may be DDL, which the change log cannot follow and which
+        moves no ``total_changes``, the next digest or distance read is a full
+        scan, a tracked handle stops tracking until ``reset()``, and the
+        connection is not pooled at close. DDL that changes the catalog
+        (``changes_schema``) swaps it in, so later scans read the live schema.
         """
         conn = self._own()
-        self._reusable = False
-        self._kept = {}  # ``sql`` may be DDL, which moves no ``total_changes``
+        self._reusable, self._tracker, self._kept = False, None, {}
         with savepoint(conn):
             rowcount = conn.execute(sql, params).rowcount
         if changes_schema(sql) and (schema := read_schema(conn)) != self.schema_info:
-            self.schema_info, self._tracker = schema, None
-        if self._tracker is not None:
-            self._tracker.invalidate()
+            self.schema_info = schema
         return rowcount
 
 

@@ -25,10 +25,10 @@ from ..packages import (
 from ..snapshots import Snapshot
 from ..synthesis import (
     StubGenerationPort,
-    _explore_on,
     apply_seed_proposals,
     assemble_package,
     build_redaction_list,
+    explore_episode,
     project_user_view,
 )
 from ..verify import DiffConfig
@@ -854,7 +854,7 @@ def build_task_package() -> TaskPackage:
     port = StubGenerationPort(canned_generation_outputs())
     with open_environment_at(bundle, bundle.empty_snapshot) as env:
         origin = _seed_origin(env)
-        episode = _explore_on(env, port, port, LIMITS)
+        episode = explore_episode(env, port, port, LIMITS)
     for call, result in episode.actions:
         if result.status != "success":
             raise RuntimeError(f"oracle action {call.tool_name} failed: {result.error}")

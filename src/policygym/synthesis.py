@@ -376,21 +376,11 @@ def apply_seed_proposals(env: EnvHandle, proposals) -> tuple[dict[str, int], lis
     return committed, rejected
 
 
-def seed_initial_state(
-    bundle: EnvironmentBundle,
-    strategy_cfg: dict,
-    port: GenerationPort,
-    seed: int = 0,
-) -> Snapshot:
+def seed_initial_state(env: EnvHandle, strategy_cfg: dict, port: GenerationPort,
+                       seed: int = 0) -> Snapshot:
     """Build the origin snapshot from port-proposed rows filtered by triggers,
-    on a fresh engine of its own (``synthesize_package`` seeds on the engine
-    its explorer then continues on)."""
-    with open_environment_at(bundle, bundle.empty_snapshot) as env:
-        return _seed_on(env, strategy_cfg, port, seed)
-
-
-def _seed_on(env: EnvHandle, strategy_cfg: dict, port: GenerationPort, seed: int) -> Snapshot:
-    """``seed_initial_state`` on ``env``, an open handle at its bundle's empty image."""
+    on ``env``, an open handle at its bundle's empty image
+    (``open_environment_at(bundle, bundle.empty_snapshot)``)."""
     bundle = env.bundle
     context = {
         "strategies": strategy_cfg.get("strategies",
@@ -489,31 +479,17 @@ def _parse_port_doc(raw: str, stage: str) -> dict:
     return doc
 
 
-def explore_episode(
-    bundle: EnvironmentBundle,
-    s_origin: Snapshot,
-    client_port: GenerationPort,
-    consultant_port: GenerationPort,
-    limits: RolloutLimits,
-    seed: int = 0,
-    repetition_threshold: int = 3,
-) -> RawEpisode:
-    """Client/consultant exploration with every action executed for real.
+def explore_episode(env: EnvHandle, client_port: GenerationPort,
+                    consultant_port: GenerationPort, limits: RolloutLimits, seed: int = 0,
+                    repetition_threshold: int = 3) -> RawEpisode:
+    """Client/consultant exploration with every action executed for real on
+    ``env``, an open handle at the origin.
 
     Consultant writes feed their structured error payloads back into the
     next generation context; the episode diverges after
     ``repetition_threshold`` consecutive identical rejected writes or when
-    the turn budget runs out before the client confirms the goal. It runs on
-    a fresh engine at ``s_origin`` (``synthesize_package`` continues on the
-    engine that seeded ``s_origin`` instead).
+    the turn budget runs out before the client confirms the goal.
     """
-    with open_environment_at(bundle, s_origin) as env:
-        return _explore_on(env, client_port, consultant_port, limits, seed, repetition_threshold)
-
-
-def _explore_on(env: EnvHandle, client_port: GenerationPort, consultant_port: GenerationPort,
-                limits: RolloutLimits, seed: int = 0, repetition_threshold: int = 3) -> RawEpisode:
-    """``explore_episode`` on ``env``, an open handle at the origin."""
     transcript: list[EpisodeMessage] = []
     actions: list[tuple[ToolCall, ToolResult]] = []
     goal = ""
@@ -704,8 +680,7 @@ def synthesize_package(
     Seeding and the explorer share one fresh engine (``open_environment_at``
     at the empty image), so a task pays one schema parse; the probes run in
     between on a pooled copy of ``s_origin``, never on that engine. Its
-    images are the bytes that ``seed_initial_state`` and ``explore_episode``
-    write, each on an engine of its own (see ``snapshots.HandlePool``).
+    images are the bytes of a fresh engine (see ``snapshots.HandlePool``).
 
     Returns the package plus a stage log (reports, adjacency score and the
     executed episode actions for ground-truth replay checks).
@@ -720,12 +695,12 @@ def synthesize_package(
         )
     limits = limits or RolloutLimits()
     with open_environment_at(result.bundle, result.bundle.empty_snapshot) as env:
-        s_origin = _seed_on(env, strategy_cfg, port, seed)
+        s_origin = seed_initial_state(env, strategy_cfg, port, seed)
         probe = probe_boundary_adjacency(
             result.bundle, s_origin, probe_budget, strategy_cfg.get("probe_specs")
         )
-        episode = _explore_on(env, port, port, limits, seed,
-                              strategy_cfg.get("repetition_threshold", 3))
+        episode = explore_episode(env, port, port, limits, seed,
+                                  strategy_cfg.get("repetition_threshold", 3))
     redaction = build_redaction_list(result.bundle, episode,
                                      strategy_cfg.get("redaction_extra", ()))
     task_text = project_user_view(episode, redaction)

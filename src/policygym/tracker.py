@@ -53,14 +53,22 @@ per catalog and diff-config value (each table's columns, digest header,
 full-row SELECT and canonical positions), and the log's install statements
 are kept per plan, so a second package of one DDL and config rebuilds neither.
 
-The full-scan functions stay the reference, and some schemas keep them:
+The tracker only folds its change log, and runs no full-scan function: the
+handle (``executor.EnvHandle``) reads the full scan wherever the tracker
+cannot answer, under one no-change rule. The full-scan functions stay the
+reference, and the handle uses them
 
-* a schema that uses REPLACE conflict resolution, which deletes rows without
-  firing delete triggers, or that has a user table named like the log (the
-  TEMP table would shadow it in unqualified SQL), gets no tracker at all;
-* under ``fk_mode="canonical_remap"`` a child's canonical row depends on its
-  parent's content, so d_t is computed by full scan while the digest stays
-  incremental; so it is when the target image has another catalog.
+* for a schema that uses REPLACE conflict resolution, which deletes rows
+  without firing delete triggers, or that has a user table named like the
+  log (the TEMP table would shadow it in unqualified SQL): it gets no
+  tracker at all;
+* for d_t when the base is not ``counted``: under
+  ``fk_mode="canonical_remap"`` a child's canonical row depends on its
+  parent's content, and a target image of another catalog has other rows;
+* inside a transaction other than the episode (``StateTracker.pending``),
+  whose changes the log holds but may still roll back;
+* after any ``system_write``, which may run DDL the log cannot follow: the
+  handle drops its tracker until ``reset()``.
 """
 
 from __future__ import annotations
@@ -80,7 +88,6 @@ from .snapshots import (
     open_handle,
     quote_ident,
     row_record,
-    state_digest,
     tokenize,
 )
 from .verify import (
@@ -235,9 +242,10 @@ class VerificationBase:
         rescans, read at first use: a base that needs neither keeps no copy."""
         return canonicalize(self._target, self.cfg)
 
-    def reference_distance(self, conn: sqlite3.Connection) -> int:
-        """d_t by full scan of the live database behind ``conn``."""
-        live = canonicalize_connection(conn, self.cfg, self.schema)
+    def reference_distance(self, conn: sqlite3.Connection, schema: SchemaInfo) -> int:
+        """d_t by full scan of the live database behind ``conn``, whose catalog
+        is ``schema``."""
+        live = canonicalize_connection(conn, self.cfg, schema)
         return diff_canonical(live, self.target).total
 
     def tracker(self, conn: sqlite3.Connection) -> "StateTracker":
@@ -271,7 +279,8 @@ class StateTracker:
 
     ``conn`` must be a pooled connection (see ``VerificationBase``): at the
     origin, outside any transaction, the base's log installed and empty. A
-    tracker serves one handle.
+    tracker serves one handle, which reads it only when it is not
+    ``pending``, and reads its d_t only on a ``counted`` base.
     """
 
     def __init__(self, conn: sqlite3.Connection, base: VerificationBase):
@@ -286,7 +295,6 @@ class StateTracker:
         self._digest = base.digest
         self._signed = None if base.signed is None else dict(base.signed)
         self._distance = base.distance
-        self._stale = False
         self._seen = conn.total_changes
 
     @property
@@ -298,9 +306,6 @@ class StateTracker:
     # -- reads -----------------------------------------------------------------
 
     def digest(self) -> str:
-        if self.pending:
-            # the log holds changes that may still roll back
-            return state_digest(self.conn, self._base.schema)
         self._sync()
         if self._dirty:
             start = None  # digest input bytes before the first change
@@ -319,16 +324,10 @@ class StateTracker:
         return self._digest
 
     def distance(self) -> int:
-        if self._signed is None or self.pending:
-            return self._base.reference_distance(self.conn)
         self._sync()
         return self._distance
 
     # -- writes ------------------------------------------------------------------
-
-    def invalidate(self) -> None:
-        """Rescan at the next read (after a write the log may not follow, such as DDL)."""
-        self._stale = True
 
     def begin(self) -> None:
         """Open the episode savepoint, if the handle runs one, before a write."""
@@ -358,9 +357,7 @@ class StateTracker:
 
     def _sync(self) -> None:
         conn = self.conn
-        if self._stale:
-            self._rescan()
-        elif conn.total_changes != self._seen:
+        if conn.total_changes != self._seen:
             logged = conn.execute(f"SELECT * FROM temp.{LOG_TABLE}").fetchall()
             if logged:
                 conn.execute(f"DELETE FROM temp.{LOG_TABLE}")
@@ -409,4 +406,3 @@ class StateTracker:
         if signed is not None:
             self._signed = signed
             self._distance = sum(map(abs, signed.values()))
-        self._stale = False

@@ -96,9 +96,9 @@ class FullScan:
             self.scans += 1
             return digest(conn, schema)
 
-        def counted_distance(base, conn):
+        def counted_distance(base, conn, schema):
             self.scans += 1
-            return distance(base, conn)
+            return distance(base, conn, schema)
 
         monkeypatch.setattr(executor, "state_digest", counted_digest)
         monkeypatch.setattr(VerificationBase, "reference_distance", counted_distance)

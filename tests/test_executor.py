@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from policygym.errors import MalformedArguments, ReadOnlyTable, UnknownTool
+from policygym.errors import MalformedArguments, ReadOnlyTable, SchemaMismatch, UnknownTool
 from policygym.executor import (
     ToolCall,
     _run_write,
@@ -316,6 +316,21 @@ def test_a_schema_change_is_digested_under_the_new_catalog(travel_pkg, opened_at
         assert env.tracked is not opened_at
         assert env.schema_info.columns("escalations")[-1].name == "summary"
         assert env.digest() == state_digest(env.connection) == origin.digest()
+
+
+def test_a_renamed_column_is_scored_under_the_new_catalog(travel_pkg):
+    """d_t after a column rename scans the live state under the handle's new
+    catalog, whose users table no longer holds the target's columns, so it
+    is refused. Through the base's catalog, which names the old column, d_t
+    read 14: SQLite reads a gone column's quoted name as a string literal,
+    so every users row counted as changed."""
+    with open_environment(travel_pkg) as env:
+        assert env.distance() == travel_pkg.delta0 == 4
+        env.system_write("ALTER TABLE users RENAME COLUMN user_level TO grade")
+        with pytest.raises(SchemaMismatch, match="column sets differ for table: users"):
+            env.distance()
+        assert "grade" in env.schema_info.table("users").column_names
+        assert env.digest() == state_digest(env.connection)
 
 
 def test_reset_after_error_restores_origin(env, travel_pkg):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from policygym import load_package, packages, synthesis
+from policygym.executor import open_environment_at
 from policygym.fixtures import corporate_travel as ct
 from policygym.packages import find_spoiler, token_pattern
 from policygym.synthesis import _redact, build_redaction_list, explore_episode, project_user_view
@@ -131,7 +132,8 @@ def test_projecting_the_fixture_episode_compiles_no_pattern(fixture_dir, pattern
     bundle = ct.build_bundle()
     origin = ct.build_origin_snapshot(bundle)
     port = synthesis.StubGenerationPort(ct.canned_generation_outputs())
-    episode = explore_episode(bundle, origin, port, port, ct.LIMITS)
+    with open_environment_at(bundle, origin) as env:
+        episode = explore_episode(env, port, port, ct.LIMITS)
     tokens = build_redaction_list(bundle, episode, ct.REDACTION_LIST)
     pattern_calls.clear()
     text = project_user_view(episode, tokens)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from policygym import load_package, save_package
-from policygym import executor, packages, snapshots, tracker
+from policygym import executor, packages, snapshots
 from policygym.errors import (
     CompilationExhausted,
     ExplorationDiverged,
@@ -51,6 +51,18 @@ from test_cli import _blob_package
 
 def stub_port() -> StubGenerationPort:
     return StubGenerationPort(ct.canned_generation_outputs())
+
+
+def _seed(bundle, strategy_cfg, port, seed=0):
+    """``seed_initial_state`` on a fresh engine at the bundle's empty image."""
+    with open_environment_at(bundle, bundle.empty_snapshot) as env:
+        return seed_initial_state(env, strategy_cfg, port, seed)
+
+
+def _explore(bundle, origin, *args, **kwargs):
+    """``explore_episode`` on a fresh engine at ``origin``."""
+    with open_environment_at(bundle, origin) as env:
+        return explore_episode(env, *args, **kwargs)
 
 
 def test_parse_permission_tags():
@@ -191,7 +203,7 @@ def test_the_memoized_gate_reports_what_the_uncached_gate_does(gate_bundles, ord
 
 def test_seed_initial_state_replays_fixture_origin():
     bundle = ct.build_bundle()
-    snapshot = seed_initial_state(bundle, {}, stub_port())
+    snapshot = _seed(bundle, {}, stub_port())
     assert diff(snapshot, ct.build_origin_snapshot(bundle), ct.DIFF_CONFIG).total == 0
 
 
@@ -203,7 +215,7 @@ def test_seed_rejection_filtered_and_logged():
                   {"id": "c2", "name": "Two", "active": 7}]},  # CHECK(active IN (0,1))
     ]
     port = StubGenerationPort({"seed_state": [json.dumps(proposals)]})
-    snapshot = seed_initial_state(bundle, {"required_tables": ["companies"]}, port)
+    snapshot = _seed(bundle, {"required_tables": ["companies"]}, port)
     with snapshot.connect() as conn:
         rows = conn.execute("SELECT id FROM companies ORDER BY id").fetchall()
     assert rows == [("c1",)]
@@ -217,13 +229,13 @@ def test_seed_rejected_when_required_table_empty():
     ]
     port = StubGenerationPort({"seed_state": [json.dumps(proposals)]})
     with pytest.raises(SeedRejected, match="companies"):
-        seed_initial_state(bundle, {"required_tables": ["companies"]}, port)
+        _seed(bundle, {"required_tables": ["companies"]}, port)
 
 
 def test_seed_empty_config_yields_empty_snapshot():
     bundle = ct.build_bundle()
     port = StubGenerationPort({"seed_state": ["[]"]})
-    snapshot = seed_initial_state(bundle, {"required_tables": []}, port)
+    snapshot = _seed(bundle, {"required_tables": []}, port)
     with snapshot.connect() as conn:
         for table in ("users", "companies", "travel_requests"):
             assert conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0] == 0
@@ -288,7 +300,7 @@ def digest_calls(monkeypatch):
         calls.append(conn)
         return state_digest(conn, schema)
 
-    for module in (executor, snapshots, tracker):
+    for module in (executor, snapshots):
         monkeypatch.setattr(module, "state_digest", counting)
     return calls
 
@@ -338,7 +350,7 @@ def test_explore_episode_reproduces_fixture_target():
     bundle = ct.build_bundle()
     origin = ct.build_origin_snapshot(bundle)
     port = stub_port()
-    episode = explore_episode(bundle, origin, port, port, ct.LIMITS)
+    episode = _explore(bundle, origin, port, port, ct.LIMITS)
     target = ct.build_task_package().target_snapshot
     assert diff(episode.s_target, target, ct.DIFF_CONFIG).total == 0
     assert episode.goal == ct.EPISODE_GOAL
@@ -353,7 +365,7 @@ def test_explore_episode_zero_action_client_stop():
         "client": [json.dumps({"message": "never mind, all good", "stop": True})],
         "consultant": [],
     })
-    episode = explore_episode(bundle, origin, port, port, ct.LIMITS)
+    episode = _explore(bundle, origin, port, port, ct.LIMITS)
     assert episode.actions == ()
     assert diff(episode.s_target, origin, ct.DIFF_CONFIG).total == 0
 
@@ -370,7 +382,7 @@ def test_explore_episode_diverges_on_repeated_rejection():
                                    "tool_calls": [bad_call] * 3})],
     })
     with pytest.raises(ExplorationDiverged, match="identical rejected"):
-        explore_episode(bundle, origin, port, port, ct.LIMITS)
+        _explore(bundle, origin, port, port, ct.LIMITS)
 
 
 def test_explore_episode_diverges_on_turn_limit():
@@ -384,7 +396,7 @@ def test_explore_episode_diverges_on_turn_limit():
     from policygym.packages import RolloutLimits
 
     with pytest.raises(ExplorationDiverged, match="turn limit"):
-        explore_episode(bundle, origin, port, port, RolloutLimits(max_turns=3), seed=0)
+        _explore(bundle, origin, port, port, RolloutLimits(max_turns=3), seed=0)
 
 
 def test_project_user_view_strips_tools_and_key_values():
@@ -420,7 +432,7 @@ def test_project_user_view_matches_fixture_task(fixture_dir):
     bundle = ct.build_bundle()
     origin = ct.build_origin_snapshot(bundle)
     port = stub_port()
-    episode = explore_episode(bundle, origin, port, port, ct.LIMITS)
+    episode = _explore(bundle, origin, port, port, ct.LIMITS)
     tokens = build_redaction_list(bundle, episode, ct.REDACTION_LIST)
     text = project_user_view(episode, tokens)
     assert text == (fixture_dir / "task.md").read_text("utf-8")
@@ -444,7 +456,7 @@ def test_assemble_package_round_trips_and_flags_trivial(tmp_path):
     bundle = ct.build_bundle()
     origin = ct.build_origin_snapshot(bundle)
     port = stub_port()
-    episode = explore_episode(bundle, origin, port, port, ct.LIMITS)
+    episode = _explore(bundle, origin, port, port, ct.LIMITS)
     tokens = build_redaction_list(bundle, episode, ct.REDACTION_LIST)
     task_text = project_user_view(episode, tokens)
     pkg = assemble_package(bundle, ct.POLICY_MD, origin, episode, task_text,
@@ -586,7 +598,7 @@ def test_verification_gate_blocks_seeding(monkeypatch):
 def test_malformed_seed_proposals_are_synthesis_errors(proposals):
     port = StubGenerationPort({"seed_state": [json.dumps(proposals)]})
     with pytest.raises(SynthesisError, match="seed_state"):
-        seed_initial_state(ct.build_bundle(), {}, port)
+        _seed(ct.build_bundle(), {}, port)
 
 
 @pytest.mark.parametrize("tool_calls", [
@@ -603,7 +615,7 @@ def test_malformed_consultant_tool_calls_are_synthesis_errors(tool_calls):
         "consultant": [json.dumps({"message": "on it", "tool_calls": tool_calls})],
     })
     with pytest.raises(SynthesisError, match="consultant"):
-        explore_episode(bundle, ct.build_origin_snapshot(bundle), port, port, ct.LIMITS)
+        _explore(bundle, ct.build_origin_snapshot(bundle), port, port, ct.LIMITS)
 
 
 @pytest.fixture()
@@ -627,7 +639,7 @@ def test_stages_on_a_compiled_bundle_do_not_compile(compiles):
     bundle = ct.build_bundle()
     assert compiles() == 1
     assert verify_environment(bundle).accepted
-    origin = seed_initial_state(bundle, {}, stub_port())
+    origin = _seed(bundle, {}, stub_port())
     probe_boundary_adjacency(bundle, origin, probe_budget=8)
     assert compiles() == 1
 
@@ -655,9 +667,9 @@ def _two_engine_round(outputs: dict) -> tuple[packages.TaskPackage, dict]:
     port = StubGenerationPort(outputs)
     result = architect_compile(ct.SEED_DOMAIN_TEXT, port, 3)
     gate = verify_environment(result.bundle)
-    origin = seed_initial_state(result.bundle, {}, port)
+    origin = _seed(result.bundle, {}, port)
     probe = probe_boundary_adjacency(result.bundle, origin, 32)
-    episode = explore_episode(result.bundle, origin, port, port, ct.LIMITS)
+    episode = _explore(result.bundle, origin, port, port, ct.LIMITS)
     redaction = build_redaction_list(result.bundle, episode)
     pkg = assemble_package(result.bundle, result.policy_doc, origin, episode,
                            project_user_view(episode, redaction), name="x", limits=ct.LIMITS,

@@ -40,6 +40,7 @@ from policygym.ports import ScriptedAgentPort, ScriptedUserPort
 from policygym.rollout import EpisodeScorer, run_episode
 from policygym.snapshots import Snapshot, state_digest
 from policygym.verify import DiffConfig, canonicalize, canonicalize_connection, diff, diff_canonical
+from test_digest_reuse import FullScan as CountedScan
 
 
 class FullScan:
@@ -77,8 +78,9 @@ def _in_episode(env) -> bool:
 
 
 def _episodic(env) -> bool:
-    """The handle's writes run inside the episode savepoint: nothing has ended it."""
-    return env._tracker._episodic
+    """The handle's writes run inside the episode savepoint: nothing has ended
+    it, and a ``system_write`` has not ended its tracking."""
+    return env._tracker is not None and env._tracker._episodic
 
 
 @pytest.fixture(scope="module")
@@ -604,11 +606,11 @@ def _log_installs(monkeypatch) -> set:
 
 
 def test_rescans_read_only_the_live_database(travel_pkg, rescans, monkeypatch):
-    """A rescan (after ``system_write``, or a change the log missed) counts
-    against the target's canonical rows, which the base reads at its first
-    rescan and keeps: the next 50 rounds of invalidate, digest and distance
-    open no image (each opened the target image at the parent), and each
-    equals the full scan."""
+    """A rescan (after a change the log missed) counts against the target's
+    canonical rows, which the base reads at its first rescan and keeps: the
+    next 50 rounds of rescan, digest and distance open no image (each opened
+    the target image before the base kept them), and each equals the full
+    scan."""
     pkg = dataclasses.replace(travel_pkg)
     scan, opened, open_image = EpisodeScan(pkg), [], snapshots.open_image
 
@@ -617,12 +619,12 @@ def test_rescans_read_only_the_live_database(travel_pkg, rescans, monkeypatch):
         return open_image(*args, **kwargs)
 
     with open_environment(pkg) as env:
-        env._tracker.invalidate()
-        scan.check(env)  # the first rescan reads the target
+        env._tracker._rescan()  # the first rescan reads the target
+        scan.check(env)
         monkeypatch.setattr(snapshots, "open_image", counting)
         for i in range(50):
             safe_execute_tool(env, (_ROUND_WRITES + [_ROUND_REJECTED])[i % 4])
-            env._tracker.invalidate()
+            env._tracker._rescan()
             scan.check(env)
     assert len(rescans) == 51 and opened == []
 
@@ -668,7 +670,7 @@ def test_an_origin_with_one_more_trigger_runs_episodes_by_its_own_triggers(trave
         assert refused.error.code == "NO_ESCALATION"
         conn = _live(env)
         assert env.digest() == state_digest(conn, env.schema_info) == refused.state_digest
-        assert env.distance() == base.reference_distance(conn) == 0
+        assert env.distance() == base.reference_distance(conn, env.schema_info) == 0
 
 
 def test_packages_of_one_catalog_share_tracked_connections(travel_pkg, monkeypatch):
@@ -884,6 +886,48 @@ def test_canonical_remap_scores_by_full_scan():
         ToolCall("update_parents", {"filters": {"id": 2}, "set": {"name": "bob"}}),
     ])
     assert tracked  # the digest stays incremental
+
+
+# calls that change no row: queries, and refusals before any row changes
+# (a taken key, a NULL name, an unknown tool)
+_REMAP_QUIET = (
+    ToolCall("query_parents", {}),
+    ToolCall("query_children", {"filters": {"parent_id": 2}}),
+    ToolCall("insert_parents", {"id": 1, "name": "dup"}),
+    ToolCall("update_parents", {"filters": {"id": 1}, "set": {"name": None}}),
+    ToolCall("nope", {}),
+)
+# writes, and a refusal by the foreign key check after its row is inserted
+_REMAP_WRITES = (
+    ToolCall("insert_children", {"parent_id": 2, "label": "c"}),
+    ToolCall("update_parents", {"filters": {"id": 2}, "set": {"name": "bea"}}),
+    ToolCall("update_parents", {"filters": {"id": 2}, "set": {"name": "bob"}}),
+    ToolCall("update_children", {"filters": {"label": "c"}, "set": {"parent_id": 3}}),
+    ToolCall("insert_children", {"parent_id": 9, "label": "x"}),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(calls=st.lists(st.sampled_from(_REMAP_QUIET + _REMAP_WRITES), max_size=12))
+def test_canonical_remap_distance_keeps_the_no_change_rule(calls):
+    """Under ``canonical_remap`` a tracked handle's digest and d_t equal the
+    full scan after each call. Its d_t is a full scan, taken only after a
+    call that moved ``total_changes``: a call that changes no row reuses the
+    last one (each took a scan before)."""
+    cfg = DiffConfig(excluded_columns={"parents": {"id"}, "children": {"id"}},
+                     fk_mode="canonical_remap")
+    pkg = _package(_SCHEMA.format(unique=""), _ORIGIN, _TARGET, cfg)
+    with pytest.MonkeyPatch.context() as patch, open_environment(pkg) as env:
+        counted = CountedScan(pkg, patch)
+        assert env.tracked
+        assert counted.check(env) == 1
+        for call in calls:
+            before = _live(env).total_changes
+            safe_execute_tool(env, call)
+            moved = _live(env).total_changes != before
+            assert not (moved and call in _REMAP_QUIET)
+            assert counted.check(env) == moved
+        assert env.tracked
 
 
 def test_drop_mode_small_schema_is_tracked():
